@@ -39,18 +39,27 @@ def load_checkpoint(path: str | Path, requires_grad: bool = True) -> tuple[dict[
             header = json.loads(line)
         except json.JSONDecodeError as e:
             raise CheckpointError(f"{path}: bad checkpoint header: {e}") from e
-        if header.get("format") != "modse-ckpt":
+        if not isinstance(header, dict) or header.get("format") != "modse-ckpt":
             raise CheckpointError(f"{path}: not a checkpoint file")
+        entries, meta = header.get("tensors"), header.get("meta")
+        if not isinstance(entries, list) or not isinstance(meta, dict):
+            raise CheckpointError(f"{path}: header needs a 'tensors' list and a 'meta' object")
         weights: dict[str, Tensor] = {}
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
+        for i, entry in enumerate(entries):
+            try:
+                name = entry["name"]
+                shape = tuple(int(n) for n in entry["shape"])
+            except (KeyError, TypeError, ValueError) as e:
+                raise CheckpointError(f"{path}: tensor entry {i} needs a 'name' and an integer 'shape'") from e
+            if min(shape, default=0) < 0:
+                raise CheckpointError(f"{path}: tensor entry {i} has a negative shape {shape}")
             count = int(np.prod(shape)) if shape else 1
             buf = fh.read(4 * count)
             if len(buf) != 4 * count:
-                raise CheckpointError(f"{path}: truncated buffer for {entry['name']}")
+                raise CheckpointError(f"{path}: truncated buffer for {name}")
             arr = np.frombuffer(buf, dtype="<f4", count=count).reshape(shape)
-            weights[entry["name"]] = Tensor(arr.copy(), requires_grad=requires_grad, dtype=np.float32)
+            weights[name] = Tensor(arr.copy(), requires_grad=requires_grad, dtype=np.float32)
         trailing = fh.read(1)
         if trailing:
             raise CheckpointError(f"{path}: trailing bytes after last tensor")
-    return weights, header["meta"]
+    return weights, meta

@@ -133,26 +133,25 @@ def check_tensor_ops(n_seeds: int = 10) -> SuiteResult:
         pcs = rng.integers(0, 4, size=7)
         p7 = rng.normal(size=(7,))
         run("gather_pairs", fd_check(lambda x: _proj(tt.gather_pairs(x, prs, pcs), p7), u))
-        run("slice_cols", fd_check(lambda x: _proj(tt.slice_cols(x, 1, 3), pu[:, 1:3].copy()), u))
-        run(
-            "concat_cols",
-            fd_check(lambda x: _proj(tt.concat_cols([x, Tensor(v, dtype=np.float64)]), np.hstack([pu, pu])), u),
-        )
 
-        seq, hd = 5, 6
-        q = rng.normal(size=(2 * seq, hd))
-        kk = rng.normal(size=(2 * seq, hd))
-        vv = rng.normal(size=(2 * seq, hd))
-        pa = rng.normal(size=(2 * seq, hd))
-        cos = np.cos(rng.normal(size=(2 * seq, hd // 2)))
-        sin = np.sin(rng.normal(size=(2 * seq, hd // 2)))
-        run("apply_rope", fd_check(lambda x: _proj(tt.apply_rope(x, cos, sin), pa), q))
+        # two heads, two sequences: the op's rope, head split and sequence split all show
+        seq, n_heads, hd = 5, 2, 4
+        q = rng.normal(size=(2 * seq, n_heads * hd))
+        kk = rng.normal(size=(2 * seq, n_heads * hd))
+        vv = rng.normal(size=(2 * seq, n_heads * hd))
+        pa = rng.normal(size=(2 * seq, n_heads * hd))
+        theta = rng.normal(size=(seq, hd // 2))
+        cos, sin = np.cos(theta), np.sin(theta)
         kt = Tensor(kk, dtype=np.float64)
         vt = Tensor(vv, dtype=np.float64)
         qt = Tensor(q, dtype=np.float64)
-        run("causal_attention/q", fd_check(lambda x: _proj(tt.causal_attention(x, kt, vt, seq), pa), q))
-        run("causal_attention/k", fd_check(lambda x: _proj(tt.causal_attention(qt, x, vt, seq), pa), kk))
-        run("causal_attention/v", fd_check(lambda x: _proj(tt.causal_attention(qt, kt, x, seq), pa), vv))
+
+        def attn(qx, kx, vx):
+            return _proj(tt.causal_attention(qx, kx, vx, n_heads, cos, sin), pa)
+
+        run("causal_attention/q", fd_check(lambda x: attn(x, kt, vt), q))
+        run("causal_attention/k", fd_check(lambda x: attn(qt, x, vt), kk))
+        run("causal_attention/v", fd_check(lambda x: attn(qt, kt, x), vv))
 
         lg = rng.normal(size=(6, 5))
         tg = rng.integers(0, 5, size=6)

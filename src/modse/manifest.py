@@ -68,6 +68,7 @@ class RunOutputs:
 
     def __init__(self, out_dir: str | Path, command: list[str], config: dict, seed: int | None):
         self.out_dir = Path(out_dir)
+        self._made_dir = not self.out_dir.exists()
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.command = list(command)
         self.config = config
@@ -102,6 +103,12 @@ class RunOutputs:
         return manifest
 
     def abort(self) -> None:
+        """Delete staged files, and `out_dir` too if this run created it and it is empty."""
         for tmp in self._staged.values():
             tmp.unlink(missing_ok=True)
         self._staged.clear()
+        if self._made_dir:
+            try:
+                self.out_dir.rmdir()
+            except OSError:  # something else was written there meanwhile
+                pass

@@ -144,14 +144,12 @@ def layer_experts(cfg: ModelConfig, weights: dict[str, Tensor], layer: int) -> l
     return out
 
 
-def rope_tables(seq_len: int, head_dim: int, batch: int, dtype, base: float = ROPE_BASE):
-    """cos/sin tables [batch*seq_len, head_dim/2], positions repeating per sequence."""
+def rope_tables(seq_len: int, head_dim: int, dtype, base: float = ROPE_BASE):
+    """cos/sin tables [seq_len, head_dim/2]; row s holds the angles of position s."""
     half = head_dim // 2
     inv_freq = base ** (-np.arange(half, dtype=np.float64) * 2.0 / head_dim)
     angles = np.outer(np.arange(seq_len, dtype=np.float64), inv_freq)
-    cos = np.tile(np.cos(angles), (batch, 1)).astype(dtype)
-    sin = np.tile(np.sin(angles), (batch, 1)).astype(dtype)
-    return cos, sin
+    return np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
 
 
 def transformer_forward(cfg: ModelConfig, weights: dict[str, Tensor], tokens: np.ndarray):
@@ -168,7 +166,7 @@ def transformer_forward(cfg: ModelConfig, weights: dict[str, Tensor], tokens: np
     b, s = tokens.shape
     head_dim = cfg.dim // cfg.n_heads
     dtype = weights["embed"].values.dtype
-    cos, sin = rope_tables(s, head_dim, b, dtype)
+    cos, sin = rope_tables(s, head_dim, dtype)
 
     h = tt.embedding_lookup(weights["embed"], tokens.reshape(-1))
     gate_outs = []
@@ -178,14 +176,7 @@ def transformer_forward(cfg: ModelConfig, weights: dict[str, Tensor], tokens: np
         q = tt.matmul(a_in, weights[f"{p}.attn.wq"])
         k = tt.matmul(a_in, weights[f"{p}.attn.wk"])
         v = tt.matmul(a_in, weights[f"{p}.attn.wv"])
-        heads = []
-        for hh in range(cfg.n_heads):
-            lo, hi = hh * head_dim, (hh + 1) * head_dim
-            qh = tt.apply_rope(tt.slice_cols(q, lo, hi), cos, sin)
-            kh = tt.apply_rope(tt.slice_cols(k, lo, hi), cos, sin)
-            vh = tt.slice_cols(v, lo, hi)
-            heads.append(tt.causal_attention(qh, kh, vh, s))
-        attn = tt.matmul(tt.concat_cols(heads), weights[f"{p}.attn.wo"])
+        attn = tt.matmul(tt.causal_attention(q, k, v, cfg.n_heads, cos, sin), weights[f"{p}.attn.wo"])
         h = tt.add(h, attn)
 
         m_in = tt.rmsnorm(h, weights[f"{p}.ffn_norm.gamma"], eps=NORM_EPS)

@@ -7,13 +7,20 @@ its inputs' dtype. The computation graph is implicit: every recorded output
 stores its parents and a backward closure, and carries a monotonically
 increasing node id, so `backward` can replay the tape in exact reverse
 recording order, visiting each node once.
+
+Multi-head causal self-attention is a single fused op, `causal_attention`:
+it takes the [tokens, d] query/key/value projections, applies rotary mixing
+to queries and keys inside, works on all heads and sequences at once with
+batched matmuls, skips the fully masked part of the score matrix block by
+block, and has a hand-written backward, so a transformer layer records one
+attention node instead of a chain per head.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,9 +49,6 @@ __all__ = [
     "scatter_rows",
     "gather_pairs",
     "embedding_lookup",
-    "slice_cols",
-    "concat_cols",
-    "apply_rope",
     "causal_attention",
     "cross_entropy",
     "per_token_cross_entropy",
@@ -416,94 +420,115 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     return gather_rows(table, ids.reshape(-1))
 
 
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    def bw(g):
-        gx = np.zeros_like(x.values)
-        gx[:, start:stop] = g
-        return (gx,)
-
-    return _record(np.ascontiguousarray(x.values[:, start:stop]), (x,), bw)
-
-
-def concat_cols(parts: Iterable[Tensor]) -> Tensor:
-    parts = tuple(parts)
-    widths = [p.shape[1] for p in parts]
-    out = np.concatenate([p.values for p in parts], axis=1)
-
-    def bw(g):
-        return tuple(np.split(g, np.cumsum(widths)[:-1], axis=1))
-
-    return _record(out, parts, bw)
-
-
 # ---------------------------------------------------------------------------
-# attention helpers
+# attention
+
+# query rows per block: each block scores only the key prefix it can see
+ATTN_BLOCK = 64
 
 
-def apply_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    """Rotary position mixing on half-split features.
+def _rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Rotary position mixing on half-split features, written into `out`.
 
-    x is [rows, d] with even d; cos/sin are [rows, d/2] constants. With
-    x = [x1 | x2], the output is [x1*cos - x2*sin | x1*sin + x2*cos], a
-    per-row orthogonal map, so the backward applies the transposed rotation.
+    x and out are [..., S, hd]; cos/sin are [S, hd/2] and broadcast over the
+    leading axes. With x = [x1 | x2] the result is
+    [x1*cos - x2*sin | x1*sin + x2*cos], a rotation per position, so
+    `_rope(g, cos, -sin, ...)` applies its transpose.
     """
-    d = x.shape[1]
-    if d % 2 != 0 or cos.shape != (x.shape[0], d // 2) or sin.shape != cos.shape:
-        raise ShapeError(f"apply_rope: x {x.shape}, cos {cos.shape}, sin {sin.shape}")
-    h = d // 2
-    x1, x2 = x.values[:, :h], x.values[:, h:]
-    out = np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=1)
-
-    def bw(g):
-        g1, g2 = g[:, :h], g[:, h:]
-        return (np.concatenate([g1 * cos + g2 * sin, -g1 * sin + g2 * cos], axis=1),)
-
-    return _record(out.astype(x.dtype), (x,), bw)
+    h = x.shape[-1] // 2
+    x1, x2 = x[..., :h], x[..., h:]
+    out[..., :h] = x1 * cos - x2 * sin
+    out[..., h:] = x1 * sin + x2 * cos
+    return out
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, seq_len: int) -> Tensor:
-    """Scaled dot-product attention with a causal mask, per seq_len-row block.
+def causal_attention(
+    q: Tensor, k: Tensor, v: Tensor, n_heads: int, cos: np.ndarray, sin: np.ndarray
+) -> Tensor:
+    """Multi-head causal self-attention with rotary mixing of queries and keys.
 
-    q/k/v are [B*seq_len, head_dim]; each block of seq_len consecutive rows
-    is one independent sequence. Position i attends to positions j <= i.
+    q/k/v are [B*S, d] projections; rows b*S..b*S+S-1 are sequence b and
+    columns h*hd..h*hd+hd-1 are head h (hd = d / n_heads). cos/sin are the
+    [S, hd/2] rotary tables. Position i attends to positions j <= i of its
+    own sequence and head. The output is [B*S, d] with heads concatenated
+    in the same column layout.
+
+    Query rows go in blocks of ATTN_BLOCK; a block ending at row r1 scores
+    only keys 0..r1-1, so the fully masked triangle beyond it is never
+    computed, and only the diagonal block carries a -inf mask.
     """
-    rows, hd = q.shape
-    if rows % seq_len != 0 or k.shape != q.shape or v.shape != q.shape:
-        raise ShapeError(f"causal_attention: q {q.shape}, k {k.shape}, v {v.shape}, seq_len {seq_len}")
+    ok = q.values.ndim == 2 and cos.ndim == 2
+    if ok:
+        rows, d = q.shape
+        seq_len, half = cos.shape
+        ok = (
+            k.shape == q.shape
+            and v.shape == q.shape
+            and sin.shape == cos.shape
+            and n_heads >= 1
+            and half >= 1
+            and d == n_heads * 2 * half
+            and seq_len >= 1
+            and rows % seq_len == 0
+        )
+    if not ok:
+        raise ShapeError(
+            f"causal_attention: q {q.shape}, k {k.shape}, v {v.shape}, "
+            f"n_heads {n_heads}, cos {cos.shape}, sin {sin.shape}"
+        )
     _check_same_dtype(q, k, "causal_attention")
     _check_same_dtype(q, v, "causal_attention")
-    nblocks = rows // seq_len
-    inv = q.dtype.type(1.0 / math.sqrt(hd))
-    neg = q.dtype.type(-np.inf)
-    upper = np.triu(np.ones((seq_len, seq_len), dtype=bool), k=1)
+    dt = q.dtype
+    b, hd = rows // seq_len, d // n_heads
+    split = (b, seq_len, n_heads, hd)
 
-    out = np.empty_like(v.values)
-    attn: list[np.ndarray] = []
-    for b in range(nblocks):
-        s = slice(b * seq_len, (b + 1) * seq_len)
-        scores = (q.values[s] @ k.values[s].T) * inv
-        scores[upper] = neg
-        m = scores.max(axis=1, keepdims=True)
-        e = np.exp(scores - m)
-        a = e / e.sum(axis=1, keepdims=True)
-        attn.append(a)
-        out[s] = a @ v.values[s]
+    def heads(x: np.ndarray) -> np.ndarray:
+        # [B*S, d] <-> [B, H, S, hd] as a view of a [B, S, H, hd] buffer
+        return x.reshape(split).transpose(0, 2, 1, 3)
+
+    qr = _rope(heads(q.values), cos, sin, np.empty((b, n_heads, seq_len, hd), dt))
+    kr = _rope(heads(k.values), cos, sin, np.empty((b, n_heads, seq_len, hd), dt))
+    vh = heads(v.values)
+    inv = dt.type(1.0 / math.sqrt(hd))
+    diag_mask = np.triu(np.full((ATTN_BLOCK, ATTN_BLOCK), -np.inf, dtype=dt), k=1)
+
+    out = np.empty(split, dt)
+    out_h = out.transpose(0, 2, 1, 3)
+    blocks: list[tuple[int, int, np.ndarray]] = []
+    for r0 in range(0, seq_len, ATTN_BLOCK):
+        r1 = min(r0 + ATTN_BLOCK, seq_len)
+        p = qr[:, :, r0:r1] @ kr[:, :, :r1].swapaxes(-1, -2)
+        p *= inv
+        p[..., r0:] += diag_mask[: r1 - r0, : r1 - r0]
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        out_h[:, :, r0:r1] = p @ vh[:, :, :r1]
+        blocks.append((r0, r1, p))
 
     def bw(g):
-        gq = np.empty_like(q.values)
-        gk = np.empty_like(k.values)
-        gv = np.empty_like(v.values)
-        for b in range(nblocks):
-            s = slice(b * seq_len, (b + 1) * seq_len)
-            a = attn[b]
-            gv[s] = a.T @ g[s]
-            da = g[s] @ v.values[s].T
-            ds = a * (da - np.sum(da * a, axis=1, keepdims=True))
-            gq[s] = (ds @ k.values[s]) * inv
-            gk[s] = (ds.T @ q.values[s]) * inv
-        return gq, gk, gv
+        gh = heads(g)
+        gq = np.empty((b, n_heads, seq_len, hd), dt)
+        gk = np.zeros((b, n_heads, seq_len, hd), dt)
+        gv = np.zeros(split, dt)
+        gv_h = gv.transpose(0, 2, 1, 3)
+        for r0, r1, p in blocks:
+            go = gh[:, :, r0:r1]
+            gv_h[:, :, :r1] += p.swapaxes(-1, -2) @ go
+            ds = go @ vh[:, :, :r1].swapaxes(-1, -2)
+            ds -= np.sum(ds * p, axis=-1, keepdims=True)
+            ds *= p
+            gq[:, :, r0:r1] = ds @ kr[:, :, :r1]
+            gk[:, :, :r1] += ds.swapaxes(-1, -2) @ qr[:, :, r0:r1]
+        gq *= inv
+        gk *= inv
+        gq_out = np.empty(split, dt)
+        gk_out = np.empty(split, dt)
+        _rope(gq, cos, -sin, gq_out.transpose(0, 2, 1, 3))
+        _rope(gk, cos, -sin, gk_out.transpose(0, 2, 1, 3))
+        return gq_out.reshape(rows, d), gk_out.reshape(rows, d), gv.reshape(rows, d)
 
-    return _record(out, (q, k, v), bw)
+    return _record(out.reshape(rows, d), (q, k, v), bw)
 
 
 # ---------------------------------------------------------------------------

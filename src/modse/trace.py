@@ -55,15 +55,26 @@ class TraceHeader:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TraceHeader":
-        if d.get("format") != "modse-trace":
-            raise TraceFormatError(f"not a trace header: {d.get('format')!r}")
-        return cls(
-            spec_hash=d["spec_hash"],
-            n_experts=int(d["n_experts"]),
-            n_layers=int(d["n_layers"]),
-            top_k=int(d["top_k"]),
-            expert_sizes=tuple(int(s) for s in d["expert_sizes"]),
-        )
+        if not isinstance(d, dict) or d.get("format") != "modse-trace":
+            found = d.get("format") if isinstance(d, dict) else d
+            raise TraceFormatError(f"not a trace header: {found!r}")
+        try:
+            header = cls(
+                spec_hash=d["spec_hash"],
+                n_experts=int(d["n_experts"]),
+                n_layers=int(d["n_layers"]),
+                top_k=int(d["top_k"]),
+                expert_sizes=tuple(int(s) for s in d["expert_sizes"]),
+            )
+        except KeyError as e:
+            raise TraceFormatError(f"trace header lacks field {e}") from e
+        except (TypeError, ValueError) as e:
+            raise TraceFormatError(f"malformed trace header field: {e}") from e
+        if len(header.expert_sizes) != header.n_experts:
+            raise TraceFormatError(
+                f"trace header lists {len(header.expert_sizes)} expert sizes for n_experts={header.n_experts}"
+            )
+        return header
 
 
 @dataclass
@@ -172,7 +183,7 @@ def read_trace(path: str | Path) -> RoutingTrace:
             hlen = int.from_bytes(raw[:4], "little")
             try:
                 header = TraceHeader.from_dict(json.loads(raw[4 : 4 + hlen]))
-            except (json.JSONDecodeError, KeyError) as e:
+            except ValueError as e:  # JSON, UTF-8 or header-field errors
                 raise TraceFormatError(f"{path}: bad binary header: {e}") from e
             body = raw[4 + hlen :]
             if len(body) % RECORD_DTYPE.itemsize != 0:
@@ -185,7 +196,7 @@ def read_trace(path: str | Path) -> RoutingTrace:
         raise TraceFormatError(f"{path}: empty file")
     try:
         header = TraceHeader.from_dict(json.loads(lines[0]))
-    except (json.JSONDecodeError, KeyError) as e:
+    except ValueError as e:  # JSON or header-field errors
         raise TraceFormatError(f"{path}: bad header line: {e}") from e
     records = np.zeros(len(lines) - 1, dtype=RECORD_DTYPE)
     for i, line in enumerate(lines[1:]):

@@ -25,6 +25,10 @@ from .tensor import Tensor, per_token_cross_entropy
 from .trace import TraceHeader, TraceWriter, make_records
 
 
+class NonFiniteLossError(RuntimeError):
+    """The training loss became NaN or infinite; the run cannot continue."""
+
+
 @dataclass
 class TrainStepRecord:
     step: int
@@ -119,6 +123,8 @@ def train(
             loss = ce
             for st in stats:
                 loss = tt.add(loss, st.loss)
+            if not np.isfinite(loss.values):
+                raise NonFiniteLossError(f"step {step}: loss is {float(loss.values)} (cross entropy {float(ce.values)})")
 
             tt.backward(loss)
             gnorm = clip_global_norm(params, opt.grad_clip_norm)

@@ -63,3 +63,24 @@ def test_wrong_format_rejected(tmp_path):
     p.write_bytes(b'{"format": "other"}\n')
     with pytest.raises(CheckpointError, match="not a checkpoint"):
         load_checkpoint(p)
+
+
+@pytest.mark.parametrize("missing", ["tensors", "meta"])
+def test_header_without_section_rejected(tmp_path, missing):
+    p = tmp_path / "ck.bin"
+    header = {"format": "modse-ckpt", "version": 1, "meta": {}, "tensors": []}
+    del header[missing]
+    p.write_bytes(json.dumps(header).encode() + b"\n")
+    with pytest.raises(CheckpointError, match="'tensors' list and a 'meta' object"):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize(
+    "entry", [{"name": "a"}, {"shape": [2]}, {"name": "a", "shape": ["x"]}, {"name": "a", "shape": [-1, -2]}]
+)
+def test_bad_tensor_entry_rejected(tmp_path, entry):
+    p = tmp_path / "ck.bin"
+    header = {"format": "modse-ckpt", "version": 1, "meta": {}, "tensors": [entry]}
+    p.write_bytes(json.dumps(header).encode() + b"\n" + b"\0" * 8)
+    with pytest.raises(CheckpointError, match="tensor entry 0"):
+        load_checkpoint(p)

@@ -85,6 +85,14 @@ class TestTrainCommand:
         summary = json.loads(r.stdout.strip().splitlines()[-1])
         assert summary["steps"] == 10
 
+    def test_non_finite_loss_exits_two_no_output_dir(self, tmp_path):
+        cfg = write_config(tmp_path, TINY_MODEL, {**TINY_OPT, "warmup_steps": 0, "lr_peak": 1e30})
+        out = tmp_path / "run"
+        r = run_cli("train", "--config", cfg, "--steps", 6, "--trace", "trace.bin", "--out", out)
+        assert r.returncode == 2
+        assert "NonFiniteLossError: step" in r.stderr
+        assert not out.exists()
+
     def test_homogeneous_override_same_layout(self, tmp_path):
         cfg = write_config(tmp_path, TINY_MODEL, TINY_OPT)
         out = tmp_path / "run"

@@ -169,15 +169,10 @@ class TestModelConfig:
 
 class TestRopeTables:
     def test_unit_magnitude(self):
-        cos, sin = rope_tables(6, 8, batch=2, dtype=np.float64)
+        cos, sin = rope_tables(6, 8, dtype=np.float64)
         np.testing.assert_allclose(cos**2 + sin**2, 1.0, atol=1e-12)
 
     def test_position_zero_identity(self):
-        cos, sin = rope_tables(4, 8, batch=1, dtype=np.float64)
+        cos, sin = rope_tables(4, 8, dtype=np.float64)
         np.testing.assert_array_equal(cos[0], np.ones(4))
         np.testing.assert_array_equal(sin[0], np.zeros(4))
-
-    def test_batch_tiling_repeats_positions(self):
-        cos, sin = rope_tables(4, 8, batch=3, dtype=np.float64)
-        np.testing.assert_array_equal(cos[:4], cos[4:8])
-        np.testing.assert_array_equal(sin[4:8], sin[8:12])

@@ -249,68 +249,104 @@ class TestStructuralOps:
         with pytest.raises(ValueError, match="out of range"):
             tt.embedding_lookup(Tensor(np.zeros((4, 2))), np.array([4]))
 
-    def test_slice_concat_roundtrip(self):
-        x = np.arange(10.0).reshape(2, 5)
-        t = Tensor(x, dtype=np.float64)
-        parts = [tt.slice_cols(t, 0, 2), tt.slice_cols(t, 2, 5)]
-        assert np.array_equal(tt.concat_cols(parts).values, x)
-
     def test_scale_rows(self):
         x = np.ones((3, 2))
         out = tt.scale_rows(Tensor(x, dtype=np.float64), Tensor([1.0, 2.0, 3.0], dtype=np.float64))
         assert np.array_equal(out.values, np.array([[1, 1], [2, 2], [3, 3]], dtype=float))
 
 
+def reference_attention(q, k, v, n_heads, cos, sin):
+    """Plain-numpy multi-head causal attention, one head and one sequence at a time."""
+    seq_len, half = cos.shape
+    hd = 2 * half
+
+    def rot(x):
+        return np.hstack([x[:, :half] * cos - x[:, half:] * sin, x[:, :half] * sin + x[:, half:] * cos])
+
+    out = np.zeros_like(v)
+    for b in range(q.shape[0] // seq_len):
+        rows = slice(b * seq_len, (b + 1) * seq_len)
+        for h in range(n_heads):
+            cols = slice(h * hd, (h + 1) * hd)
+            qh, kh, vh = rot(q[rows, cols]), rot(k[rows, cols]), v[rows, cols]
+            for i in range(seq_len):
+                scores = kh[: i + 1] @ qh[i] / np.sqrt(hd)
+                w = np.exp(scores - scores.max())
+                out[b * seq_len + i, cols] = (w / w.sum()) @ vh[: i + 1]
+    return out
+
+
+def rope_angles(seq_len, hd, rng):
+    theta = rng.normal(size=(seq_len, hd // 2))
+    return np.cos(theta), np.sin(theta)
+
+
+def attend(q, k, v, n_heads, cos, sin):
+    return tt.causal_attention(
+        Tensor(q, dtype=np.float64), Tensor(k, dtype=np.float64), Tensor(v, dtype=np.float64), n_heads, cos, sin
+    ).values
+
+
 class TestRope:
     def test_rotation_preserves_norm(self):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(5, 8))
-        theta = rng.normal(size=(5, 4))
-        out = tt.apply_rope(Tensor(x, dtype=np.float64), np.cos(theta), np.sin(theta))
-        np.testing.assert_allclose(
-            np.linalg.norm(out.values, axis=1), np.linalg.norm(x, axis=1), rtol=1e-12
-        )
+        x = rng.normal(size=(2, 3, 5, 8))
+        cos, sin = rope_angles(5, 8, rng)
+        out = tt._rope(x, cos, sin, np.empty_like(x))
+        np.testing.assert_allclose(np.linalg.norm(out, axis=-1), np.linalg.norm(x, axis=-1), rtol=1e-12)
 
     def test_zero_angle_is_identity(self):
-        x = np.arange(8.0).reshape(2, 4)
-        out = tt.apply_rope(Tensor(x, dtype=np.float64), np.ones((2, 2)), np.zeros((2, 2)))
-        assert np.array_equal(out.values, x)
+        rng = np.random.default_rng(7)
+        q, k, v = (rng.normal(size=(6, 8)) for _ in range(3))
+        out = attend(q, k, v, 2, np.ones((3, 2)), np.zeros((3, 2)))
+        plain = reference_attention(q, k, v, 2, np.ones((3, 2)), np.zeros((3, 2)))
+        np.testing.assert_allclose(out, plain, rtol=1e-12)
 
 
 class TestCausalAttention:
+    def test_matches_per_head_reference(self):
+        # S = 130 spans three row blocks, the last one partial
+        rng = np.random.default_rng(8)
+        n_heads, hd, seq_len = 3, 6, 130
+        q, k, v = (rng.normal(size=(2 * seq_len, n_heads * hd)) for _ in range(3))
+        cos, sin = rope_angles(seq_len, hd, rng)
+        np.testing.assert_allclose(
+            attend(q, k, v, n_heads, cos, sin), reference_attention(q, k, v, n_heads, cos, sin), rtol=1e-10
+        )
+
     def test_single_token_attends_to_itself(self):
         rng = np.random.default_rng(4)
-        q, k, v = (Tensor(rng.normal(size=(1, 4)), dtype=np.float64) for _ in range(3))
-        out = tt.causal_attention(q, k, v, 1)
-        np.testing.assert_allclose(out.values, v.values, rtol=1e-15)
+        q, k, v = (rng.normal(size=(1, 4)) for _ in range(3))
+        cos, sin = rope_angles(1, 2, rng)
+        np.testing.assert_allclose(attend(q, k, v, 2, cos, sin), v, rtol=1e-15)
 
     def test_future_values_do_not_leak(self):
         rng = np.random.default_rng(5)
-        q = rng.normal(size=(6, 4))
-        k = rng.normal(size=(6, 4))
-        v = rng.normal(size=(6, 4))
-        base = tt.causal_attention(
-            Tensor(q, dtype=np.float64), Tensor(k, dtype=np.float64), Tensor(v, dtype=np.float64), 6
-        ).values
+        q, k, v = (rng.normal(size=(6, 8)) for _ in range(3))
+        cos, sin = rope_angles(6, 4, rng)
+        base = attend(q, k, v, 2, cos, sin)
         v2 = v.copy()
         v2[4:] += 100.0  # positions 4,5 only
         k2 = k.copy()
         k2[4:] -= 3.0
-        out = tt.causal_attention(
-            Tensor(q, dtype=np.float64), Tensor(k2, dtype=np.float64), Tensor(v2, dtype=np.float64), 6
-        ).values
+        out = attend(q, k2, v2, 2, cos, sin)
         np.testing.assert_allclose(out[:4], base[:4], rtol=1e-15)
 
     def test_blocks_are_independent(self):
         rng = np.random.default_rng(6)
-        q, k, v = (rng.normal(size=(8, 4)) for _ in range(3))
-        whole = tt.causal_attention(
-            Tensor(q, dtype=np.float64), Tensor(k, dtype=np.float64), Tensor(v, dtype=np.float64), 4
-        ).values
-        first = tt.causal_attention(
-            Tensor(q[:4], dtype=np.float64), Tensor(k[:4], dtype=np.float64), Tensor(v[:4], dtype=np.float64), 4
-        ).values
+        q, k, v = (rng.normal(size=(8, 8)) for _ in range(3))
+        cos, sin = rope_angles(4, 4, rng)
+        whole = attend(q, k, v, 2, cos, sin)
+        first = attend(q[:4], k[:4], v[:4], 2, cos, sin)
         np.testing.assert_allclose(whole[:4], first, rtol=1e-15)
+
+    def test_shape_errors(self):
+        x = Tensor(np.zeros((6, 8)), dtype=np.float64)
+        cos = np.ones((3, 2))
+        with pytest.raises(ShapeError, match="causal_attention"):
+            tt.causal_attention(x, x, x, 3, cos, cos)  # 8 columns do not split into 3 heads
+        with pytest.raises(ShapeError, match="causal_attention"):
+            tt.causal_attention(x, x, x, 2, np.ones((4, 2)), np.ones((4, 2)))  # 6 rows, seq 4
 
 
 class TestCrossEntropy:

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modse.trace import (
+    MAGIC,
     RECORD_DTYPE,
     RoutingTrace,
     TraceFormatError,
@@ -108,6 +111,24 @@ class TestValidation:
         p = tmp_path / "bad.jsonl"
         p.write_text('{"format": "something-else"}\n')
         with pytest.raises(TraceFormatError, match="not a trace header"):
+            read_trace(p)
+
+    def test_expert_sizes_must_match_n_experts(self):
+        d = header(n=8).to_dict()
+        d["expert_sizes"] = [1, 1, 1]
+        with pytest.raises(TraceFormatError, match="3 expert sizes for n_experts=8"):
+            TraceHeader.from_dict(d)
+
+    @pytest.mark.parametrize("field", ["spec_hash", "n_experts", "n_layers", "top_k", "expert_sizes"])
+    def test_missing_header_field_rejected(self, tmp_path, field):
+        d = header().to_dict()
+        del d[field]
+        with pytest.raises(TraceFormatError, match=f"lacks field '{field}'"):
+            TraceHeader.from_dict(d)
+        p = tmp_path / "t.bin"
+        blob = json.dumps(d).encode()
+        p.write_bytes(MAGIC + len(blob).to_bytes(4, "little") + blob)
+        with pytest.raises(TraceFormatError, match="bad binary header"):
             read_trace(p)
 
     def test_bad_record_reports_offset(self, tmp_path):

@@ -9,7 +9,7 @@ from modse.data import synthetic_corpus
 from modse.model import ModelConfig, init_weights
 from modse.optim import OptimizerConfig
 from modse.trace import read_trace
-from modse.train import eval_loss, train
+from modse.train import NonFiniteLossError, eval_loss, train
 
 
 def tiny_cfg(**kw):
@@ -134,6 +134,13 @@ class TestTrain:
         assert meta["expert_sizes"] == cfg.expert_spec().expert_sizes
         for name, t in weights.items():
             np.testing.assert_array_equal(loaded[name].values, t.values.astype(np.float32))
+
+
+    def test_non_finite_loss_stops_naming_the_step(self, corpus, tmp_path):
+        # an absurd learning rate overflows the weights after the first update
+        opt = tiny_opt(warmup_steps=0, lr_peak=1e30)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteLossError, match=r"step [1-9]\d*: loss is nan"):
+            train(tiny_cfg(), opt, corpus, 6, metrics_out=tmp_path / "m.jsonl")
 
 
 class TestEvalLoss:
