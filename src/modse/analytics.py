@@ -10,7 +10,7 @@ precision in the dataclasses and rounded to two decimals only when rendered.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -157,7 +157,6 @@ class DifficultTokenReport:
     sum_large_top12: int
     sum_small_top12: int
     per_layer_top1: np.ndarray  # [layers, N] rank-0 events, the heatmap grid
-    threshold_rows: list[ThresholdRow] = field(default_factory=list)
 
 
 def difficult_token_expert_distribution(

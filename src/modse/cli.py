@@ -33,9 +33,9 @@ from .analytics import (
 from .data import load_text_corpus, synthetic_corpus, synthetic_docs
 from .manifest import RunOutputs
 from .model import ModelConfig
-from .moe import PairedExpertSpec, spec_from_sizes
+from .moe import spec_from_sizes
 from .optim import OptimizerConfig
-from .placement import DeviceModel, PlanningError, plan_baselines, plan_pairwise
+from .placement import STRATEGIES, DeviceModel, PlanningError, plan_baselines, plan_pairwise
 from .trace import TraceFormatError, read_trace
 from .train import train
 
@@ -87,10 +87,6 @@ def _load_config(path: str | None) -> tuple[ModelConfig, OptimizerConfig]:
     return model, opt
 
 
-def _spec_from_config(cfg: ModelConfig) -> PairedExpertSpec:
-    return cfg.expert_spec()
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -139,7 +135,7 @@ def cmd_train(args, argv: list[str]) -> int:
 
 def cmd_plan(args, argv: list[str]) -> int:
     cfg, _ = _load_config(args.config)
-    spec = _spec_from_config(cfg)
+    spec = cfg.expert_spec()
     devices = DeviceModel(args.devices)
     if args.strategy == "pairwise":
         plan = plan_pairwise(spec, cfg.n_layers, devices)
@@ -148,9 +144,7 @@ def cmd_plan(args, argv: list[str]) -> int:
 
     run = RunOutputs(args.out, argv, {"model": cfg.to_dict()}, cfg.seed)
     try:
-        run.stage("plan.json").write_text(
-            json.dumps(plan.to_json_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        plan.save(run.stage("plan.json"))
         run.commit()
     except BaseException:
         run.abort()
@@ -293,7 +287,7 @@ def build_parser() -> _Parser:
     pl = sub.add_parser("plan", help="assign experts to logical devices")
     pl.add_argument("--config", help="JSON config (model section)")
     pl.add_argument("--devices", type=int, required=True)
-    pl.add_argument("--strategy", default="pairwise", choices=["pairwise", "naive_contiguous", "size_sorted"])
+    pl.add_argument("--strategy", default="pairwise", choices=STRATEGIES)
     pl.add_argument("--order", default="as_is", choices=["as_is", "descending"], help="expert order for naive_contiguous")
     pl.add_argument("--out", default="modse-plan", help="output directory")
     pl.set_defaults(func=cmd_plan)

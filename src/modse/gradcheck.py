@@ -89,9 +89,6 @@ def check_tensor_ops(n_seeds: int = 10) -> SuiteResult:
         run("mul", fd_check(lambda x: _proj(tt.mul(x, Tensor(v, dtype=np.float64)), pu), u))
         run("scale", fd_check(lambda x: _proj(tt.scale(x, -1.7), pu), u))
         run("div_scale", fd_check(lambda x: _proj(tt.div_scale(x, 2.3), pu), u))
-        s = rng.normal(size=(3,))
-        run("scale_rows/x", fd_check(lambda x: _proj(tt.scale_rows(x, Tensor(s, dtype=np.float64)), pu), u))
-        run("scale_rows/s", fd_check(lambda x: _proj(tt.scale_rows(Tensor(u, dtype=np.float64), x), pu), s))
         run("transpose", fd_check(lambda x: _proj(tt.transpose(x), pu.T.copy()), u))
         run("reshape", fd_check(lambda x: _proj(tt.reshape(x, (4, 3)), pu.reshape(4, 3)), u))
         run("sum_all", fd_check(lambda x: tt.sum_all(x), u))
@@ -126,13 +123,16 @@ def check_tensor_ops(n_seeds: int = 10) -> SuiteResult:
         p5 = rng.normal(size=(5, 4))
         run("embedding_lookup", fd_check(lambda x: _proj(tt.embedding_lookup(x, ids), p5), table))
         run("gather_rows", fd_check(lambda x: _proj(tt.gather_rows(x, ids), p5), table))
-        rows = rng.normal(size=(5, 4))
-        p6 = rng.normal(size=(6, 4))
-        run("scatter_rows", fd_check(lambda x: _proj(tt.scatter_rows(x, ids, 6), p6), rows))
-        prs = rng.integers(0, 3, size=7)
-        pcs = rng.integers(0, 4, size=7)
-        p7 = rng.normal(size=(7,))
-        run("gather_pairs", fd_check(lambda x: _proj(tt.gather_pairs(x, prs, pcs), p7), u))
+
+        # two experts of a 3-expert gate, the second on a subset of the rows
+        sets = (np.arange(4), np.array([1, 3]))
+        outs = [rng.normal(size=(len(r), 4)) for r in sets]
+        gw = rng.normal(size=(4, 3))
+        p4 = rng.normal(size=(4, 4))
+        o0, o1, wt = (Tensor(a, dtype=np.float64) for a in (*outs, gw))
+        run("combine/outputs", fd_check(lambda x: _proj(tt.combine([x, o1], sets, [2, 0], wt), p4), outs[0]))
+        run("combine/outputs", fd_check(lambda x: _proj(tt.combine([o0, x], sets, [2, 0], wt), p4), outs[1]))
+        run("combine/weights", fd_check(lambda x: _proj(tt.combine([o0, o1], sets, [2, 0], x), p4), gw))
 
         # two heads, two sequences: the op's rope, head split and sequence split all show
         seq, n_heads, hd = 5, 2, 4

@@ -79,10 +79,6 @@ class PairedExpertSpec:
     def n_experts(self) -> int:
         return 2 * len(self.pairs)
 
-    @property
-    def is_homogeneous(self) -> bool:
-        return all(large == small for large, small in self.pairs)
-
 
 def build_paired_spec(
     d_model: int, h_base: int, ratios: list[tuple[float, float]]
@@ -193,25 +189,24 @@ def moe_layer_forward(
 ) -> tuple[Tensor, GateOutput]:
     """Route each token to its top-k experts and combine the outputs.
 
-    Each expert runs once, on the rows routed to it; contributions are merged
-    by scatter-add in expert-index order, which matches a dense per-token sum
-    over experts evaluated in the same order. Tokens outside an expert's
-    routing set contribute exactly zero to it and are never evaluated.
+    Each expert runs once, on the rows routed to it; one weighted `combine`
+    then adds every expert's gate-scaled rows in expert-index order, which is
+    identical to a dense per-token sum over experts evaluated in the same
+    order. Tokens outside an expert's routing set contribute exactly zero to
+    it and are never evaluated.
     """
     if not experts:
         raise ValueError("moe_layer_forward: experts list is empty")
     out = gate_forward(gate, x, k)
-    t = x.shape[0]
-    y = tt.zeros((t, x.shape[1]), dtype=x.values.dtype)
+    outputs, rows, used = [], [], []
     for e_idx, expert in enumerate(experts):
-        rows = np.nonzero((out.topk_indices == e_idx).any(axis=1))[0]
-        if rows.size == 0:
+        routed = np.nonzero((out.topk_indices == e_idx).any(axis=1))[0]
+        if routed.size == 0:
             continue
-        xe = tt.gather_rows(x, rows)
-        ye = expert_forward(expert, xe)
-        w = tt.gather_pairs(out.masked_probs, rows, np.full(rows.shape, e_idx))
-        y = tt.add(y, tt.scatter_rows(tt.scale_rows(ye, w), rows, t))
-    return y, out
+        outputs.append(expert_forward(expert, tt.gather_rows(x, routed)))
+        rows.append(routed)
+        used.append(e_idx)
+    return tt.combine(outputs, rows, used, out.masked_probs), out
 
 
 def count_parameters(experts: list[ExpertParams]) -> int:

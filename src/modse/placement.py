@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,15 +33,10 @@ class TraceRangeError(ValueError):
 @dataclass(frozen=True)
 class DeviceModel:
     device_count: int
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.device_count < 1:
             raise ValueError("device_count must be >= 1")
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(f"dev{i}" for i in range(self.device_count)))
-        elif len(self.labels) != self.device_count:
-            raise ValueError("labels must match device_count")
 
 
 @dataclass

@@ -14,6 +14,12 @@ to queries and keys inside, works on all heads and sequences at once with
 batched matmuls, skips the fully masked part of the score matrix block by
 block, and has a hand-written backward, so a transformer layer records one
 attention node instead of a chain per head.
+
+The expert outputs of a mixture layer are merged by one weighted `combine`
+op: it adds each expert's gate-scaled rows into a [tokens, d] matrix, the
+experts in index order, which is identical to the dense per-token sum over
+experts in that order. Its hand-written backward is a plain gather, since
+no token row repeats within one expert.
 """
 
 from __future__ import annotations
@@ -27,15 +33,12 @@ import numpy as np
 __all__ = [
     "ShapeError",
     "Tensor",
-    "tensor",
-    "zeros",
     "backward",
     "matmul",
     "add",
     "mul",
     "scale",
     "div_scale",
-    "scale_rows",
     "transpose",
     "reshape",
     "sum_all",
@@ -46,9 +49,8 @@ __all__ = [
     "keep_topk",
     "topk_indices",
     "gather_rows",
-    "scatter_rows",
-    "gather_pairs",
     "embedding_lookup",
+    "combine",
     "causal_attention",
     "cross_entropy",
     "per_token_cross_entropy",
@@ -120,14 +122,6 @@ class Tensor:
 
     def __mul__(self, other: "Tensor") -> "Tensor":
         return mul(self, other)
-
-
-def tensor(values, requires_grad: bool = False, dtype=None) -> Tensor:
-    return Tensor(values, requires_grad=requires_grad, dtype=dtype)
-
-
-def zeros(shape, dtype=np.float32) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype))
 
 
 def _check_same_dtype(a: Tensor, b: Tensor, op: str) -> None:
@@ -231,19 +225,6 @@ def div_scale(x: Tensor, c: float) -> Tensor:
     """x / c with true division; not the same rounding as scale(x, 1/c)."""
     c = x.dtype.type(c)
     return _record(x.values / c, (x,), lambda g: (g / c,))
-
-
-def scale_rows(x: Tensor, s: Tensor) -> Tensor:
-    """Multiply row i of `x` by `s[i]`."""
-    if x.values.ndim != 2 or s.values.ndim != 1 or x.shape[0] != s.shape[0]:
-        raise ShapeError(f"scale_rows: shapes {x.shape} and {s.shape}")
-    _check_same_dtype(x, s, "scale_rows")
-    col = s.values[:, None]
-
-    def bw(g):
-        return g * col, np.sum(g * x.values, axis=1)
-
-    return _record(x.values * col, (x, s), bw)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -376,7 +357,7 @@ def keep_topk(x: Tensor, k: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# gather / scatter
+# gather / combine
 
 
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -390,34 +371,53 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     return _record(x.values[idx], (x,), bw)
 
 
-def scatter_rows(rows: Tensor, idx: np.ndarray, num_rows: int) -> Tensor:
-    """Adjoint of gather_rows: place (and sum) `rows` at positions `idx` in a zero matrix."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if rows.values.ndim != 2 or len(idx) != rows.shape[0]:
-        raise ShapeError(f"scatter_rows: {rows.shape} rows vs {len(idx)} indices")
-    out = np.zeros((num_rows, rows.shape[1]), dtype=rows.dtype)
-    np.add.at(out, idx, rows.values)
-    return _record(out, (rows,), lambda g: (g[idx],))
-
-
-def gather_pairs(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
-    """Vector of x[rows[i], cols[i]]; scatter-adds back on the way down."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-
-    def bw(g):
-        gx = np.zeros_like(x.values)
-        np.add.at(gx, (rows, cols), g)
-        return (gx,)
-
-    return _record(x.values[rows, cols], (x,), bw)
-
-
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids)
     if ids.min(initial=0) < 0 or (ids.size and ids.max() >= table.shape[0]):
         raise ValueError(f"embedding_lookup: id out of range for table of {table.shape[0]} rows")
     return gather_rows(table, ids.reshape(-1))
+
+
+def combine(
+    outputs: Sequence[Tensor], rows: Sequence[np.ndarray], experts: Sequence[int], weights: Tensor
+) -> Tensor:
+    """Gate-weighted merge of per-expert outputs into one [T, d] matrix.
+
+    `weights` is the [T, N] gate matrix; `outputs[i]` holds expert
+    `experts[i]`'s results for the distinct token rows `rows[i]`. Starting
+    from zeros, output i is added in list order as
+
+        y[rows_i] += weights[rows_i, experts_i][:, None] * outputs_i
+
+    so each token sums its experts in list order, exactly as a dense
+    per-token sum in that order does. No row repeats within one output, so
+    the backward is a plain gather: output i receives g[rows_i] * w_i and
+    `weights` receives sum(g[rows_i] * outputs_i, axis=1) at (rows_i, experts_i).
+    """
+    matrices = outputs and outputs[0].values.ndim == weights.values.ndim == 2
+    if not (matrices and len(outputs) == len(rows) == len(experts)):
+        raise ShapeError(f"combine: {len(outputs)} outputs, {len(rows)} row sets, {len(experts)} experts")
+    (t, n), d = weights.shape, outputs[0].shape[1]
+    rows = [np.asarray(r, dtype=np.int64) for r in rows]
+    for o, r, e in zip(outputs, rows, experts):
+        if o.shape != (len(r), d) or not 0 <= e < n:
+            raise ShapeError(f"combine: output {o.shape} for {len(r)} rows of expert {e}, weights {weights.shape}")
+        _check_same_dtype(o, weights, "combine")
+    cols = [weights.values[r, e][:, None] for r, e in zip(rows, experts)]
+    y = np.zeros((t, d), dtype=weights.dtype)
+    for o, r, w in zip(outputs, rows, cols):
+        y[r] += o.values * w
+
+    def bw(g):
+        gw = np.zeros_like(weights.values)
+        grads = []
+        for o, r, e, w in zip(outputs, rows, experts, cols):
+            gr = g[r]
+            grads.append(gr * w)
+            gw[r, e] += np.sum(gr * o.values, axis=1)
+        return (*grads, gw)
+
+    return _record(y, (*outputs, weights), bw)
 
 
 # ---------------------------------------------------------------------------

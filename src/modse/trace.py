@@ -211,6 +211,6 @@ def read_trace(path: str | Path) -> RoutingTrace:
                 obj["weight"],
                 obj.get("ce", np.nan),
             )
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:  # ValueError covers bad JSON
             raise TraceFormatError(f"{path}: bad record at offset {i}: {e}") from e
     return RoutingTrace(header, records)

@@ -26,7 +26,7 @@ from .trace import TraceHeader, TraceWriter, make_records
 
 
 class NonFiniteLossError(RuntimeError):
-    """The training loss became NaN or infinite; the run cannot continue."""
+    """The training loss or its gradient became NaN or infinite; the run cannot continue."""
 
 
 @dataclass
@@ -128,6 +128,9 @@ def train(
 
             tt.backward(loss)
             gnorm = clip_global_norm(params, opt.grad_clip_norm)
+            if not np.isfinite(gnorm):
+                bad = next((n for n, p in params if p.grad is not None and not np.isfinite(p.grad).all()), None)
+                raise NonFiniteLossError(f"step {step}: gradient norm is {gnorm} (first non-finite gradient: {bad})")
             adam_step(params, state, opt, step + 1)
             for _, p in params:
                 p.zero_grad()

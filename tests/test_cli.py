@@ -252,6 +252,17 @@ class TestAnalyzeCommand:
         assert not (out / "counts.csv").exists()
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("epoch", ['"x"', "-1"], ids=["not-a-number", "negative"])
+    def test_bad_record_field_exits_one(self, tmp_path, epoch):
+        tp = tmp_path / "t.jsonl"
+        tp.write_text(
+            json.dumps(TraceHeader("t", 4, 1, 2, (8, 8, 8, 8)).to_dict())
+            + f'\n{{"epoch":{epoch},"layer":0,"token":0,"rank":0,"expert":1,"weight":0.5}}\n'
+        )
+        r = run_cli("analyze", tp, "--out", tmp_path / "analysis")
+        assert r.returncode == 1, r.stderr
+        assert "bad record at offset 0" in r.stderr
+
     def test_missing_trace_exits_two(self, tmp_path):
         r = run_cli("analyze", tmp_path / "nope.jsonl", "--out", tmp_path / "x")
         assert r.returncode == 2

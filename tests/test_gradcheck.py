@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,17 @@ def test_tensor_ops_ten_seeds():
     r = gc.check_tensor_ops(n_seeds=10)
     assert r.passed, {k: v for k, v in r.per_item.items() if v > r.tol}
     assert r.worst_err <= 1e-4
+
+
+# names in tensor.__all__ that are not differentiable ops
+NON_OPS = {"ShapeError", "Tensor", "backward", "topk_indices", "per_token_cross_entropy", "finite_diff_grad"}
+
+
+def test_every_op_has_a_gradcheck_entry():
+    # a fused op must take over the gradcheck coverage of the ops it replaces
+    covered = {re.split(r"[/+]", item)[0] for item in gc.check_tensor_ops(n_seeds=1).per_item}
+    ops = set(modse.tensor.__all__) - NON_OPS
+    assert ops <= covered, sorted(ops - covered)
 
 
 def test_gate_suite():

@@ -230,29 +230,60 @@ class TestStructuralOps:
         assert np.array_equal(tt.transpose(Tensor(x)).values, x.T)
         assert np.array_equal(tt.reshape(Tensor(x), (3, 2)).values, x.reshape(3, 2))
 
-    def test_gather_scatter_roundtrip(self):
+    def test_gather_rows_repeated_index(self):
         x = np.arange(12.0).reshape(4, 3)
         idx = np.array([2, 0, 2])
         g = tt.gather_rows(Tensor(x, dtype=np.float64), idx)
         assert np.array_equal(g.values, x[idx])
-        s = tt.scatter_rows(g, idx, 4)
-        expect = np.zeros((4, 3))
-        np.add.at(expect, idx, x[idx])
-        assert np.array_equal(s.values, expect)
-
-    def test_gather_pairs(self):
-        x = np.arange(12.0).reshape(3, 4)
-        out = tt.gather_pairs(Tensor(x), np.array([0, 2]), np.array([3, 1]))
-        assert out.values.tolist() == [3.0, 9.0]
 
     def test_embedding_lookup_range_check(self):
         with pytest.raises(ValueError, match="out of range"):
             tt.embedding_lookup(Tensor(np.zeros((4, 2))), np.array([4]))
 
-    def test_scale_rows(self):
-        x = np.ones((3, 2))
-        out = tt.scale_rows(Tensor(x, dtype=np.float64), Tensor([1.0, 2.0, 3.0], dtype=np.float64))
-        assert np.array_equal(out.values, np.array([[1, 1], [2, 2], [3, 3]], dtype=float))
+
+class TestCombine:
+    def test_matches_numpy_loop(self):
+        # float64, three experts in a non-sorted order, one on a subset of rows:
+        # forward and both gradients equal a plain loop bit for bit
+        rng = np.random.default_rng(5)
+        t, d, n = 6, 4, 5
+        w = rng.random((t, n))
+        rows = [np.arange(t), np.array([1, 4, 5]), np.array([0, 2])]
+        experts = [3, 0, 4]
+        outs = [rng.normal(size=(len(r), d)) for r in rows]
+        g = rng.normal(size=(t, d))
+
+        expect = np.zeros((t, d))
+        expect_go = []
+        expect_gw = np.zeros((t, n))
+        for o, r, e in zip(outs, rows, experts):
+            for j, i in enumerate(r):
+                expect[i] = expect[i] + o[j] * w[i, e]
+                expect_gw[i, e] = np.sum(g[i] * o[j])
+            expect_go.append(g[r] * w[r, e][:, None])
+
+        out_t = [Tensor(o, requires_grad=True, dtype=np.float64) for o in outs]
+        w_t = Tensor(w, requires_grad=True, dtype=np.float64)
+        y = tt.combine(out_t, rows, experts, w_t)
+        assert np.array_equal(y.values, expect)
+        tt.backward(tt.sum_all(tt.mul(y, Tensor(g, dtype=np.float64))))
+        for o, eg in zip(out_t, expect_go):
+            assert np.array_equal(o.grad, eg)
+        assert np.array_equal(w_t.grad, expect_gw)
+
+    def test_shape_errors(self):
+        w = Tensor(np.ones((3, 2)))
+        o = Tensor(np.ones((2, 4)))
+        with pytest.raises(ShapeError):
+            tt.combine([], [], [], w)
+        with pytest.raises(ShapeError):
+            tt.combine([o], [np.array([0, 1, 2])], [0], w)
+        with pytest.raises(ShapeError):
+            tt.combine([o], [np.array([0, 1])], [2], w)
+        with pytest.raises(ShapeError):
+            tt.combine([o], [np.array([0, 1])], [0, 1], w)
+        with pytest.raises(ShapeError):
+            tt.combine([o], [np.array([0, 1])], [0], Tensor(np.ones((3, 2)), dtype=np.float32))
 
 
 def reference_attention(q, k, v, n_heads, cos, sin):

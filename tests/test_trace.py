@@ -142,6 +142,17 @@ class TestValidation:
         with pytest.raises(TraceFormatError, match="offset 1"):
             read_trace(p)
 
+    @pytest.mark.parametrize("epoch", ['"x"', "-1"], ids=["not-a-number", "negative"])
+    def test_bad_record_field_reports_offset(self, tmp_path, epoch):
+        p = tmp_path / "bad.jsonl"
+        p.write_text(
+            json.dumps(header().to_dict())
+            + '\n{"epoch":0,"layer":0,"token":0,"rank":0,"expert":1,"weight":0.5}\n'
+            + f'{{"epoch":{epoch},"layer":0,"token":1,"rank":0,"expert":1,"weight":0.5}}\n'
+        )
+        with pytest.raises(TraceFormatError, match=f"{p}: bad record at offset 1"):
+            read_trace(p)
+
     def test_truncated_binary_rejected(self, tmp_path):
         trace = RoutingTrace(header(), sample_records(4))
         p = tmp_path / "t.bin"

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import modse.tensor as tt
+import modse.train
 from modse.checkpoint import load_checkpoint
 from modse.data import synthetic_corpus
 from modse.model import ModelConfig, init_weights
@@ -136,11 +138,44 @@ class TestTrain:
             np.testing.assert_array_equal(loaded[name].values, t.values.astype(np.float32))
 
 
-    def test_non_finite_loss_stops_naming_the_step(self, corpus, tmp_path):
-        # an absurd learning rate overflows the weights after the first update
+    def test_non_finite_loss_stops_naming_the_step(self, corpus, tmp_path, monkeypatch):
+        # a cross entropy that turns NaN at step 2 reaches the loss check before any backward
+        real = tt.cross_entropy
+        calls = []
+
+        def nan_at_step_2(logits, targets):
+            out = real(logits, targets)
+            calls.append(1)
+            if len(calls) == 3:
+                out.values = np.asarray(np.nan, dtype=out.dtype)
+            return out
+
+        monkeypatch.setattr(tt, "cross_entropy", nan_at_step_2)
+        with pytest.raises(NonFiniteLossError, match=r"step 2: loss is nan"):
+            train(tiny_cfg(), tiny_opt(), corpus, 6, metrics_out=tmp_path / "m.jsonl")
+        steps = [json.loads(line)["step"] for line in (tmp_path / "m.jsonl").read_text().splitlines()]
+        assert steps == [0, 1]
+
+    def test_non_finite_gradient_stops_before_the_update(self, corpus, tmp_path, monkeypatch):
+        # an absurd learning rate: after step 0's update the loss stays finite
+        # but step 1's gradients are NaN, and Adam must not apply them
+        real = modse.train.adam_step
+        updates = []
+
+        def counting_adam_step(params, state, opt, step):
+            updates.append(step)
+            real(params, state, opt, step)
+
+        monkeypatch.setattr(modse.train, "adam_step", counting_adam_step)
         opt = tiny_opt(warmup_steps=0, lr_peak=1e30)
-        with np.errstate(all="ignore"), pytest.raises(NonFiniteLossError, match=r"step [1-9]\d*: loss is nan"):
+        with np.errstate(all="ignore"), pytest.raises(
+            NonFiniteLossError, match=r"step 1: gradient norm is nan \(first non-finite gradient: \w+"
+        ):
             train(tiny_cfg(), opt, corpus, 6, metrics_out=tmp_path / "m.jsonl")
+        assert updates == [1]
+        rows = [json.loads(line) for line in (tmp_path / "m.jsonl").read_text().splitlines()]
+        assert [r["step"] for r in rows] == [0]
+        assert math.isfinite(rows[0]["grad_norm_pre_clip"])
 
 
 class TestEvalLoss:
