@@ -8,6 +8,8 @@ little-endian float32 bytes, row-major, concatenated in that order. Metadata
 from __future__ import annotations
 
 import json
+import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +39,7 @@ def load_checkpoint(path: str | Path, requires_grad: bool = True) -> tuple[dict[
         line = fh.readline()
         try:
             header = json.loads(line)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # JSON or UTF-8 errors
             raise CheckpointError(f"{path}: bad checkpoint header: {e}") from e
         if not isinstance(header, dict) or header.get("format") != "modse-ckpt":
             raise CheckpointError(f"{path}: not a checkpoint file")
@@ -45,19 +47,25 @@ def load_checkpoint(path: str | Path, requires_grad: bool = True) -> tuple[dict[
         if not isinstance(entries, list) or not isinstance(meta, dict):
             raise CheckpointError(f"{path}: header needs a 'tensors' list and a 'meta' object")
         weights: dict[str, Tensor] = {}
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
         for i, entry in enumerate(entries):
             try:
                 name = entry["name"]
                 shape = tuple(int(n) for n in entry["shape"])
-            except (KeyError, TypeError, ValueError) as e:
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise CheckpointError(f"{path}: tensor entry {i} needs a 'name' and an integer 'shape'") from e
+            if not isinstance(name, str):
+                raise CheckpointError(f"{path}: tensor entry {i} has a non-string name {name!r}")
             if min(shape, default=0) < 0:
                 raise CheckpointError(f"{path}: tensor entry {i} has a negative shape {shape}")
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(4 * count)
-            if len(buf) != 4 * count:
+            nbytes = 4 * math.prod(shape)
+            if nbytes > remaining:  # checked before reading, so a huge shape allocates nothing
                 raise CheckpointError(f"{path}: truncated buffer for {name}")
-            arr = np.frombuffer(buf, dtype="<f4", count=count).reshape(shape)
+            remaining -= nbytes
+            try:
+                arr = np.frombuffer(fh.read(nbytes), dtype="<f4").reshape(shape)
+            except ValueError as e:  # an empty tensor with a dimension numpy cannot hold
+                raise CheckpointError(f"{path}: tensor entry {i} has an unusable shape {shape}: {e}") from e
             weights[name] = Tensor(arr.copy(), requires_grad=requires_grad, dtype=np.float32)
         trailing = fh.read(1)
         if trailing:

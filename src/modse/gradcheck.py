@@ -123,6 +123,8 @@ def check_tensor_ops(n_seeds: int = 10) -> SuiteResult:
         p5 = rng.normal(size=(5, 4))
         run("embedding_lookup", fd_check(lambda x: _proj(tt.embedding_lookup(x, ids), p5), table))
         run("gather_rows", fd_check(lambda x: _proj(tt.gather_rows(x, ids), p5), table))
+        rows = np.array([0, 2, 3, 5])  # strictly increasing: the backward assigns
+        run("gather_rows/unique", fd_check(lambda x: _proj(tt.gather_rows(x, rows), p5[:4]), table))
 
         # two experts of a 3-expert gate, the second on a subset of the rows
         sets = (np.arange(4), np.array([1, 3]))

@@ -361,11 +361,17 @@ def keep_topk(x: Tensor, k: int) -> Tensor:
 
 
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
+    """Rows `x[idx]`; the backward assigns when `idx` is strictly increasing and
+    non-negative (so no row repeats), and scatter-adds otherwise."""
     idx = np.asarray(idx, dtype=np.int64)
+    unique = idx.size < 2 or (idx[0] >= 0 and bool((idx[1:] > idx[:-1]).all()))
 
     def bw(g):
         gx = np.zeros_like(x.values)
-        np.add.at(gx, idx, g)
+        if unique:
+            gx[idx] = g
+        else:
+            np.add.at(gx, idx, g)
         return (gx,)
 
     return _record(x.values[idx], (x,), bw)

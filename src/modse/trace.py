@@ -10,18 +10,28 @@ Two on-disk formats carry the same data and must load identically:
 Gate weights are stored as float32 in both formats (JSON carries the exact
 binary64 image of the float32), so reports computed from either file agree
 bit for bit.
+
+JSONL is written and read a block of records at a time. The writer formats
+each block with one fixed template and writes the same bytes that
+``json.dumps`` of each record's dict writes; the reader parses a block of
+``BLOCK_LINES`` lines with one ``json.loads`` and fills each field with one
+assignment, so memory stays bounded by the block. A block that fails to
+parse or convert is read again line by line, to name the first bad record.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
 MAGIC = b"MDSTRC01"
+
+# JSONL records formatted or parsed in one go; bounds the transient memory of both.
+BLOCK_LINES = 512
 
 RECORD_DTYPE = np.dtype(
     [
@@ -68,7 +78,7 @@ class TraceHeader:
             )
         except KeyError as e:
             raise TraceFormatError(f"trace header lacks field {e}") from e
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise TraceFormatError(f"malformed trace header field: {e}") from e
         if len(header.expert_sizes) != header.n_experts:
             raise TraceFormatError(
@@ -121,6 +131,23 @@ def make_records(
     return rec
 
 
+# The line json.dumps writes for a record's dict; %r is how it spells a float.
+_LINE = '{"epoch": %d, "layer": %d, "token": %d, "rank": %d, "expert": %d, "weight": %r}'
+_LINE_CE = _LINE[:-1] + ', "ce": %r}'
+
+
+def _jsonl_block(records: np.ndarray) -> str:
+    """JSONL lines for a record block, leaving out `ce` where it is NaN."""
+    rows = records.tolist()
+    lines = [_LINE % r[:6] if r[6] != r[6] else _LINE_CE % r for r in rows]
+    # repr writes nan/inf/-inf where json.dumps writes NaN/Infinity/-Infinity;
+    # no key contains either word, so a plain replace in those rows is exact.
+    odd = ~np.isfinite(records["weight"]) | np.isinf(records["ce"])
+    for i in np.flatnonzero(odd).tolist():
+        lines[i] = lines[i].replace("nan", "NaN").replace("inf", "Infinity")
+    return "\n".join(lines) + "\n"
+
+
 class TraceWriter:
     """Streams records to a JSONL or binary trace file."""
 
@@ -142,21 +169,8 @@ class TraceWriter:
         if self.binary:
             self._fh.write(records.tobytes())
             return
-        lines = []
-        for r in records:
-            obj = {
-                "epoch": int(r["epoch"]),
-                "layer": int(r["layer"]),
-                "token": int(r["token"]),
-                "rank": int(r["rank"]),
-                "expert": int(r["expert"]),
-                "weight": float(r["weight"]),
-            }
-            ce = float(r["ce"])
-            if not math.isnan(ce):
-                obj["ce"] = ce
-            lines.append(json.dumps(obj))
-        self._fh.write("\n".join(lines) + "\n" if lines else "")
+        for start in range(0, len(records), BLOCK_LINES):
+            self._fh.write(_jsonl_block(records[start : start + BLOCK_LINES]))
 
     def close(self) -> None:
         self._fh.close()
@@ -183,7 +197,7 @@ def read_trace(path: str | Path) -> RoutingTrace:
             hlen = int.from_bytes(raw[:4], "little")
             try:
                 header = TraceHeader.from_dict(json.loads(raw[4 : 4 + hlen]))
-            except ValueError as e:  # JSON, UTF-8 or header-field errors
+            except (ValueError, RecursionError) as e:  # JSON, UTF-8 or header-field errors
                 raise TraceFormatError(f"{path}: bad binary header: {e}") from e
             body = raw[4 + hlen :]
             if len(body) % RECORD_DTYPE.itemsize != 0:
@@ -191,15 +205,60 @@ def read_trace(path: str | Path) -> RoutingTrace:
             records = np.frombuffer(body, dtype=RECORD_DTYPE).copy()
             return RoutingTrace(header, records)
 
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _read_jsonl(path, fh)
+    except UnicodeDecodeError as e:
+        raise TraceFormatError(f"{path}: not UTF-8 text: {e}") from e
+
+
+# Errors a record line can raise while it is parsed or converted.
+_RECORD_ERRORS = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
+
+
+def _read_jsonl(path: Path, fh) -> RoutingTrace:
+    first = fh.readline()
+    if not first:
         raise TraceFormatError(f"{path}: empty file")
     try:
-        header = TraceHeader.from_dict(json.loads(lines[0]))
-    except ValueError as e:  # JSON or header-field errors
+        header = TraceHeader.from_dict(json.loads(first))
+    except (ValueError, RecursionError) as e:  # JSON or header-field errors
         raise TraceFormatError(f"{path}: bad header line: {e}") from e
-    records = np.zeros(len(lines) - 1, dtype=RECORD_DTYPE)
-    for i, line in enumerate(lines[1:]):
+    blocks, offset = [], 0
+    while lines := list(itertools.islice(fh, BLOCK_LINES)):
+        try:
+            blocks.append(_parse_block(lines))
+        except _RECORD_ERRORS:
+            blocks.append(_parse_lines(path, lines, offset))
+        offset += len(lines)
+    records = np.concatenate(blocks) if blocks else np.zeros(0, dtype=RECORD_DTYPE)
+    return RoutingTrace(header, records)
+
+
+def _parse_block(lines: list[str]) -> np.ndarray:
+    """Parse newline-terminated record lines with one json.loads call.
+
+    A JSON string cannot hold a raw newline, so a value can span two lines
+    only if the break falls inside an array or an object; inside an object
+    the token after the joining comma is a key, not "{". So when no line
+    holds "[" and every line after the first starts with "{", no value spans
+    lines, and as many values as lines means exactly one per line.
+    """
+    text = "[" + ",".join(lines) + "]"
+    objs = json.loads(text)
+    if len(objs) != len(lines) or text.find("[", 1) != -1 or text.count("\n,{") != len(lines) - 1:
+        raise ValueError("block is not one object per line")
+    block = np.zeros(len(objs), dtype=RECORD_DTYPE)
+    for name in RECORD_DTYPE.names[:-1]:
+        block[name] = [obj[name] for obj in objs]
+    block["ce"] = [obj.get("ce", np.nan) for obj in objs]
+    return block
+
+
+def _parse_lines(path: Path, lines: list[str], offset: int) -> np.ndarray:
+    """Parse record lines one by one; a bad one raises with its file-wide offset."""
+    records = np.zeros(len(lines), dtype=RECORD_DTYPE)
+    for i, line in enumerate(lines):
         try:
             obj = json.loads(line)
             records[i] = (
@@ -211,6 +270,6 @@ def read_trace(path: str | Path) -> RoutingTrace:
                 obj["weight"],
                 obj.get("ce", np.nan),
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as e:  # ValueError covers bad JSON
-            raise TraceFormatError(f"{path}: bad record at offset {i}: {e}") from e
-    return RoutingTrace(header, records)
+        except _RECORD_ERRORS as e:  # ValueError covers bad JSON
+            raise TraceFormatError(f"{path}: bad record at offset {offset + i}: {e}") from e
+    return records

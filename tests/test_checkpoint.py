@@ -76,11 +76,36 @@ def test_header_without_section_rejected(tmp_path, missing):
 
 
 @pytest.mark.parametrize(
-    "entry", [{"name": "a"}, {"shape": [2]}, {"name": "a", "shape": ["x"]}, {"name": "a", "shape": [-1, -2]}]
+    "entry",
+    [
+        {"name": "a"},
+        {"shape": [2]},
+        {"name": "a", "shape": ["x"]},
+        {"name": "a", "shape": [-1, -2]},
+        {"name": ["a"], "shape": [2]},
+        {"name": "a", "shape": [float("inf")]},
+        {"name": "a", "shape": [0, 10**30]},
+    ],
 )
 def test_bad_tensor_entry_rejected(tmp_path, entry):
     p = tmp_path / "ck.bin"
     header = {"format": "modse-ckpt", "version": 1, "meta": {}, "tensors": [entry]}
     p.write_bytes(json.dumps(header).encode() + b"\n" + b"\0" * 8)
     with pytest.raises(CheckpointError, match="tensor entry 0"):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize("shape", [[4e12, 4e12], [2**62, 4], [10**20]])
+def test_shape_larger_than_the_file_rejected(tmp_path, shape):
+    p = tmp_path / "ck.bin"
+    header = {"format": "modse-ckpt", "version": 1, "meta": {}, "tensors": [{"name": "a", "shape": shape}]}
+    p.write_bytes(json.dumps(header).encode() + b"\n" + b"\0" * 8)
+    with pytest.raises(CheckpointError, match="truncated buffer for a"):
+        load_checkpoint(p)
+
+
+def test_invalid_utf8_header_rejected(tmp_path):
+    p = tmp_path / "ck.bin"
+    p.write_bytes(b'{"format": "modse-ckpt\xff"}\n')
+    with pytest.raises(CheckpointError, match="bad checkpoint header"):
         load_checkpoint(p)

@@ -1,0 +1,137 @@
+"""Byte-level fuzzing of the trace and checkpoint readers.
+
+Flipped, deleted or inserted bytes in a valid file must either load or raise
+the reader's typed error (`TraceFormatError`, `CheckpointError`), never
+another exception. An edited JSONL trace that loads must load exactly as the
+per-line reader below does.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from modse import trace
+from modse.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from modse.tensor import Tensor
+from modse.trace import (
+    RECORD_DTYPE,
+    RoutingTrace,
+    TraceFormatError,
+    TraceHeader,
+    make_records,
+    read_trace,
+    write_trace,
+)
+
+# (kind, position modulo the length, bytes)
+EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["flip", "delete", "insert"]),
+        st.integers(0, 2**16),
+        st.binary(min_size=1, max_size=3),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def apply_edits(data: bytes, edits) -> bytes:
+    out = bytearray(data)
+    for kind, pos, chunk in edits:
+        pos %= max(len(out), 1)
+        if kind == "insert":
+            out[pos:pos] = chunk
+        elif kind == "delete":
+            del out[pos : pos + len(chunk)]
+        elif out:
+            out[pos] ^= chunk[0] or 1
+    return bytes(out)
+
+
+def reference_read_jsonl(path):
+    """The per-line reader the block reader replaced."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = TraceHeader.from_dict(json.loads(lines[0]))
+    records = np.zeros(len(lines) - 1, dtype=RECORD_DTYPE)
+    for i, line in enumerate(lines[1:]):
+        obj = json.loads(line)
+        records[i] = (
+            obj["epoch"],
+            obj["layer"],
+            obj["token"],
+            obj["rank"],
+            obj["expert"],
+            obj["weight"],
+            obj.get("ce", np.nan),
+        )
+    return RoutingTrace(header, records)
+
+
+def sample_trace(count=12):
+    rng = np.random.default_rng(2)
+    ce = rng.random(count).astype(np.float32)
+    ce[::4] = np.nan
+    records = make_records(
+        epoch=rng.integers(0, 3, count),
+        layer=rng.integers(0, 2, count),
+        token=np.arange(count),
+        rank=rng.integers(0, 2, count),
+        expert=rng.integers(0, 4, count),
+        weight=rng.random(count).astype(np.float32),
+        ce=ce,
+    )
+    header = TraceHeader(spec_hash="abc", n_experts=4, n_layers=2, top_k=2, expert_sizes=(12, 4, 8, 8))
+    return RoutingTrace(header, records)
+
+
+@given(edits=EDITS)
+@settings(max_examples=150, deadline=None)
+def test_jsonl_trace_loads_as_the_per_line_reader_or_raises(tmp_path_factory, edits):
+    tmp = tmp_path_factory.getbasetemp()
+    write_trace(tmp / "base.jsonl", sample_trace())
+    p = tmp / "fuzz.jsonl"
+    p.write_bytes(apply_edits((tmp / "base.jsonl").read_bytes(), edits))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace, "BLOCK_LINES", 4)  # 12 records in three blocks
+        try:
+            loaded = read_trace(p)
+        except TraceFormatError:
+            with pytest.raises(Exception):
+                reference_read_jsonl(p)
+            return
+    expected = reference_read_jsonl(p)
+    assert loaded.header == expected.header
+    assert loaded.records.tobytes() == expected.records.tobytes()
+
+
+@given(edits=EDITS)
+@settings(max_examples=150, deadline=None)
+def test_binary_trace_loads_or_raises(tmp_path_factory, edits):
+    tmp = tmp_path_factory.getbasetemp()
+    write_trace(tmp / "base.bin", sample_trace(), binary=True)
+    p = tmp / "fuzz.bin"
+    p.write_bytes(apply_edits((tmp / "base.bin").read_bytes(), edits))
+    try:
+        read_trace(p)
+    except TraceFormatError:
+        pass
+
+
+@given(edits=EDITS)
+@settings(max_examples=150, deadline=None)
+def test_checkpoint_loads_or_raises(tmp_path_factory, edits):
+    tmp = tmp_path_factory.getbasetemp()
+    weights = {
+        "a": Tensor(np.arange(12, dtype=np.float32).reshape(3, 4)),
+        "b.gamma": Tensor(np.asarray(1.0, dtype=np.float32)),
+    }
+    save_checkpoint(tmp / "base.ckpt", weights, meta={"dim": 4})
+    p = tmp / "fuzz.ckpt"
+    p.write_bytes(apply_edits((tmp / "base.ckpt").read_bytes(), edits))
+    try:
+        load_checkpoint(p)
+    except CheckpointError:
+        pass

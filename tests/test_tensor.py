@@ -236,6 +236,21 @@ class TestStructuralOps:
         g = tt.gather_rows(Tensor(x, dtype=np.float64), idx)
         assert np.array_equal(g.values, x[idx])
 
+    @pytest.mark.parametrize(
+        "idx",
+        [[0, 2, 3], [3, 0, 2], [2, 0, 2], [-1, 3], [], [1]],
+        ids=["increasing", "unsorted", "repeated", "negative-alias", "empty", "single"],
+    )
+    def test_gather_rows_backward_matches_scatter_add(self, idx):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True, dtype=np.float64)
+        idx = np.array(idx, dtype=np.int64)
+        g = rng.normal(size=(len(idx), 3))
+        tt.backward(tt.sum_all(tt.mul(tt.gather_rows(x, idx), Tensor(g, dtype=np.float64))))
+        expected = np.zeros((4, 3))
+        np.add.at(expected, idx, g)
+        assert np.array_equal(x.grad, expected)
+
     def test_embedding_lookup_range_check(self):
         with pytest.raises(ValueError, match="out of range"):
             tt.embedding_lookup(Tensor(np.zeros((4, 2))), np.array([4]))

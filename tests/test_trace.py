@@ -1,11 +1,14 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modse import trace
 from modse.trace import (
+    BLOCK_LINES,
     MAGIC,
     RECORD_DTYPE,
     RoutingTrace,
@@ -33,6 +36,33 @@ def sample_records(count=10, seed=0):
         weight=rng.random(count).astype(np.float32),
         ce=rng.random(count).astype(np.float32),
     )
+
+
+def reference_jsonl_lines(records):
+    """The per-record writer the block writer replaced: one json.dumps per record dict."""
+    lines = []
+    for r in records:
+        obj = {
+            "epoch": int(r["epoch"]),
+            "layer": int(r["layer"]),
+            "token": int(r["token"]),
+            "rank": int(r["rank"]),
+            "expert": int(r["expert"]),
+            "weight": float(r["weight"]),
+        }
+        ce = float(r["ce"])
+        if not math.isnan(ce):
+            obj["ce"] = ce
+        lines.append(json.dumps(obj))
+    return lines
+
+
+GOOD_LINE = '{"epoch":0,"layer":0,"token":0,"rank":0,"expert":1,"weight":0.5}'
+
+
+def jsonl_with_body(path, body_lines):
+    path.write_text("\n".join([json.dumps(header().to_dict()), *body_lines]) + "\n")
+    return path
 
 
 class TestRoundTrip:
@@ -85,6 +115,61 @@ class TestRoundTrip:
             w.write(make_records(0, 0, [0], 0, 1, 0.5))
             w.write(make_records(0, 1, [0], 0, 2, 0.5))
         assert len(read_trace(p)) == 2
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 2**32 - 1),
+                st.integers(0, 2**32 - 1),
+                st.integers(0, 2**64 - 1),
+                st.integers(0, 1),
+                st.integers(0, 3),
+                st.floats(0, 1, width=32),
+                st.floats(width=32, allow_nan=False) | st.just(math.nan),
+            ),
+            max_size=20,
+        ),
+        block=st.integers(1, 8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_jsonl_and_binary_give_the_same_record_bytes(self, tmp_path_factory, rows, block):
+        tmp = tmp_path_factory.getbasetemp()
+        trace_in = RoutingTrace(header(), np.array(rows, dtype=RECORD_DTYPE))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trace, "BLOCK_LINES", block)
+            write_trace(tmp / "h.jsonl", trace_in)
+            write_trace(tmp / "h.bin", trace_in, binary=True)
+            from_jsonl, from_bin = read_trace(tmp / "h.jsonl"), read_trace(tmp / "h.bin")
+        assert from_jsonl.records.tobytes() == from_bin.records.tobytes() == trace_in.records.tobytes()
+
+
+class TestBlockWriter:
+    def test_matches_per_record_json_dumps(self, tmp_path):
+        tiny = np.float32(1e-45)  # smallest float32 subnormal
+        edge = [  # (token, weight, ce)
+            (2**53 + 1, 0.5, math.nan),
+            (2**64 - 1, 0.5, math.inf),
+            (0, 0.5, -math.inf),
+            (1, math.nan, 1.0),
+            (2, math.inf, math.nan),
+            (3, -math.inf, 2.0),
+            (4, 0.0, 0.0),
+            (5, 1.0, 1.0),
+            (6, tiny, -tiny),
+            (7, np.float32(1.1754942e-38), tiny),
+        ]
+        rec = sample_records(count=2 * BLOCK_LINES + 100, seed=5)
+        rec["ce"][::3] = np.nan
+        rec["epoch"][-1] = 2**32 - 1
+        for i, (token, weight, ce) in enumerate(edge):
+            row = BLOCK_LINES - 3 + i  # straddles the first block boundary
+            rec["token"][row], rec["weight"][row], rec["ce"][row] = token, weight, ce
+        p = tmp_path / "t.jsonl"
+        with TraceWriter(p, header()) as w:
+            w.write(rec[:5])
+            w.write(rec[5:])
+            w.write(rec[:0])
+        assert p.read_text().splitlines()[1:] == reference_jsonl_lines(rec)
 
 
 class TestValidation:
@@ -142,15 +227,50 @@ class TestValidation:
         with pytest.raises(TraceFormatError, match="offset 1"):
             read_trace(p)
 
-    @pytest.mark.parametrize("epoch", ['"x"', "-1"], ids=["not-a-number", "negative"])
-    def test_bad_record_field_reports_offset(self, tmp_path, epoch):
-        p = tmp_path / "bad.jsonl"
-        p.write_text(
-            json.dumps(header().to_dict())
-            + '\n{"epoch":0,"layer":0,"token":0,"rank":0,"expert":1,"weight":0.5}\n'
-            + f'{{"epoch":{epoch},"layer":0,"token":1,"rank":0,"expert":1,"weight":0.5}}\n'
-        )
-        with pytest.raises(TraceFormatError, match=f"{p}: bad record at offset 1"):
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            GOOD_LINE.replace('"epoch":0', '"epoch":"x"'),
+            GOOD_LINE.replace('"epoch":0', '"epoch":-1'),
+            GOOD_LINE + "," + GOOD_LINE,
+            "",
+            "[" + GOOD_LINE + "]",
+            GOOD_LINE.replace('"rank":0,', ""),
+        ],
+        ids=["not-a-number", "negative", "two-objects", "blank", "list", "missing-key"],
+    )
+    def test_bad_record_field_reports_offset(self, tmp_path, bad):
+        # the bad record sits in the third block, after two blocks that parse
+        p = jsonl_with_body(tmp_path / "bad.jsonl", [GOOD_LINE] * 1300 + [bad, GOOD_LINE])
+        assert 1300 > 2 * BLOCK_LINES
+        with pytest.raises(TraceFormatError, match=f"{p}: bad record at offset 1300"):
+            read_trace(p)
+
+    @pytest.mark.parametrize(
+        "split",
+        [
+            (GOOD_LINE[:-1] + ',"x":[1', "2]}"),
+            (GOOD_LINE[:-1] + ',"x":[1', GOOD_LINE + "]}"),
+            ('{"epoch":0,"layer":0', '"token":0,"rank":0,"expert":1,"weight":0.5}'),
+        ],
+        ids=["array-tail", "array-of-record", "object-members"],
+    )
+    def test_record_split_over_two_lines_rejected(self, tmp_path, split):
+        # a line holding two records keeps the block's value count equal to its line count
+        p = jsonl_with_body(tmp_path / "bad.jsonl", [GOOD_LINE, *split, GOOD_LINE + "," + GOOD_LINE])
+        with pytest.raises(TraceFormatError, match="bad record at offset 1"):
+            read_trace(p)
+
+    def test_lines_the_block_parse_declines_still_load(self, tmp_path):
+        lines = [GOOD_LINE, "  " + GOOD_LINE, GOOD_LINE[:-1] + ',"x":[1, 2]}', GOOD_LINE]
+        p = jsonl_with_body(tmp_path / "t.jsonl", lines)
+        expected = np.repeat(make_records(0, 0, [0], 0, 1, 0.5), len(lines))
+        assert read_trace(p).records.tobytes() == expected.tobytes()
+
+    def test_invalid_utf8_rejected_with_path(self, tmp_path):
+        p = jsonl_with_body(tmp_path / "t.jsonl", [GOOD_LINE, GOOD_LINE])
+        p.write_bytes(p.read_bytes().replace(b'"layer"', b'"lay\xffer"', 1))
+        with pytest.raises(TraceFormatError, match=f"{p}: not UTF-8"):
             read_trace(p)
 
     def test_truncated_binary_rejected(self, tmp_path):
