@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .moe import PairedExpertSpec
 from .trace import RoutingTrace
 
 
@@ -162,7 +161,6 @@ class DifficultTokenReport:
 def difficult_token_expert_distribution(
     trace: RoutingTrace,
     difficult_token_ids: set[int],
-    spec: PairedExpertSpec,
     large_sizes: set[int],
     small_sizes: set[int],
 ) -> DifficultTokenReport:
@@ -171,13 +169,9 @@ def difficult_token_expert_distribution(
     `large_sizes`/`small_sizes` are disjoint sets of expert widths; widths in
     neither set (the exactly-average experts) are excluded from both sums.
     Per-index widths come from the trace header, which fixes the expert
-    numbering; `spec` must agree with it as a multiset.
+    numbering.
     """
     sizes = list(trace.header.expert_sizes)
-    if sorted(sizes) != sorted(spec.expert_sizes):
-        raise ValueError(
-            f"trace expert widths {sorted(sizes)} do not match spec widths {sorted(spec.expert_sizes)}"
-        )
     known = set(sizes)
     for s in large_sizes | small_sizes:
         if s not in known:
@@ -190,7 +184,7 @@ def difficult_token_expert_distribution(
         difficult = np.isin(rec["token"], np.fromiter(difficult_token_ids, dtype=np.uint64, count=len(difficult_token_ids)))
     else:
         difficult = np.zeros(0, dtype=bool)
-    n = spec.n_experts
+    n = trace.header.n_experts
     layers = trace.header.n_layers
 
     def tally(mask: np.ndarray) -> np.ndarray:
@@ -217,10 +211,16 @@ def difficult_token_expert_distribution(
     )
 
 
-def default_size_classes(spec: PairedExpertSpec) -> tuple[set[int], set[int]]:
-    """Wider-than-average vs narrower-than-average; exactly-average excluded."""
-    large = {h for h in spec.expert_sizes if h > spec.h_base}
-    small = {h for h in spec.expert_sizes if h < spec.h_base}
+def default_size_classes(expert_sizes: list[int]) -> tuple[set[int], set[int]]:
+    """Wider-than-average vs narrower-than-average widths; exactly-average excluded.
+
+    Compared in integers: w is large when w*N > sum(sizes) and small when
+    w*N < sum(sizes). Paired widths sum to 2*h_base per pair, so their mean,
+    and the dividing line, is h_base.
+    """
+    n, total = len(expert_sizes), sum(expert_sizes)
+    large = {h for h in expert_sizes if h * n > total}
+    small = {h for h in expert_sizes if h * n < total}
     return large, small
 
 
@@ -242,8 +242,10 @@ def _fmt_cell(v) -> str:
     return str(int(f)) if f.is_integer() else repr(f)
 
 
-def emit_heatmap(counts, out: str | Path, expert_sizes: list[int] | None = None) -> None:
-    """Write `<out>.csv` and a self-contained `<out>.svg` for a layer x expert grid.
+def emit_heatmap(
+    counts, csv_path: str | Path, svg_path: str | Path, expert_sizes: list[int] | None = None
+) -> None:
+    """Write a CSV and a self-contained SVG of a layer x expert grid.
 
     When expert widths are given, columns are reordered widest-first (stable,
     so equal widths keep their relative order) in both outputs.
@@ -260,10 +262,9 @@ def emit_heatmap(counts, out: str | Path, expert_sizes: list[int] | None = None)
         grid = grid[:, order]
         sizes = [sizes[j] for j in order]
 
-    out = Path(out)
     csv_text = "\n".join(",".join(_fmt_cell(v) for v in row) for row in grid) + "\n"
-    Path(str(out) + ".csv").write_text(csv_text, encoding="utf-8")
-    Path(str(out) + ".svg").write_text(_heatmap_svg(grid, sizes), encoding="utf-8")
+    Path(csv_path).write_text(csv_text, encoding="utf-8")
+    Path(svg_path).write_text(_heatmap_svg(grid, sizes), encoding="utf-8")
 
 
 def _heatmap_svg(grid: np.ndarray, sizes: list[int] | None) -> str:

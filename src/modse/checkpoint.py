@@ -34,7 +34,7 @@ def save_checkpoint(path: str | Path, weights: dict[str, Tensor], meta: dict) ->
             fh.write(np.ascontiguousarray(t.values, dtype="<f4").tobytes())
 
 
-def load_checkpoint(path: str | Path, requires_grad: bool = True) -> tuple[dict[str, Tensor], dict]:
+def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], dict]:
     with open(path, "rb") as fh:
         line = fh.readline()
         try:
@@ -66,7 +66,7 @@ def load_checkpoint(path: str | Path, requires_grad: bool = True) -> tuple[dict[
                 arr = np.frombuffer(fh.read(nbytes), dtype="<f4").reshape(shape)
             except ValueError as e:  # an empty tensor with a dimension numpy cannot hold
                 raise CheckpointError(f"{path}: tensor entry {i} has an unusable shape {shape}: {e}") from e
-            weights[name] = Tensor(arr.copy(), requires_grad=requires_grad, dtype=np.float32)
+            weights[name] = Tensor(arr.copy(), requires_grad=True, dtype=np.float32)
         trailing = fh.read(1)
         if trailing:
             raise CheckpointError(f"{path}: trailing bytes after last tensor")

@@ -33,7 +33,6 @@ from .analytics import (
 from .data import load_text_corpus, synthetic_corpus, synthetic_docs
 from .manifest import RunOutputs
 from .model import ModelConfig
-from .moe import spec_from_sizes
 from .optim import OptimizerConfig
 from .placement import STRATEGIES, DeviceModel, PlanningError, plan_baselines, plan_pairwise
 from .trace import TraceFormatError, read_trace
@@ -72,8 +71,8 @@ def _load_config(path: str | None) -> tuple[ModelConfig, OptimizerConfig]:
         return ModelConfig(), OptimizerConfig()
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: invalid JSON: {e}") from e
+    except (ValueError, RecursionError) as e:  # bad UTF-8, bad JSON, nesting too deep
+        raise ConfigError(f"{path}: not a UTF-8 JSON config: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     unknown = set(raw) - {"model", "optimizer"}
@@ -82,7 +81,7 @@ def _load_config(path: str | None) -> tuple[ModelConfig, OptimizerConfig]:
     try:
         model = ModelConfig.from_dict(raw.get("model", {}))
         opt = OptimizerConfig.from_dict(raw.get("optimizer", {}))
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, RecursionError) as e:
         raise ConfigError(f"{path}: {e}") from e
     return model, opt
 
@@ -196,9 +195,8 @@ def cmd_analyze(args, argv: list[str]) -> int:
             run.stage("thresholds.csv").write_text(thresholds_csv(rows), encoding="utf-8")
 
             difficult = set(base_ids[base > mean].tolist())
-            spec = spec_from_sizes(_infer_d_model(sizes), sizes)
-            large, small = default_size_classes(spec)
-            report = difficult_token_expert_distribution(trace, difficult, spec, large, small)
+            large, small = default_size_classes(sizes)
+            report = difficult_token_expert_distribution(trace, difficult, large, small)
             run.stage("distribution.csv").write_text(distribution_csv(report), encoding="utf-8")
             grid = report.per_layer_top1
         else:
@@ -208,26 +206,12 @@ def cmd_analyze(args, argv: list[str]) -> int:
                 if r.rank == 0:
                     grid[r.layer] += r.counts
 
-        tmp_base = run.out_dir / ".heatmap-stage"
-        emit_heatmap(grid, tmp_base, expert_sizes=sizes)
-        Path(f"{tmp_base}.csv").replace(run.stage("heatmap.csv"))
-        Path(f"{tmp_base}.svg").replace(run.stage("heatmap.svg"))
+        emit_heatmap(grid, run.stage("heatmap.csv"), run.stage("heatmap.svg"), expert_sizes=sizes)
         run.commit()
     except BaseException:
         run.abort()
         raise
     return EXIT_OK
-
-
-def _infer_d_model(sizes: list[int]) -> int:
-    # only size-class bookkeeping depends on the width spec here, so any d_model
-    # that divides every width works; the gcd keeps it integral
-    import math as _math
-
-    g = 0
-    for s in sizes:
-        g = _math.gcd(g, s)
-    return max(g, 1)
 
 
 def cmd_gradcheck(args, argv: list[str]) -> int:

@@ -50,6 +50,14 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # `type(v) is int` also turns away bools, which JSON configs can carry
+        counts = ("dim", "n_layers", "n_heads", "n_experts", "top_k", "vocab_size", "h_base", "seq_len", "batch_size")
+        for name in counts:
+            v = getattr(self, name)
+            if type(v) is not int or v < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.dim % self.n_heads != 0:
             raise ValueError(f"dim {self.dim} not divisible by n_heads {self.n_heads}")
         if (self.dim // self.n_heads) % 2 != 0:
@@ -61,13 +69,12 @@ class ModelConfig:
                 raise ValueError(f"expert_ratios string must be 'homogeneous', got {self.expert_ratios!r}")
         else:
             self.expert_ratios = tuple(tuple(p) for p in self.expert_ratios)
+            if not all(len(p) == 2 and all(type(r) in (int, float) for r in p) for p in self.expert_ratios):
+                raise ValueError(f"expert_ratios must be pairs of numbers, got {self.expert_ratios!r}")
             if 2 * len(self.expert_ratios) != self.n_experts:
                 raise ValueError(
                     f"{len(self.expert_ratios)} ratio pairs cannot cover {self.n_experts} experts"
                 )
-        for name in ("seq_len", "batch_size", "vocab_size", "n_layers", "h_base"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
 
     def expert_spec(self) -> PairedExpertSpec:
         if self.expert_ratios == "homogeneous":
@@ -125,7 +132,7 @@ def init_weights(cfg: ModelConfig, dtype=np.float32) -> dict[str, Tensor]:
     return w
 
 
-def layer_gate(cfg: ModelConfig, weights: dict[str, Tensor], layer: int) -> GateParams:
+def layer_gate(weights: dict[str, Tensor], layer: int) -> GateParams:
     p = f"layers.{layer}.gate"
     return GateParams(w_gate=weights[f"{p}.w_gate"], w_noise=weights[f"{p}.w_noise"], gamma=weights[f"{p}.gamma"])
 
@@ -181,7 +188,7 @@ def transformer_forward(cfg: ModelConfig, weights: dict[str, Tensor], tokens: np
 
         m_in = tt.rmsnorm(h, weights[f"{p}.ffn_norm.gamma"], eps=NORM_EPS)
         y, gate_out = moe_layer_forward(
-            layer_gate(cfg, weights, i), layer_experts(cfg, weights, i), m_in, cfg.top_k
+            layer_gate(weights, i), layer_experts(cfg, weights, i), m_in, cfg.top_k
         )
         h = tt.add(h, y)
         gate_outs.append(gate_out)

@@ -112,23 +112,6 @@ def homogeneous_spec(d_model: int, h_base: int, n_experts: int) -> PairedExpertS
     return PairedExpertSpec(d_model, h_base, tuple((h_base, h_base) for _ in range(n_experts // 2)))
 
 
-def spec_from_sizes(d_model: int, sizes: list[int]) -> PairedExpertSpec:
-    """Recover a valid pairing from a bag of expert widths.
-
-    If the widths came from any pairing that sums to 2*h_base per pair, then
-    matching widest with narrowest recovers such a pairing (the widest item's
-    partner must be the overall minimum, and so on inductively).
-    """
-    if len(sizes) % 2 != 0 or not sizes:
-        raise PairConstraintError(f"cannot pair {len(sizes)} expert widths")
-    if sum(sizes) % len(sizes) != 0:
-        raise PairConstraintError(f"widths {sizes} do not average to an integer h_base")
-    h_base = sum(sizes) // len(sizes)
-    srt = sorted(sizes, reverse=True)
-    pairs = tuple((srt[i], srt[len(srt) - 1 - i]) for i in range(len(srt) // 2))
-    return PairedExpertSpec(d_model=d_model, h_base=h_base, pairs=pairs)
-
-
 @dataclass
 class GateOutput:
     """Routing decision for a batch of tokens.

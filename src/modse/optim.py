@@ -25,6 +25,13 @@ class OptimizerConfig:
     alpha: float = 0.01  # balance-loss weight
 
     def __post_init__(self):
+        for name, v in self.__dict__.items():
+            if type(v) not in (int, float):  # bools and strings are not numbers here
+                raise ValueError(f"{name} must be a number, got {v!r}")
+        for name in ("warmup_steps", "total_steps"):
+            v = getattr(self, name)
+            if type(v) is not int or v < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {v!r}")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ValueError("betas must lie in (0, 1)")
         if self.warmup_steps > self.total_steps:

@@ -178,12 +178,9 @@ def evaluate_workload(plan: PlacementPlan, trace: RoutingTrace, spec: PairedExpe
     return WorkloadReport(tokens, flops, ratio)
 
 
-def average_selected_hidden_size(trace: RoutingTrace, spec: PairedExpertSpec) -> float:
-    """Mean expert width over all routing events in the trace."""
+def average_selected_hidden_size(trace: RoutingTrace) -> float:
+    """Mean expert width over all routing events, widths from the trace header."""
     if len(trace) == 0:
         raise ValueError("average_selected_hidden_size: empty trace")
-    experts = trace.records["expert"].astype(np.int64)
-    if int(experts.max()) >= spec.n_experts:
-        raise TraceRangeError(f"trace expert {int(experts.max())} out of range for {spec.n_experts} experts")
-    sizes = np.asarray(spec.expert_sizes, dtype=np.float64)
-    return float(sizes[experts].mean())
+    sizes = np.asarray(trace.header.expert_sizes, dtype=np.float64)
+    return float(sizes[trace.records["expert"].astype(np.int64)].mean())

@@ -39,8 +39,6 @@ __all__ = [
     "mul",
     "scale",
     "div_scale",
-    "transpose",
-    "reshape",
     "sum_all",
     "softplus",
     "silu",
@@ -107,21 +105,8 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
-
-    # Operator sugar for the common binary ops; the module functions are the API.
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
 
 
 def _check_same_dtype(a: Tensor, b: Tensor, op: str) -> None:
@@ -225,17 +210,6 @@ def div_scale(x: Tensor, c: float) -> Tensor:
     """x / c with true division; not the same rounding as scale(x, 1/c)."""
     c = x.dtype.type(c)
     return _record(x.values / c, (x,), lambda g: (g / c,))
-
-
-def transpose(x: Tensor) -> Tensor:
-    if x.values.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got {x.shape}")
-    return _record(np.ascontiguousarray(x.values.T), (x,), lambda g: (g.T,))
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    old = x.shape
-    return _record(x.values.reshape(shape), (x,), lambda g: (g.reshape(old),))
 
 
 def sum_all(x: Tensor) -> Tensor:

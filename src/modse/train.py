@@ -87,11 +87,10 @@ def train(
     trace_out: str | Path | None = None,
     metrics_out: str | Path | None = None,
     checkpoint_out: str | Path | None = None,
-    dtype=np.float32,
     trace_binary: bool = False,
 ) -> tuple[list[TrainStepRecord], dict[str, Tensor]]:
     """Run `steps` optimizer steps from fresh seeded weights; returns records and weights."""
-    weights = init_weights(cfg, dtype=dtype)
+    weights = init_weights(cfg)
     params = named_params(weights)
     state = AdamState()
     batcher = Batcher(corpus, cfg.seq_len, cfg.batch_size, cfg.seed)

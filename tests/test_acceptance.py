@@ -18,7 +18,7 @@ from modse.balance import balance_loss
 from modse.data import synthetic_corpus
 from modse.fixtures import load_difficult_tokens, load_routing_epoch7
 from modse.model import ModelConfig
-from modse.moe import build_paired_spec, homogeneous_spec, spec_from_sizes
+from modse.moe import build_paired_spec, homogeneous_spec
 from modse.analytics import (
     count_table_from_grid,
     default_size_classes,
@@ -148,9 +148,8 @@ def test_A6_analytics_fixtures():
                 )
                 tok += int(count)
     trace = RoutingTrace(header, np.concatenate(chunks))
-    spec = spec_from_sizes(1536, list(dfix.expert_sizes))
     report = difficult_token_expert_distribution(
-        trace, set(range(tok)), spec, *default_size_classes(spec)
+        trace, set(range(tok)), *default_size_classes(list(dfix.expert_sizes))
     )
     assert report.sum_large_top12 == 10473
     assert report.sum_small_top12 == 8326
@@ -203,7 +202,7 @@ def test_A9_workload_metric():
     header = TraceHeader("u", 8, 1, 2, tuple(spec.expert_sizes))
     recs = make_records(0, 0, np.arange(8 * 13), 0, np.arange(8 * 13) % 8, 0.5)
     trace = RoutingTrace(header, recs)
-    assert average_selected_hidden_size(trace, spec) == 3840.0
+    assert average_selected_hidden_size(trace) == 3840.0
     ok("A9 workload metric", "(uniform trace -> exactly h_base)")
 
 

@@ -18,7 +18,7 @@ from modse.analytics import (
     thresholds_csv,
 )
 from modse.fixtures import load_difficult_tokens, load_routing_epoch7
-from modse.moe import spec_from_sizes
+from modse.moe import build_paired_spec, homogeneous_spec
 from modse.trace import RoutingTrace, TraceHeader, make_records
 
 # published aggregates for the hard-token distribution table
@@ -168,11 +168,10 @@ class TestDifficultTokenTable:
 class TestDifficultTokenDistribution:
     def test_published_sums_reproduced_exactly(self):
         trace, difficult = difficult_fixture_trace()
-        spec = spec_from_sizes(1536, list(trace.header.expert_sizes))
-        large, small = default_size_classes(spec)
+        large, small = default_size_classes(list(trace.header.expert_sizes))
         assert large == {6912, 6144, 4608}
         assert small == {3072, 1536, 768}
-        report = difficult_token_expert_distribution(trace, difficult, spec, large, small)
+        report = difficult_token_expert_distribution(trace, difficult, large, small)
         assert report.per_expert_top12.tolist() == TOP12_PER_EXPERT
         assert report.per_expert_top1.tolist() == TOP1_PER_EXPERT
         assert report.sum_large_top12 == SUMS["top12_large"]
@@ -187,25 +186,24 @@ class TestDifficultTokenDistribution:
 
     def test_distribution_csv_contains_sums(self):
         trace, difficult = difficult_fixture_trace()
-        spec = spec_from_sizes(1536, list(trace.header.expert_sizes))
-        report = difficult_token_expert_distribution(trace, difficult, spec, *default_size_classes(spec))
+        sizes = list(trace.header.expert_sizes)
+        report = difficult_token_expert_distribution(trace, difficult, *default_size_classes(sizes))
         text = distribution_csv(report)
         assert "sum_large,10473,6215" in text
         assert "sum_small,8326,3085" in text
 
     def test_empty_difficult_set_all_zero(self):
         trace, _ = difficult_fixture_trace()
-        spec = spec_from_sizes(1536, list(trace.header.expert_sizes))
-        report = difficult_token_expert_distribution(trace, set(), spec, *default_size_classes(spec))
+        sizes = list(trace.header.expert_sizes)
+        report = difficult_token_expert_distribution(trace, set(), *default_size_classes(sizes))
         assert report.per_expert_top1.sum() == 0
         assert report.per_expert_top12.sum() == 0
         assert report.sum_large_top12 == 0
 
     def test_unknown_size_class_rejected(self):
         trace, difficult = difficult_fixture_trace()
-        spec = spec_from_sizes(1536, list(trace.header.expert_sizes))
         with pytest.raises(ValueError, match="not among"):
-            difficult_token_expert_distribution(trace, difficult, spec, {9999}, set())
+            difficult_token_expert_distribution(trace, difficult, {9999}, set())
 
     def test_mass_conservation_on_per_layer_complete_trace(self):
         # each difficult token routed once per (layer, rank)
@@ -220,24 +218,41 @@ class TestDifficultTokenDistribution:
             chunks.append(make_records(0, layer, np.arange(tokens), 0, e0, 0.5))
             chunks.append(make_records(0, layer, np.arange(tokens), 1, e1, 0.5))
         trace = RoutingTrace(header, np.concatenate(chunks))
-        spec = spec_from_sizes(4, list(sizes))
         report = difficult_token_expert_distribution(
-            trace, set(range(tokens)), spec, *default_size_classes(spec)
+            trace, set(range(tokens)), *default_size_classes(list(sizes))
         )
         assert report.per_expert_top1.sum() == tokens * layers
         assert report.per_expert_top12.sum() == 2 * tokens * layers
         assert report.per_layer_top1.sum(axis=1).tolist() == [tokens] * layers
 
 
+class TestDefaultSizeClasses:
+    @given(
+        st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=6),
+        st.integers(1, 50),
+    )
+    @settings(max_examples=60)
+    def test_mean_width_split_is_the_h_base_split(self, fracs, h_base):
+        d = 8
+        ratios = []
+        for f in fracs:
+            delta = int(f * h_base) / d
+            ratios.append((h_base / d + delta, h_base / d - delta))
+        for spec in (build_paired_spec(d, h_base, ratios), homogeneous_spec(d, h_base, 2 * len(fracs))):
+            large, small = default_size_classes(spec.expert_sizes)
+            assert large == {h for h in spec.expert_sizes if h > h_base}
+            assert small == {h for h in spec.expert_sizes if h < h_base}
+
+
 class TestHeatmap:
     def test_csv_exact_two_by_two(self, tmp_path):
-        emit_heatmap(np.array([[1, 0], [0, 1]]), tmp_path / "h")
+        emit_heatmap(np.array([[1, 0], [0, 1]]), tmp_path / "h.csv", tmp_path / "h.svg")
         assert (tmp_path / "h.csv").read_text() == "1,0\n0,1\n"
 
     def test_fixture_grid_row_sums(self, tmp_path):
         fix = load_difficult_tokens()
         grid = np.stack([fix.row(layer, 0) for layer in range(fix.n_layers)])
-        emit_heatmap(grid, tmp_path / "h", expert_sizes=list(fix.expert_sizes))
+        emit_heatmap(grid, tmp_path / "h.csv", tmp_path / "h.svg", expert_sizes=list(fix.expert_sizes))
         rows = [
             [int(v) for v in line.split(",")]
             for line in (tmp_path / "h.csv").read_text().splitlines()
@@ -247,11 +262,11 @@ class TestHeatmap:
 
     def test_columns_reordered_widest_first(self, tmp_path):
         grid = np.array([[1, 2, 3]])
-        emit_heatmap(grid, tmp_path / "h", expert_sizes=[10, 30, 20])
+        emit_heatmap(grid, tmp_path / "h.csv", tmp_path / "h.svg", expert_sizes=[10, 30, 20])
         assert (tmp_path / "h.csv").read_text() == "2,3,1\n"
 
     def test_equal_counts_single_fill(self, tmp_path):
-        emit_heatmap(np.full((2, 3), 7), tmp_path / "h")
+        emit_heatmap(np.full((2, 3), 7), tmp_path / "h.csv", tmp_path / "h.svg")
         svg = (tmp_path / "h.svg").read_text()
         fills = {part.split('"')[0] for part in svg.split('fill="rgb(')[1:]}
         assert len(fills) == 1
@@ -260,4 +275,4 @@ class TestHeatmap:
 
     def test_non_rectangular_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="rectangular"):
-            emit_heatmap(np.zeros(3), tmp_path / "h")
+            emit_heatmap(np.zeros(3), tmp_path / "h.csv", tmp_path / "h.svg")

@@ -130,6 +130,38 @@ class TestTrainCommand:
         assert r.returncode == 1
         assert "error" in r.stderr.lower()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"model": {"n_heads": 0}}',
+            '{"model": {"n_layers": 1.5}}',
+            '{"model": {"n_layers": true}}',
+            '{"model": {"seed": "x"}}',
+            '{"model": {"expert_ratios": [["a", "b"], [1, 1], [1, 1], [1, 1]]}}',
+            '{"optimizer": {"lr_peak": null}}',
+            '{"optimizer": {"warmup_steps": 1, "total_steps": 2.5}}',
+            "[" * 100_000 + "]" * 100_000,
+        ],
+        ids=["zero-heads", "float-layers", "bool-layers", "string-seed", "string-ratios",
+             "null-lr", "float-steps", "deep-nesting"],
+    )
+    def test_invalid_config_exits_one_naming_path(self, tmp_path, text, capsys):
+        from modse import cli
+
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        assert cli.main(["train", "--config", str(p), "--steps", "1", "--out", str(tmp_path / "run")]) == 1
+        assert str(p) in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_invalid_utf8_config_exits_one_naming_path(self, tmp_path, capsys):
+        from modse import cli
+
+        p = tmp_path / "bad.json"
+        p.write_bytes(b'{"model": {"dim": 6\xff4}}')
+        assert cli.main(["train", "--config", str(p), "--steps", "1", "--out", str(tmp_path / "run")]) == 1
+        assert f"{p}: not a UTF-8 JSON config" in capsys.readouterr().err
+
     def test_unknown_section_exits_one(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text('{"models": {}}')
@@ -237,6 +269,44 @@ class TestAnalyzeCommand:
         assert set(manifest["outputs"]) == {
             "counts.csv", "thresholds.csv", "distribution.csv", "heatmap.csv", "heatmap.svg",
         }
+
+    def test_unpairable_header_with_losses_splits_by_mean_width(self, tmp_path):
+        # widths (12, 4, 8, 7) average 7.75, so 12 and 8 are large, 4 and 7 small
+        header = TraceHeader("t", 4, 1, 2, (12, 4, 8, 7))
+        experts = np.arange(8) % 4
+        recs = np.concatenate([make_records(0, 0, np.arange(8), 0, experts, 0.5),
+                               make_records(0, 0, np.arange(8), 1, (experts + 1) % 4, 0.5)])
+        tp = tmp_path / "t.jsonl"
+        write_trace(tp, RoutingTrace(header, recs))
+        base = [3.0, 0.1, 0.1, 3.0, 0.1, 0.1, 0.1, 0.1]  # tokens 0 and 3 are difficult
+        for name in ("base.csv", "modse.csv"):
+            lines = ["token_index,loss"] + [f"{i},{v}" for i, v in enumerate(base)]
+            (tmp_path / name).write_text("\n".join(lines))
+        out = tmp_path / "analysis"
+        r = run_cli(
+            "analyze", tp, "--losses-baseline", tmp_path / "base.csv",
+            "--losses-modse", tmp_path / "modse.csv", "--out", out,
+        )
+        assert r.returncode == 0, r.stderr
+        # top-1: token 0 -> expert 0 (12), token 3 -> expert 3 (7);
+        # top-2 adds expert 1 (4) and expert 0 (12)
+        assert (out / "distribution.csv").read_text().splitlines()[-2:] == [
+            "sum_large,2,1",
+            "sum_small,2,1",
+        ]
+
+    def test_heatmap_failure_exits_two_no_output_dir(self, tmp_path, monkeypatch):
+        from modse import analytics, cli
+
+        def broken(*_):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(analytics, "_heatmap_svg", broken)
+        tp = tmp_path / "t.jsonl"
+        uniform_trace_file(tp)
+        out = tmp_path / "analysis"
+        assert cli.main(["analyze", str(tp), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_misaligned_losses_exit_one_no_partial_outputs(self, tmp_path):
         tp = tmp_path / "t.jsonl"

@@ -1,9 +1,9 @@
-"""Byte-level fuzzing of the trace and checkpoint readers.
+"""Byte-level fuzzing of the trace, checkpoint and config readers.
 
 Flipped, deleted or inserted bytes in a valid file must either load or raise
-the reader's typed error (`TraceFormatError`, `CheckpointError`), never
-another exception. An edited JSONL trace that loads must load exactly as the
-per-line reader below does.
+the reader's typed error (`TraceFormatError`, `CheckpointError`,
+`ConfigError`), never another exception. An edited JSONL trace that loads
+must load exactly as the per-line reader below does.
 """
 
 import json
@@ -15,6 +15,9 @@ from hypothesis import strategies as st
 
 from modse import trace
 from modse.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from modse.cli import ConfigError, _load_config
+from modse.model import ModelConfig
+from modse.optim import OptimizerConfig
 from modse.tensor import Tensor
 from modse.trace import (
     RECORD_DTYPE,
@@ -134,4 +137,17 @@ def test_checkpoint_loads_or_raises(tmp_path_factory, edits):
     try:
         load_checkpoint(p)
     except CheckpointError:
+        pass
+
+
+@given(edits=EDITS)
+@settings(max_examples=150, deadline=None)
+def test_config_loads_or_raises(tmp_path_factory, edits):
+    tmp = tmp_path_factory.getbasetemp()
+    base = json.dumps({"model": ModelConfig().to_dict(), "optimizer": vars(OptimizerConfig())}, indent=2)
+    p = tmp / "fuzz.json"
+    p.write_bytes(apply_edits(base.encode("utf-8"), edits))
+    try:
+        _load_config(str(p))
+    except ConfigError:
         pass

@@ -1,4 +1,6 @@
+import ast
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,38 @@ def test_every_op_has_a_gradcheck_entry():
     covered = {re.split(r"[/+]", item)[0] for item in gc.check_tensor_ops(n_seeds=1).per_item}
     ops = set(modse.tensor.__all__) - NON_OPS
     assert ops <= covered, sorted(ops - covered)
+
+
+def _tensor_calls(path: Path) -> set[str]:
+    """Names called as `<tensor module alias>.name(...)` or imported from it and called bare."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, direct = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                modules |= {a.asname or a.name for a in node.names if a.name == "tensor"}
+            elif node.module == "tensor":
+                direct |= {a.asname or a.name for a in node.names}
+    called = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id in modules:
+                called.add(f.attr)
+            elif isinstance(f, ast.Name) and f.id in direct:
+                called.add(f.id)
+    return called
+
+
+def test_every_op_has_a_model_caller():
+    # the op set is closed: an op that only its own tests and gradcheck call is dead code
+    src = Path(modse.tensor.__file__).parent
+    called = set()
+    for path in src.glob("*.py"):
+        if path.name not in ("tensor.py", "gradcheck.py"):
+            called |= _tensor_calls(path)
+    ops = set(modse.tensor.__all__) - NON_OPS
+    assert ops <= called, sorted(ops - called)
 
 
 def test_gate_suite():

@@ -19,7 +19,6 @@ from modse.moe import (
     init_experts,
     init_gate,
     moe_layer_forward,
-    spec_from_sizes,
 )
 from modse.rng import stream_rng
 from modse.tensor import Tensor
@@ -52,11 +51,6 @@ class TestPairedSpec:
     def test_size_order_is_pair_major_large_first(self):
         spec = build_paired_spec(1536, 3840, PUBLISHED_RATIOS)
         assert spec.expert_sizes == [6912, 768, 6144, 1536, 4608, 3072, 3840, 3840]
-
-    def test_spec_from_sizes_recovers_pairing(self):
-        spec = spec_from_sizes(1536, [6912, 6144, 4608, 3840, 3840, 3072, 1536, 768])
-        assert spec.h_base == 3840
-        assert sorted(spec.pairs) == sorted(((6912, 768), (6144, 1536), (4608, 3072), (3840, 3840)))
 
     @given(st.integers(1, 6), st.integers(1, 50))
     @settings(max_examples=40)

@@ -207,12 +207,12 @@ class TestWorkload:
 class TestAverageSelectedHiddenSize:
     def test_uniform_routing_gives_h_base_exactly(self):
         spec = spec_300m()
-        assert average_selected_hidden_size(uniform_trace(spec, 2), spec) == 3840.0
+        assert average_selected_hidden_size(uniform_trace(spec, 2)) == 3840.0
 
     def test_all_tokens_to_widest(self):
         spec = spec_300m()
         recs = make_records(0, 0, np.arange(7), 0, 0, 1.0)  # expert 0 is the 4.5-ratio one
-        assert average_selected_hidden_size(make_trace(spec, 1, recs), spec) == 6912.0
+        assert average_selected_hidden_size(make_trace(spec, 1, recs)) == 6912.0
 
     def test_skewed_counts_match_weighted_mean(self):
         spec = spec_300m()
@@ -226,12 +226,12 @@ class TestAverageSelectedHiddenSize:
         trace = make_trace(spec, 1, np.array(recs, dtype=make_records(0, 0, [0], 0, 0, 0.5).dtype))
         sizes = spec.expert_sizes
         expect = sum(sizes[e] * c for e, c in counts.items()) / sum(counts.values())
-        assert average_selected_hidden_size(trace, spec) == pytest.approx(expect, rel=1e-15)
+        assert average_selected_hidden_size(trace) == pytest.approx(expect, rel=1e-15)
 
     def test_empty_trace_rejected(self):
         spec = spec_300m()
         with pytest.raises(ValueError, match="empty"):
-            average_selected_hidden_size(make_trace(spec, 1, np.zeros(0, dtype=make_records(0, 0, [0], 0, 0, 0.5).dtype)), spec)
+            average_selected_hidden_size(make_trace(spec, 1, np.zeros(0, dtype=make_records(0, 0, [0], 0, 0, 0.5).dtype)))
 
 
 class TestPlanJson:

@@ -225,11 +225,6 @@ class TestFiniteDiff:
 
 
 class TestStructuralOps:
-    def test_transpose_reshape(self):
-        x = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(tt.transpose(Tensor(x)).values, x.T)
-        assert np.array_equal(tt.reshape(Tensor(x), (3, 2)).values, x.reshape(3, 2))
-
     def test_gather_rows_repeated_index(self):
         x = np.arange(12.0).reshape(4, 3)
         idx = np.array([2, 0, 2])
