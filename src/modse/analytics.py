@@ -1,10 +1,12 @@
 """Post-hoc analyses over routing traces and per-token loss files.
 
-Everything here is a pure function of its inputs: token counts per
-(epoch, layer, rank, expert) with max/min evenness ratios, loss-threshold
-tables comparing two models' per-token losses, the expert-width distribution
-of hard tokens, and a CSV/SVG heatmap emitter. Ratios are kept at full
-precision in the dataclasses and rounded to two decimals only when rendered.
+Everything here is a pure function of its inputs. `routing_counts` counts
+routing events once, into `counts[epoch, layer, rank, expert]` from one
+`np.bincount`; the max/min evenness table, the hard-token expert-width
+distribution, the analyze heatmap and `placement.evaluate_workload`'s
+workload are slices or sums of it. The rest are loss-threshold tables and a
+CSV/SVG heatmap emitter. Ratios are kept at full precision in the
+dataclasses and rounded to two decimals only when rendered.
 """
 
 from __future__ import annotations
@@ -58,23 +60,28 @@ class CountTable:
         raise KeyError((epoch, layer, rank))
 
 
+def routing_counts(records: np.ndarray, n_layers: int, n_experts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Routing events per (epoch, layer, rank, expert) from one bincount.
+
+    Returns the distinct epochs present, ascending, and an int64 array
+    `counts[E, L, K, N]`: E indexes those epochs and K is the highest rank
+    present plus one. Every record must have layer < n_layers and
+    expert < n_experts, as RoutingTrace validation ensures.
+    """
+    epochs, epoch_index = np.unique(records["epoch"], return_inverse=True)
+    k = int(records["rank"].max()) + 1 if records.size else 0
+    key = epoch_index.astype(np.int64) * n_layers + records["layer"]
+    key = (key * k + records["rank"]) * n_experts + records["expert"]
+    shape = (len(epochs), n_layers, k, n_experts)
+    return epochs, np.bincount(key, minlength=math.prod(shape)).reshape(shape)
+
+
 def count_routing(trace: RoutingTrace) -> CountTable:
-    """Exact token counts per (epoch, layer, rank, expert), rows sorted by group key."""
-    n = trace.header.n_experts
-    rec = trace.records
-    if rec.size == 0:
-        return CountTable(n_experts=n, rows=[])
-    keys = np.stack(
-        [rec["epoch"].astype(np.int64), rec["layer"].astype(np.int64), rec["rank"].astype(np.int64)],
-        axis=1,
-    )
-    uniq, inv = np.unique(keys, axis=0, return_inverse=True)
-    counts = np.zeros((len(uniq), n), dtype=np.int64)
-    np.add.at(counts, (inv.reshape(-1), rec["expert"].astype(np.int64)), 1)
-    rows = [
-        CountRow(int(e), int(layer), int(r), counts=c) for (e, layer, r), c in zip(uniq, counts)
-    ]
-    return CountTable(n_experts=n, rows=rows)
+    """Exact token counts per (epoch, layer, rank, expert): a row per group with events, sorted by key."""
+    epochs, counts = routing_counts(trace.records, trace.header.n_layers, trace.header.n_experts)
+    groups = np.argwhere(counts.sum(axis=3) > 0).tolist()
+    rows = [CountRow(int(epochs[e]), layer, rank, counts=counts[e, layer, rank]) for e, layer, rank in groups]
+    return CountTable(n_experts=trace.header.n_experts, rows=rows)
 
 
 def count_table_from_grid(
@@ -179,22 +186,13 @@ def difficult_token_expert_distribution(
     if large_sizes & small_sizes:
         raise ValueError("large and small size classes overlap")
 
-    rec = trace.records
-    if rec.size:
-        difficult = np.isin(rec["token"], np.fromiter(difficult_token_ids, dtype=np.uint64, count=len(difficult_token_ids)))
-    else:
-        difficult = np.zeros(0, dtype=bool)
-    n = trace.header.n_experts
-    layers = trace.header.n_layers
-
-    def tally(mask: np.ndarray) -> np.ndarray:
-        return np.bincount(rec["expert"][mask].astype(np.int64), minlength=n).astype(np.int64)
-
-    top1 = tally(difficult & (rec["rank"] == 0))
-    top12 = tally(difficult & (rec["rank"] <= 1))
-    grid = np.zeros((layers, n), dtype=np.int64)
-    sel = difficult & (rec["rank"] == 0)
-    np.add.at(grid, (rec["layer"][sel].astype(np.int64), rec["expert"][sel].astype(np.int64)), 1)
+    ids = np.fromiter(difficult_token_ids, dtype=np.uint64, count=len(difficult_token_ids))
+    difficult = trace.records[np.isin(trace.records["token"], ids)]
+    _, counts = routing_counts(difficult, trace.header.n_layers, trace.header.n_experts)
+    by_rank = counts.sum(axis=0)  # [layers, K, N]
+    grid = by_rank[:, :1].sum(axis=1)  # rank-0 events per (layer, expert)
+    top1 = grid.sum(axis=0)
+    top12 = by_rank[:, :2].sum(axis=(0, 1))
 
     def class_sum(counts: np.ndarray, cls: set[int]) -> int:
         return int(sum(int(c) for c, h in zip(counts, sizes) if h in cls))

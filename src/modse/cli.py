@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -28,6 +29,7 @@ from .analytics import (
     difficult_token_table,
     distribution_csv,
     emit_heatmap,
+    routing_counts,
     thresholds_csv,
 )
 from .data import load_text_corpus, synthetic_corpus, synthetic_docs
@@ -106,8 +108,7 @@ def cmd_train(args, argv: list[str]) -> int:
         corpus = synthetic_corpus(cfg.seed)
     log.info("training %d steps on %d tokens (out: %s)", steps, len(corpus), args.out)
 
-    run = RunOutputs(args.out, argv, {"model": cfg.to_dict(), "optimizer": opt.__dict__}, cfg.seed)
-    try:
+    with RunOutputs(args.out, argv, {"model": cfg.to_dict(), "optimizer": opt.__dict__}, cfg.seed) as run:
         trace_path = run.stage(args.trace) if args.trace else None
         records, weights = train(
             cfg,
@@ -119,10 +120,6 @@ def cmd_train(args, argv: list[str]) -> int:
             checkpoint_out=run.stage("checkpoint.bin"),
             trace_binary=bool(args.trace and args.trace.endswith(".bin")),
         )
-        run.commit()
-    except BaseException:
-        run.abort()
-        raise
     summary = {
         "steps": steps,
         "final_ce": records[-1].ce_loss if records else None,
@@ -141,21 +138,20 @@ def cmd_plan(args, argv: list[str]) -> int:
     else:
         plan = plan_baselines(spec, cfg.n_layers, devices, args.strategy, order=args.order)
 
-    run = RunOutputs(args.out, argv, {"model": cfg.to_dict()}, cfg.seed)
-    try:
+    with RunOutputs(args.out, argv, {"model": cfg.to_dict()}, cfg.seed) as run:
         plan.save(run.stage("plan.json"))
-        run.commit()
-    except BaseException:
-        run.abort()
-        raise
     for dev, params in enumerate(plan.per_device_params):
         print(f"device {dev}: {params} parameters")
     return EXIT_OK
 
 
 def _read_loss_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise AlignmentError(f"{path}: not UTF-8 text: {e}") from e
     ids, losses = [], []
-    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
+    for i, line in enumerate(text.splitlines()):
         line = line.strip()
         if not line or (i == 0 and line.lower().startswith("token_index")):
             continue
@@ -165,6 +161,10 @@ def _read_loss_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
             losses.append(float(loss))
         except ValueError as e:
             raise AlignmentError(f"{path}:{i + 1}: bad loss row {line!r}") from e
+        if not 0 <= ids[-1] < 2**63:
+            raise AlignmentError(f"{path}:{i + 1}: token index {ids[-1]} out of range")
+        if not math.isfinite(losses[-1]):
+            raise AlignmentError(f"{path}:{i + 1}: non-finite loss {losses[-1]}")
     return np.asarray(ids, dtype=np.int64), np.asarray(losses, dtype=np.float64)
 
 
@@ -175,8 +175,7 @@ def cmd_analyze(args, argv: list[str]) -> int:
     sizes = list(trace.header.expert_sizes)
     table = count_routing(trace)
 
-    run = RunOutputs(args.out, argv, {"trace": str(args.trace)}, None)
-    try:
+    with RunOutputs(args.out, argv, {"trace": str(args.trace)}, None) as run:
         run.stage("counts.csv").write_text(counts_csv(table, sizes), encoding="utf-8")
         for r in table.rows:
             ratio = "inf" if r.min == 0 else f"{r.ratio:.2f}"
@@ -201,16 +200,10 @@ def cmd_analyze(args, argv: list[str]) -> int:
             grid = report.per_layer_top1
         else:
             # routing heatmap: rank-0 counts per (layer, expert), summed over epochs
-            grid = np.zeros((trace.header.n_layers, trace.header.n_experts), dtype=np.int64)
-            for r in table.rows:
-                if r.rank == 0:
-                    grid[r.layer] += r.counts
+            _, counts = routing_counts(trace.records, trace.header.n_layers, trace.header.n_experts)
+            grid = counts[:, :, 0].sum(axis=0)
 
         emit_heatmap(grid, run.stage("heatmap.csv"), run.stage("heatmap.svg"), expert_sizes=sizes)
-        run.commit()
-    except BaseException:
-        run.abort()
-        raise
     return EXIT_OK
 
 
@@ -222,29 +215,19 @@ def cmd_gradcheck(args, argv: list[str]) -> int:
         ok = ok and r.passed
         print(f"{r.name}: worst rel err {r.worst_err:.3e} (tol {r.tol:.0e}) {status}")
     if args.out:
-        run = RunOutputs(args.out, argv, {"scale": args.scale}, None)
-        try:
+        with RunOutputs(args.out, argv, {"scale": args.scale}, None) as run:
             payload = [
                 {"suite": r.name, "worst_err": r.worst_err, "tol": r.tol, "passed": r.passed}
                 for r in results
             ]
             run.stage("gradcheck.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-            run.commit()
-        except BaseException:
-            run.abort()
-            raise
     return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_gen_data(args, argv: list[str]) -> int:
     docs = synthetic_docs(args.seed, n_docs=args.docs, max_depth=args.max_depth)
-    run = RunOutputs(args.out, argv, {"seed": args.seed, "docs": args.docs}, args.seed)
-    try:
+    with RunOutputs(args.out, argv, {"seed": args.seed, "docs": args.docs}, args.seed) as run:
         run.stage("corpus.txt").write_text("\n".join(docs) + "\n", encoding="utf-8")
-        run.commit()
-    except BaseException:
-        run.abort()
-        raise
     print(json.dumps({"docs": len(docs), "out": str(args.out)}))
     return EXIT_OK
 

@@ -1,10 +1,10 @@
 """Run manifests and atomic output staging.
 
-Commands write their primary outputs through a RunOutputs stager: files are
-produced under temporary names and renamed into place only when the whole
-command has succeeded, so a failed run leaves no partial outputs. The
-manifest (command line, config snapshot, seed, version, timestamps, sha256
-digests of every emitted file) is written last.
+Commands write their primary outputs inside a `with RunOutputs(...)` block:
+files are produced under temporary names and renamed into place only when
+the whole block has succeeded, so a failed run leaves no partial outputs.
+The manifest (command line, config snapshot, seed, version, timestamps,
+sha256 digests of every emitted file) is written last.
 """
 
 from __future__ import annotations
@@ -101,6 +101,20 @@ class RunOutputs:
         tmp.write_text(manifest.to_json(), encoding="utf-8")
         tmp.replace(self.out_dir / MANIFEST_NAME)
         return manifest
+
+    def __enter__(self) -> "RunOutputs":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        """Commit if the block succeeded; abort if it or the commit raised, letting the error through."""
+        if exc_type is not None:
+            self.abort()
+            return
+        try:
+            self.commit()
+        except BaseException:
+            self.abort()
+            raise
 
     def abort(self) -> None:
         """Delete staged files, and `out_dir` too if this run created it and it is empty."""

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .analytics import routing_counts
 from .moe import PairedExpertSpec
 from .trace import RoutingTrace
 
@@ -163,16 +164,15 @@ def evaluate_workload(plan: PlacementPlan, trace: RoutingTrace, spec: PairedExpe
         if int(rec["layer"].max()) >= layers:
             raise TraceRangeError(f"trace layer {int(rec['layer'].max())} outside plan with {layers} layers")
 
-    sizes = np.asarray(spec.expert_sizes, dtype=np.int64)
-    counts = np.zeros((layers, n), dtype=np.int64)
-    np.add.at(counts, (rec["layer"].astype(np.int64), rec["expert"].astype(np.int64)), 1)
+    counts = routing_counts(rec, layers, n)[1].sum(axis=(0, 2))  # [layers, n]
+    sizes = spec.expert_sizes
 
     tokens = [0] * plan.device_count
     flops = [0] * plan.device_count
     for (layer, expert), dev in plan.assignment.items():
         c = int(counts[layer, expert])
         tokens[dev] += c
-        flops[dev] += c * int(sizes[expert])
+        flops[dev] += c * sizes[expert]
     lo, hi = min(flops), max(flops)
     ratio = math.inf if lo == 0 else hi / lo
     return WorkloadReport(tokens, flops, ratio)

@@ -101,14 +101,15 @@ class RoutingTrace:
 
 
 def validate_records(header: TraceHeader, records: np.ndarray) -> None:
-    bad = np.nonzero(records["rank"] >= header.top_k)[0]
-    if bad.size:
-        raise TraceFormatError(f"record {bad[0]}: rank {records['rank'][bad[0]]} >= top_k {header.top_k}")
-    bad = np.nonzero(records["expert"] >= header.n_experts)[0]
-    if bad.size:
-        raise TraceFormatError(
-            f"record {bad[0]}: expert {records['expert'][bad[0]]} >= n_experts {header.n_experts}"
-        )
+    """Every index field below its header bound, so counts can index by it; weights in [0, 1]."""
+    for field, bound, limit in (
+        ("layer", "n_layers", header.n_layers),
+        ("rank", "top_k", header.top_k),
+        ("expert", "n_experts", header.n_experts),
+    ):
+        bad = np.nonzero(records[field] >= limit)[0]
+        if bad.size:
+            raise TraceFormatError(f"record {bad[0]}: {field} {records[field][bad[0]]} >= {bound} {limit}")
     w = records["weight"]
     bad = np.nonzero(~((w >= 0.0) & (w <= 1.0 + 1e-6)))[0]
     if bad.size:

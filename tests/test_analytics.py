@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from modse.analytics import (
     difficult_token_table,
     distribution_csv,
     emit_heatmap,
+    routing_counts,
     thresholds_csv,
 )
 from modse.fixtures import load_difficult_tokens, load_routing_epoch7
 from modse.moe import build_paired_spec, homogeneous_spec
+from modse.placement import DeviceModel, evaluate_workload, plan_baselines, plan_pairwise
 from modse.trace import RoutingTrace, TraceHeader, make_records
 
 # published aggregates for the hard-token distribution table
@@ -110,6 +113,94 @@ class TestCountRouting:
         table = count_routing(RoutingTrace(header, np.concatenate(chunks)))
         totals = {int(r.counts.sum()) for r in table.rows}
         assert totals == {40}
+
+
+
+# widths (14, 2, 8, 8, 12, 4): three pairs, so three devices divide every plan
+ORACLE_SPEC = build_paired_spec(4, 8, [(3.5, 0.5), (2.0, 2.0), (3.0, 1.0)])
+
+
+@st.composite
+def oracle_cases(draw):
+    """A valid trace over sparse epochs, with layers and ranks left empty at random, and a token subset."""
+    layers = draw(st.integers(1, 4))
+    top_k = draw(st.integers(1, 3))
+    n = ORACLE_SPEC.n_experts
+    events = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0, 1, 7, 2**32 - 1]),
+                st.integers(0, layers - 1),
+                st.integers(0, 15),
+                st.integers(0, top_k - 1),
+                st.integers(0, n - 1),
+            ),
+            max_size=60,
+        )
+    )
+    epoch, layer, token, rank, expert = (list(col) for col in zip(*events)) if events else ([],) * 5
+    header = TraceHeader("oracle", n, layers, top_k, tuple(ORACLE_SPEC.expert_sizes))
+    trace = RoutingTrace(header, make_records(epoch, layer, token, rank, expert, 0.5))
+    difficult = draw(st.sets(st.integers(0, 15)))
+    return trace, events, difficult
+
+
+class TestRoutingCountsOracle:
+    """Every counter against a plain per-record Counter."""
+
+    @given(oracle_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_counters_match_per_record_oracle(self, case):
+        trace, events, difficult = case
+        n, layers = trace.header.n_experts, trace.header.n_layers
+        sizes = ORACLE_SPEC.expert_sizes
+        oracle = Counter((e, layer, r, x) for e, layer, _, r, x in events)
+
+        epochs, counts = routing_counts(trace.records, layers, n)
+        assert epochs.tolist() == sorted({e for e, *_ in events})
+        k = 1 + max((r for *_, r, _ in events), default=-1)
+        assert counts.shape == (len(epochs), layers, k, n)
+        assert counts.dtype == np.int64
+        for idx in np.ndindex(counts.shape):
+            assert counts[idx] == oracle[(int(epochs[idx[0]]), *idx[1:])]
+
+        table = count_routing(trace)
+        groups = sorted({key[:3] for key in oracle})
+        assert [(r.epoch, r.layer, r.rank) for r in table.rows] == groups
+        for row in table.rows:
+            assert row.counts.tolist() == [oracle[(row.epoch, row.layer, row.rank, x)] for x in range(n)]
+        # one header line plus a row per group with events, none for empty groups
+        assert len(counts_csv(table).splitlines()) == 1 + len(groups)
+
+        hard = Counter((layer, r, x) for _, layer, tok, r, x in events if tok in difficult)
+        large, small = default_size_classes(sizes)
+        report = difficult_token_expert_distribution(trace, difficult, large, small)
+        grid = [[hard[(layer, 0, x)] for x in range(n)] for layer in range(layers)]
+        assert report.per_layer_top1.tolist() == grid
+        assert report.per_expert_top1.tolist() == [sum(col) for col in zip(*grid)]
+        top12 = [sum(hard[(layer, r, x)] for layer in range(layers) for r in (0, 1)) for x in range(n)]
+        assert report.per_expert_top12.tolist() == top12
+        assert report.sum_large_top12 == sum(c for c, h in zip(top12, sizes) if h in large)
+
+        plans = [plan_pairwise(ORACLE_SPEC, layers, DeviceModel(3))] + [
+            plan_baselines(ORACLE_SPEC, layers, DeviceModel(3), s) for s in ("naive_contiguous", "size_sorted")
+        ]
+        for plan in plans:
+            tokens, flops = [0] * 3, [0] * 3
+            for _, layer, _, _, x in events:
+                dev = plan.assignment[(layer, x)]
+                tokens[dev] += 1
+                flops[dev] += sizes[x]
+            report = evaluate_workload(plan, trace, ORACLE_SPEC)
+            assert report.per_device_tokens == tokens
+            assert report.per_device_flop_proxy == flops
+            assert report.imbalance_ratio == (math.inf if min(flops) == 0 else max(flops) / min(flops))
+
+    def test_empty_records_give_empty_counts(self):
+        records = make_records(0, 0, [0], 0, 0, 0.5)[:0]
+        epochs, counts = routing_counts(records, 2, 4)
+        assert epochs.size == 0
+        assert counts.shape == (0, 2, 0, 4)
 
 
 class TestDifficultTokenTable:

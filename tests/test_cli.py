@@ -333,6 +333,47 @@ class TestAnalyzeCommand:
         assert r.returncode == 1, r.stderr
         assert "bad record at offset 0" in r.stderr
 
+    @pytest.mark.parametrize("with_losses", [False, True], ids=["counts", "losses"])
+    def test_out_of_range_layer_exits_one(self, tmp_path, with_losses):
+        tp = tmp_path / "t.jsonl"
+        tp.write_text(
+            json.dumps(TraceHeader("t", 4, 1, 2, (8, 8, 8, 8)).to_dict())
+            + '\n{"epoch":0,"layer":0,"token":0,"rank":0,"expert":1,"weight":0.5}'
+            + '\n{"epoch":0,"layer":5,"token":1,"rank":0,"expert":1,"weight":0.5}\n'
+        )
+        losses = []
+        if with_losses:
+            (tmp_path / "l.csv").write_text("token_index,loss\n0,1.0\n1,2.0\n")
+            losses = ["--losses-baseline", tmp_path / "l.csv", "--losses-modse", tmp_path / "l.csv"]
+        out = tmp_path / "analysis"
+        r = run_cli("analyze", tp, *losses, "--out", out)
+        assert r.returncode == 1, r.stderr
+        assert "record 1: layer 5 >= n_layers 1" in r.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b"token_index,loss\n0,1.0\n1,nan\n", "base.csv:3: non-finite loss nan"),
+            (b"token_index,loss\n0,inf\n1,1.0\n", "base.csv:2: non-finite loss inf"),
+            (b"token_index,loss\n0,1.0\n-1,3.0\n", "base.csv:3: token index -1 out of range"),
+            (b"token_index,loss\n0,1.0\n1,\xff\n", "base.csv: not UTF-8 text"),
+        ],
+        ids=["nan", "inf", "negative-token", "bad-utf8"],
+    )
+    def test_bad_loss_csv_exits_one_naming_path(self, tmp_path, body, message):
+        tp = tmp_path / "t.jsonl"
+        uniform_trace_file(tp)
+        (tmp_path / "base.csv").write_bytes(body)
+        out = tmp_path / "analysis"
+        r = run_cli(
+            "analyze", tp, "--losses-baseline", tmp_path / "base.csv",
+            "--losses-modse", tmp_path / "base.csv", "--out", out,
+        )
+        assert r.returncode == 1, r.stderr
+        assert message in r.stderr
+        assert not out.exists()
+
     def test_missing_trace_exits_two(self, tmp_path):
         r = run_cli("analyze", tmp_path / "nope.jsonl", "--out", tmp_path / "x")
         assert r.returncode == 2
@@ -399,3 +440,33 @@ class TestUsage:
         assert quiet.returncode == chatty.returncode == 0
         assert "training" in chatty.stderr
         assert "training" not in quiet.stderr
+
+
+class TestRunOutputs:
+    def test_block_commits_through_the_commit_attribute(self, tmp_path, monkeypatch):
+        from modse.manifest import RunOutputs
+
+        calls = []
+        commit = RunOutputs.commit
+        monkeypatch.setattr(RunOutputs, "commit", lambda self: calls.append(1) or commit(self))
+        with RunOutputs(tmp_path / "out", ["modse"], {}, None) as run:
+            run.stage("a.txt").write_text("a")
+        assert calls == [1]
+        assert (tmp_path / "out/a.txt").read_text() == "a"
+        assert json.loads((tmp_path / "out/manifest.json").read_text())["outputs"].keys() == {"a.txt"}
+
+    @pytest.mark.parametrize("where", ["block", "commit"])
+    def test_failure_aborts_and_reraises(self, tmp_path, monkeypatch, where):
+        from modse.manifest import RunOutputs
+
+        def broken(self):
+            raise OSError("disk full")
+
+        if where == "commit":
+            monkeypatch.setattr(RunOutputs, "commit", broken)
+        with pytest.raises(OSError, match="disk full"):
+            with RunOutputs(tmp_path / "out", ["modse"], {}, None) as run:
+                run.stage("a.txt").write_text("a")
+                if where == "block":
+                    broken(run)
+        assert not (tmp_path / "out").exists()

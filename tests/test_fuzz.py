@@ -1,9 +1,9 @@
-"""Byte-level fuzzing of the trace, checkpoint and config readers.
+"""Byte-level fuzzing of the trace, checkpoint, config and loss CSV readers.
 
 Flipped, deleted or inserted bytes in a valid file must either load or raise
 the reader's typed error (`TraceFormatError`, `CheckpointError`,
-`ConfigError`), never another exception. An edited JSONL trace that loads
-must load exactly as the per-line reader below does.
+`ConfigError`, `AlignmentError`), never another exception. An edited JSONL
+trace that loads must load exactly as the per-line reader below does.
 """
 
 import json
@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modse import trace
+from modse.analytics import AlignmentError
 from modse.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from modse.cli import ConfigError, _load_config
+from modse.cli import ConfigError, _load_config, _read_loss_csv
 from modse.model import ModelConfig
 from modse.optim import OptimizerConfig
 from modse.tensor import Tensor
@@ -151,3 +152,19 @@ def test_config_loads_or_raises(tmp_path_factory, edits):
         _load_config(str(p))
     except ConfigError:
         pass
+
+
+@given(edits=EDITS)
+@settings(max_examples=150, deadline=None)
+def test_loss_csv_loads_or_raises(tmp_path_factory, edits):
+    tmp = tmp_path_factory.getbasetemp()
+    base = "token_index,loss\n" + "".join(f"{i},{1 + 0.25 * i:.6f}\n" for i in range(12))
+    p = tmp / "fuzz.csv"
+    p.write_bytes(apply_edits(base.encode("utf-8"), edits))
+    try:
+        ids, losses = _read_loss_csv(str(p))
+    except AlignmentError:
+        return
+    assert ids.shape == losses.shape
+    assert (ids >= 0).all()
+    assert np.isfinite(losses).all()

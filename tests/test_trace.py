@@ -134,7 +134,8 @@ class TestRoundTrip:
     @settings(max_examples=60, deadline=None)
     def test_jsonl_and_binary_give_the_same_record_bytes(self, tmp_path_factory, rows, block):
         tmp = tmp_path_factory.getbasetemp()
-        trace_in = RoutingTrace(header(), np.array(rows, dtype=RECORD_DTYPE))
+        # a header bound past the u32 range keeps every layer value valid
+        trace_in = RoutingTrace(header(layers=2**32), np.array(rows, dtype=RECORD_DTYPE))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(trace, "BLOCK_LINES", block)
             write_trace(tmp / "h.jsonl", trace_in)
@@ -181,6 +182,11 @@ class TestValidation:
         rec = np.concatenate([sample_records(3), make_records(0, 0, [9], 0, 7, 0.5)])
         with pytest.raises(TraceFormatError, match="record 3"):
             RoutingTrace(header(n=4), rec)
+
+    def test_layer_out_of_range_reports_offset(self):
+        rec = np.concatenate([sample_records(3), make_records(0, 5, [9], 0, 1, 0.5)])
+        with pytest.raises(TraceFormatError, match="record 3: layer 5 >= n_layers 2"):
+            RoutingTrace(header(layers=2), rec)
 
     def test_weight_out_of_range(self):
         with pytest.raises(TraceFormatError, match="weight"):
