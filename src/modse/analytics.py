@@ -53,12 +53,6 @@ class CountTable:
     n_experts: int
     rows: list[CountRow]
 
-    def row(self, epoch: int, layer: int, rank: int) -> CountRow:
-        for r in self.rows:
-            if (r.epoch, r.layer, r.rank) == (epoch, layer, rank):
-                return r
-        raise KeyError((epoch, layer, rank))
-
 
 def routing_counts(records: np.ndarray, n_layers: int, n_experts: int) -> tuple[np.ndarray, np.ndarray]:
     """Routing events per (epoch, layer, rank, expert) from one bincount.
@@ -82,20 +76,6 @@ def count_routing(trace: RoutingTrace) -> CountTable:
     groups = np.argwhere(counts.sum(axis=3) > 0).tolist()
     rows = [CountRow(int(epochs[e]), layer, rank, counts=counts[e, layer, rank]) for e, layer, rank in groups]
     return CountTable(n_experts=trace.header.n_experts, rows=rows)
-
-
-def count_table_from_grid(
-    counts: np.ndarray, epoch: int = 0, layers_ranks: list[tuple[int, int]] | None = None
-) -> CountTable:
-    """Build a CountTable from pre-aggregated per-(layer, rank) count rows."""
-    counts = np.asarray(counts, dtype=np.int64)
-    if layers_ranks is None:
-        layers_ranks = [(i, 0) for i in range(len(counts))]
-    rows = [
-        CountRow(epoch, layer, rank, counts=c.copy())
-        for (layer, rank), c in zip(layers_ranks, counts)
-    ]
-    return CountTable(n_experts=counts.shape[1], rows=rows)
 
 
 def counts_csv(table: CountTable, expert_sizes: list[int] | None = None) -> str:
@@ -165,27 +145,15 @@ class DifficultTokenReport:
     per_layer_top1: np.ndarray  # [layers, N] rank-0 events, the heatmap grid
 
 
-def difficult_token_expert_distribution(
-    trace: RoutingTrace,
-    difficult_token_ids: set[int],
-    large_sizes: set[int],
-    small_sizes: set[int],
-) -> DifficultTokenReport:
+def difficult_token_expert_distribution(trace: RoutingTrace, difficult_token_ids: set[int]) -> DifficultTokenReport:
     """Count where the difficult tokens were routed, by expert and width class.
 
-    `large_sizes`/`small_sizes` are disjoint sets of expert widths; widths in
-    neither set (the exactly-average experts) are excluded from both sums.
     Per-index widths come from the trace header, which fixes the expert
-    numbering.
+    numbering; the classes are `default_size_classes` of those widths, so
+    exactly-average experts are excluded from both sums.
     """
     sizes = list(trace.header.expert_sizes)
-    known = set(sizes)
-    for s in large_sizes | small_sizes:
-        if s not in known:
-            raise ValueError(f"size {s} not among expert widths {sorted(known)}")
-    if large_sizes & small_sizes:
-        raise ValueError("large and small size classes overlap")
-
+    large, small = default_size_classes(sizes)
     ids = np.fromiter(difficult_token_ids, dtype=np.uint64, count=len(difficult_token_ids))
     difficult = trace.records[np.isin(trace.records["token"], ids)]
     _, counts = routing_counts(difficult, trace.header.n_layers, trace.header.n_experts)
@@ -201,10 +169,10 @@ def difficult_token_expert_distribution(
         expert_sizes=list(sizes),
         per_expert_top1=top1,
         per_expert_top12=top12,
-        sum_large_top1=class_sum(top1, large_sizes),
-        sum_small_top1=class_sum(top1, small_sizes),
-        sum_large_top12=class_sum(top12, large_sizes),
-        sum_small_top12=class_sum(top12, small_sizes),
+        sum_large_top1=class_sum(top1, large),
+        sum_small_top1=class_sum(top1, small),
+        sum_large_top12=class_sum(top12, large),
+        sum_small_top12=class_sum(top12, small),
         per_layer_top1=grid,
     )
 

@@ -24,7 +24,6 @@ from .analytics import (
     AlignmentError,
     count_routing,
     counts_csv,
-    default_size_classes,
     difficult_token_expert_distribution,
     difficult_token_table,
     distribution_csv,
@@ -194,8 +193,7 @@ def cmd_analyze(args, argv: list[str]) -> int:
             run.stage("thresholds.csv").write_text(thresholds_csv(rows), encoding="utf-8")
 
             difficult = set(base_ids[base > mean].tolist())
-            large, small = default_size_classes(sizes)
-            report = difficult_token_expert_distribution(trace, difficult, large, small)
+            report = difficult_token_expert_distribution(trace, difficult)
             run.stage("distribution.csv").write_text(distribution_csv(report), encoding="utf-8")
             grid = report.per_layer_top1
         else:

@@ -9,6 +9,7 @@ sha256 digests of every emitted file) is written last.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import subprocess
@@ -29,8 +30,9 @@ def sha256_file(path: str | Path) -> str:
     return h.hexdigest()
 
 
+@functools.cache
 def version_string() -> str:
-    """git-describe of the source tree when available, else the package version."""
+    """git-describe of the source tree when available, else the package version; computed once per process."""
     try:
         out = subprocess.run(
             ["git", "-C", str(Path(__file__).resolve().parent), "describe", "--always", "--dirty", "--tags"],

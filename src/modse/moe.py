@@ -49,10 +49,6 @@ class ExpertParams:
     def hidden_size(self) -> int:
         return self.w_in.shape[1]
 
-    @property
-    def parameter_count(self) -> int:
-        return self.w_in.size + self.w_gateproj.size + self.w_out.size
-
 
 @dataclass(frozen=True)
 class PairedExpertSpec:
@@ -117,13 +113,11 @@ class GateOutput:
     """Routing decision for a batch of tokens.
 
     `masked_probs` is the full [T, N] matrix of combination weights (exact
-    zeros off the top-k); `topk_weights` is its per-token top-k view in rank
-    order. `full_probs` is the unmasked softmax of the logits, the input to
-    the balance loss.
+    zeros off the top-k). `full_probs` is the unmasked softmax of the logits,
+    the input to the balance loss.
     """
 
     topk_indices: np.ndarray  # [T, k] int, rank order (rank 0 = largest logit)
-    topk_weights: np.ndarray  # [T, k] float
     full_probs: Tensor  # [T, N]
     logits: Tensor  # [T, N]
     masked_probs: Tensor = field(repr=False, default=None)
@@ -151,11 +145,8 @@ def gate_forward(params: GateParams, x: Tensor, k: int) -> GateOutput:
     logits = tt.add(tt.matmul(x, params.w_gate), noise)
     masked_probs = tt.softmax(tt.keep_topk(logits, k))
     full_probs = tt.softmax(logits)
-    idx = tt.topk_indices(logits.values, k)
-    weights = np.take_along_axis(masked_probs.values, idx, axis=-1)
     return GateOutput(
-        topk_indices=idx,
-        topk_weights=weights,
+        topk_indices=tt.topk_indices(logits.values, k),
         full_probs=full_probs,
         logits=logits,
         masked_probs=masked_probs,
@@ -190,10 +181,6 @@ def moe_layer_forward(
         rows.append(routed)
         used.append(e_idx)
     return tt.combine(outputs, rows, used, out.masked_probs), out
-
-
-def count_parameters(experts: list[ExpertParams]) -> int:
-    return sum(e.parameter_count for e in experts)
 
 
 def init_gate(d_model: int, n_experts: int, rng: np.random.Generator, std: float = 0.02, dtype=np.float32) -> GateParams:

@@ -1,15 +1,16 @@
 """Routing-trace files: one record per (token, layer, rank) routing event.
 
-Two on-disk formats carry the same data and must load identically:
+A record is the routing decision alone: epoch, layer, token, rank and
+expert, all integers. Two on-disk formats carry it and load identically:
 
-* JSONL: a mandatory header line, then one JSON object per record with keys
-  epoch, layer, token, rank, expert, weight and optional ce.
-* Binary: magic ``MDSTRC01``, a u32 little-endian header length, the same
-  header JSON in UTF-8, then fixed-width 28-byte little-endian records.
+* JSONL: a mandatory header line, then one JSON object per record with
+  those five keys.
+* Binary: magic ``MDSTRC02``, a u32 little-endian header length, the same
+  header JSON in UTF-8, then fixed-width 20-byte little-endian records.
 
-Gate weights are stored as float32 in both formats (JSON carries the exact
-binary64 image of the float32), so reports computed from either file agree
-bit for bit.
+Version-1 traces still load: their JSONL lines also carry ``weight`` and
+``ce`` keys, which both parsers ignore, and ``MDSTRC01`` files hold 28-byte
+records whose trailing float32 gate weight and loss are skipped.
 
 JSONL is written and read a block of records at a time. The writer formats
 each block with one fixed template and writes the same bytes that
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-MAGIC = b"MDSTRC01"
+MAGIC = b"MDSTRC02"
 
 # JSONL records formatted or parsed in one go; bounds the transient memory of both.
 BLOCK_LINES = 512
@@ -40,10 +41,17 @@ RECORD_DTYPE = np.dtype(
         ("token", "<u8"),
         ("rank", "<u2"),
         ("expert", "<u2"),
-        ("weight", "<f4"),
-        ("ce", "<f4"),  # NaN when the per-token loss was not recorded
     ]
 )
+
+# Record layout of each binary magic: version 1 followed the five fields with
+# a float32 gate weight and per-token loss, which reading skips.
+_BINARY_DTYPES = {
+    MAGIC: RECORD_DTYPE,
+    b"MDSTRC01": np.dtype(
+        {"names": RECORD_DTYPE.names, "formats": [RECORD_DTYPE[n] for n in RECORD_DTYPE.names], "itemsize": 28}
+    ),
+}
 
 
 class TraceFormatError(ValueError):
@@ -61,7 +69,7 @@ class TraceHeader:
     def to_dict(self) -> dict:
         d = asdict(self)
         d["expert_sizes"] = list(self.expert_sizes)
-        return {"format": "modse-trace", "version": 1, **d}
+        return {"format": "modse-trace", "version": 2, **d}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TraceHeader":
@@ -101,7 +109,7 @@ class RoutingTrace:
 
 
 def validate_records(header: TraceHeader, records: np.ndarray) -> None:
-    """Every index field below its header bound, so counts can index by it; weights in [0, 1]."""
+    """Every index field below its header bound, so counts can index by it."""
     for field, bound, limit in (
         ("layer", "n_layers", header.n_layers),
         ("rank", "top_k", header.top_k),
@@ -110,15 +118,9 @@ def validate_records(header: TraceHeader, records: np.ndarray) -> None:
         bad = np.nonzero(records[field] >= limit)[0]
         if bad.size:
             raise TraceFormatError(f"record {bad[0]}: {field} {records[field][bad[0]]} >= {bound} {limit}")
-    w = records["weight"]
-    bad = np.nonzero(~((w >= 0.0) & (w <= 1.0 + 1e-6)))[0]
-    if bad.size:
-        raise TraceFormatError(f"record {bad[0]}: gate weight {w[bad[0]]} outside [0, 1]")
 
 
-def make_records(
-    epoch, layer, token, rank, expert, weight, ce=None
-) -> np.ndarray:
+def make_records(epoch, layer, token, rank, expert) -> np.ndarray:
     """Assemble aligned field arrays into a record block."""
     n = len(np.atleast_1d(token))
     rec = np.zeros(n, dtype=RECORD_DTYPE)
@@ -127,26 +129,11 @@ def make_records(
     rec["token"] = token
     rec["rank"] = rank
     rec["expert"] = expert
-    rec["weight"] = weight
-    rec["ce"] = np.nan if ce is None else ce
     return rec
 
 
-# The line json.dumps writes for a record's dict; %r is how it spells a float.
-_LINE = '{"epoch": %d, "layer": %d, "token": %d, "rank": %d, "expert": %d, "weight": %r}'
-_LINE_CE = _LINE[:-1] + ', "ce": %r}'
-
-
-def _jsonl_block(records: np.ndarray) -> str:
-    """JSONL lines for a record block, leaving out `ce` where it is NaN."""
-    rows = records.tolist()
-    lines = [_LINE % r[:6] if r[6] != r[6] else _LINE_CE % r for r in rows]
-    # repr writes nan/inf/-inf where json.dumps writes NaN/Infinity/-Infinity;
-    # no key contains either word, so a plain replace in those rows is exact.
-    odd = ~np.isfinite(records["weight"]) | np.isinf(records["ce"])
-    for i in np.flatnonzero(odd).tolist():
-        lines[i] = lines[i].replace("nan", "NaN").replace("inf", "Infinity")
-    return "\n".join(lines) + "\n"
+# The line json.dumps writes for a record's dict.
+_LINE = '{"epoch": %d, "layer": %d, "token": %d, "rank": %d, "expert": %d}\n'
 
 
 class TraceWriter:
@@ -171,7 +158,7 @@ class TraceWriter:
             self._fh.write(records.tobytes())
             return
         for start in range(0, len(records), BLOCK_LINES):
-            self._fh.write(_jsonl_block(records[start : start + BLOCK_LINES]))
+            self._fh.write("".join([_LINE % r for r in records[start : start + BLOCK_LINES].tolist()]))
 
     def close(self) -> None:
         self._fh.close()
@@ -189,11 +176,11 @@ def write_trace(path: str | Path, trace: RoutingTrace, binary: bool = False) -> 
 
 
 def read_trace(path: str | Path) -> RoutingTrace:
-    """Load a trace file, sniffing JSONL vs binary by the magic prefix."""
+    """Load a trace file, sniffing JSONL vs binary, and the binary version, by the magic prefix."""
     path = Path(path)
     with open(path, "rb") as fh:
-        head = fh.read(len(MAGIC))
-        if head == MAGIC:
+        dtype = _BINARY_DTYPES.get(fh.read(len(MAGIC)))
+        if dtype is not None:
             raw = fh.read()
             hlen = int.from_bytes(raw[:4], "little")
             try:
@@ -201,10 +188,9 @@ def read_trace(path: str | Path) -> RoutingTrace:
             except (ValueError, RecursionError) as e:  # JSON, UTF-8 or header-field errors
                 raise TraceFormatError(f"{path}: bad binary header: {e}") from e
             body = raw[4 + hlen :]
-            if len(body) % RECORD_DTYPE.itemsize != 0:
+            if len(body) % dtype.itemsize != 0:
                 raise TraceFormatError(f"{path}: truncated binary record block")
-            records = np.frombuffer(body, dtype=RECORD_DTYPE).copy()
-            return RoutingTrace(header, records)
+            return RoutingTrace(header, np.frombuffer(body, dtype=dtype).astype(RECORD_DTYPE))
 
     try:
         with open(path, encoding="utf-8") as fh:
@@ -250,9 +236,8 @@ def _parse_block(lines: list[str]) -> np.ndarray:
     if len(objs) != len(lines) or text.find("[", 1) != -1 or text.count("\n,{") != len(lines) - 1:
         raise ValueError("block is not one object per line")
     block = np.zeros(len(objs), dtype=RECORD_DTYPE)
-    for name in RECORD_DTYPE.names[:-1]:
+    for name in RECORD_DTYPE.names:
         block[name] = [obj[name] for obj in objs]
-    block["ce"] = [obj.get("ce", np.nan) for obj in objs]
     return block
 
 
@@ -262,15 +247,7 @@ def _parse_lines(path: Path, lines: list[str], offset: int) -> np.ndarray:
     for i, line in enumerate(lines):
         try:
             obj = json.loads(line)
-            records[i] = (
-                obj["epoch"],
-                obj["layer"],
-                obj["token"],
-                obj["rank"],
-                obj["expert"],
-                obj["weight"],
-                obj.get("ce", np.nan),
-            )
+            records[i] = (obj["epoch"], obj["layer"], obj["token"], obj["rank"], obj["expert"])
         except _RECORD_ERRORS as e:  # ValueError covers bad JSON
             raise TraceFormatError(f"{path}: bad record at offset {offset + i}: {e}") from e
     return records

@@ -1,9 +1,8 @@
 """Training loop: next-token cross entropy plus the per-layer balance penalties.
 
 Single-threaded and bitwise deterministic for a fixed config and seed. Each
-step logs a TrainStepRecord; optionally every routing decision goes to a
-trace file, with the per-token cross entropy attached so the difficult-token
-analyses can run on training traces directly.
+step logs a TrainStepRecord; optionally every routing decision (which expert
+each token chose at each layer and rank) goes to a trace file.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ def named_params(weights: dict[str, Tensor]) -> list[tuple[str, Tensor]]:
 def _trace_step(
     writer: TraceWriter,
     gate_outs: list[GateOutput],
-    token_losses: np.ndarray,
     epoch: int,
     token_base: int,
 ) -> None:
@@ -73,8 +71,6 @@ def _trace_step(
                     token=token_ids,
                     rank=rank,
                     expert=go.topk_indices[:, rank],
-                    weight=go.topk_weights[:, rank],
-                    ce=token_losses,
                 )
             )
 
@@ -148,8 +144,7 @@ def train(
                 metrics_fh.write(json.dumps(rec.to_json_obj()) + "\n")
 
             if writer is not None:
-                token_losses = per_token_cross_entropy(logits.values, targets).astype(np.float32)
-                _trace_step(writer, gate_outs, token_losses, epoch, token_base)
+                _trace_step(writer, gate_outs, epoch, token_base)
             token_base += inputs.size
     finally:
         if writer is not None:

@@ -19,11 +19,7 @@ from modse.data import synthetic_corpus
 from modse.fixtures import load_difficult_tokens, load_routing_epoch7
 from modse.model import ModelConfig
 from modse.moe import build_paired_spec, homogeneous_spec
-from modse.analytics import (
-    count_table_from_grid,
-    default_size_classes,
-    difficult_token_expert_distribution,
-)
+from modse.analytics import CountRow, difficult_token_expert_distribution
 from modse.optim import OptimizerConfig
 from modse.placement import DeviceModel, average_selected_hidden_size, plan_baselines, plan_pairwise
 from modse.tensor import Tensor
@@ -81,7 +77,6 @@ def _gate_output_from_probs(probs):
     idx = np.argsort(-probs, axis=1, kind="stable")[:, :2]
     return GateOutput(
         topk_indices=idx,
-        topk_weights=np.take_along_axis(probs, idx, axis=1),
         full_probs=Tensor(probs, dtype=np.float64),
         logits=Tensor(probs, dtype=np.float64),
         masked_probs=None,
@@ -129,10 +124,7 @@ def test_A5_placement_equality():
 
 def test_A6_analytics_fixtures():
     fix = load_routing_epoch7()
-    table = count_table_from_grid(
-        fix.counts, epoch=7, layers_ranks=list(zip(fix.layers.tolist(), fix.ranks.tolist()))
-    )
-    ratio = table.row(7, 0, 0).ratio
+    ratio = CountRow(7, 0, 0, fix.row(0, 0)).ratio
     assert abs(ratio - 2.60) <= 0.005
 
     dfix = load_difficult_tokens()
@@ -144,13 +136,11 @@ def test_A6_analytics_fixtures():
             if count:
                 chunks.append(
                     make_records(0, int(dfix.layers[row]), np.arange(tok, tok + count),
-                                 int(dfix.ranks[row]), expert, 0.5)
+                                 int(dfix.ranks[row]), expert)
                 )
                 tok += int(count)
     trace = RoutingTrace(header, np.concatenate(chunks))
-    report = difficult_token_expert_distribution(
-        trace, set(range(tok)), *default_size_classes(list(dfix.expert_sizes))
-    )
+    report = difficult_token_expert_distribution(trace, set(range(tok)))
     assert report.sum_large_top12 == 10473
     assert report.sum_small_top12 == 8326
     assert report.sum_large_top1 == 6215
@@ -200,7 +190,7 @@ def test_A8_balance_loss_effect():
 def test_A9_workload_metric():
     spec = build_paired_spec(1536, 3840, PUBLISHED_RATIOS)
     header = TraceHeader("u", 8, 1, 2, tuple(spec.expert_sizes))
-    recs = make_records(0, 0, np.arange(8 * 13), 0, np.arange(8 * 13) % 8, 0.5)
+    recs = make_records(0, 0, np.arange(8 * 13), 0, np.arange(8 * 13) % 8)
     trace = RoutingTrace(header, recs)
     assert average_selected_hidden_size(trace) == 3840.0
     ok("A9 workload metric", "(uniform trace -> exactly h_base)")

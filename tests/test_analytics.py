@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from modse.analytics import (
     AlignmentError,
+    CountRow,
+    CountTable,
     count_routing,
-    count_table_from_grid,
     counts_csv,
     default_size_classes,
     difficult_token_expert_distribution,
@@ -54,7 +55,6 @@ def difficult_fixture_trace() -> tuple[RoutingTrace, set[int]]:
                     token=np.arange(tok, tok + n),
                     rank=int(fix.ranks[row]),
                     expert=expert,
-                    weight=0.5,
                 )
             )
             tok += n
@@ -65,17 +65,17 @@ def difficult_fixture_trace() -> tuple[RoutingTrace, set[int]]:
 class TestCountRouting:
     def test_single_record_one_hot_with_sentinel(self):
         header = TraceHeader("x", 4, 1, 2, (8, 8, 8, 8))
-        trace = RoutingTrace(header, make_records(0, 0, [0], 0, 2, 0.5))
-        table = count_routing(trace)
-        row = table.row(0, 0, 0)
+        trace = RoutingTrace(header, make_records(0, 0, [0], 0, 2))
+        (row,) = count_routing(trace).rows
+        assert (row.epoch, row.layer, row.rank) == (0, 0, 0)
         assert row.counts.tolist() == [0, 0, 1, 0]
         assert math.isinf(row.ratio)
 
     def test_uniform_trace_ratio_one(self):
         header = TraceHeader("x", 4, 1, 2, (8, 8, 8, 8))
-        recs = make_records(0, 0, np.arange(12), 0, np.arange(12) % 4, 0.5)
-        table = count_routing(RoutingTrace(header, recs))
-        assert table.row(0, 0, 0).ratio == 1.0
+        recs = make_records(0, 0, np.arange(12), 0, np.arange(12) % 4)
+        (row,) = count_routing(RoutingTrace(header, recs)).rows
+        assert row.ratio == 1.0
 
     def test_published_epoch7_layer0_top0_ratio(self):
         fix = load_routing_epoch7()
@@ -83,20 +83,15 @@ class TestCountRouting:
         assert counts.tolist() == [
             16658651, 15442565, 18865092, 21987256, 22649968, 29079684, 30773936, 40200720,
         ]
-        table = count_table_from_grid(
-            fix.counts, epoch=7, layers_ranks=list(zip(fix.layers.tolist(), fix.ranks.tolist()))
-        )
-        row = table.row(7, 0, 0)
+        row = CountRow(7, 0, 0, counts)
         assert row.max == 40200720
         assert row.min == 15442565
         assert abs(row.ratio - 2.60) <= 0.005
 
     def test_counts_csv_rounds_ratio_to_two_decimals(self):
         fix = load_routing_epoch7()
-        table = count_table_from_grid(
-            fix.counts, epoch=7, layers_ranks=list(zip(fix.layers.tolist(), fix.ranks.tolist()))
-        )
-        text = counts_csv(table, list(fix.expert_sizes))
+        rows = [CountRow(7, layer, rank, c) for layer, rank, c in zip(fix.layers, fix.ranks, fix.counts)]
+        text = counts_csv(CountTable(len(fix.expert_sizes), rows), list(fix.expert_sizes))
         line0 = text.splitlines()[1]
         assert line0.endswith("40200720,15442565,2.60")
 
@@ -108,7 +103,7 @@ class TestCountRouting:
         for layer in range(3):
             for rank in range(2):
                 chunks.append(
-                    make_records(0, layer, np.arange(40), rank, rng.integers(0, 4, 40), 0.5)
+                    make_records(0, layer, np.arange(40), rank, rng.integers(0, 4, 40))
                 )
         table = count_routing(RoutingTrace(header, np.concatenate(chunks)))
         totals = {int(r.counts.sum()) for r in table.rows}
@@ -140,7 +135,7 @@ def oracle_cases(draw):
     )
     epoch, layer, token, rank, expert = (list(col) for col in zip(*events)) if events else ([],) * 5
     header = TraceHeader("oracle", n, layers, top_k, tuple(ORACLE_SPEC.expert_sizes))
-    trace = RoutingTrace(header, make_records(epoch, layer, token, rank, expert, 0.5))
+    trace = RoutingTrace(header, make_records(epoch, layer, token, rank, expert))
     difficult = draw(st.sets(st.integers(0, 15)))
     return trace, events, difficult
 
@@ -173,8 +168,8 @@ class TestRoutingCountsOracle:
         assert len(counts_csv(table).splitlines()) == 1 + len(groups)
 
         hard = Counter((layer, r, x) for _, layer, tok, r, x in events if tok in difficult)
-        large, small = default_size_classes(sizes)
-        report = difficult_token_expert_distribution(trace, difficult, large, small)
+        large, _ = default_size_classes(sizes)
+        report = difficult_token_expert_distribution(trace, difficult)
         grid = [[hard[(layer, 0, x)] for x in range(n)] for layer in range(layers)]
         assert report.per_layer_top1.tolist() == grid
         assert report.per_expert_top1.tolist() == [sum(col) for col in zip(*grid)]
@@ -197,7 +192,7 @@ class TestRoutingCountsOracle:
             assert report.imbalance_ratio == (math.inf if min(flops) == 0 else max(flops) / min(flops))
 
     def test_empty_records_give_empty_counts(self):
-        records = make_records(0, 0, [0], 0, 0, 0.5)[:0]
+        records = make_records(0, 0, [0], 0, 0)[:0]
         epochs, counts = routing_counts(records, 2, 4)
         assert epochs.size == 0
         assert counts.shape == (0, 2, 0, 4)
@@ -262,7 +257,7 @@ class TestDifficultTokenDistribution:
         large, small = default_size_classes(list(trace.header.expert_sizes))
         assert large == {6912, 6144, 4608}
         assert small == {3072, 1536, 768}
-        report = difficult_token_expert_distribution(trace, difficult, large, small)
+        report = difficult_token_expert_distribution(trace, difficult)
         assert report.per_expert_top12.tolist() == TOP12_PER_EXPERT
         assert report.per_expert_top1.tolist() == TOP1_PER_EXPERT
         assert report.sum_large_top12 == SUMS["top12_large"]
@@ -277,24 +272,17 @@ class TestDifficultTokenDistribution:
 
     def test_distribution_csv_contains_sums(self):
         trace, difficult = difficult_fixture_trace()
-        sizes = list(trace.header.expert_sizes)
-        report = difficult_token_expert_distribution(trace, difficult, *default_size_classes(sizes))
+        report = difficult_token_expert_distribution(trace, difficult)
         text = distribution_csv(report)
         assert "sum_large,10473,6215" in text
         assert "sum_small,8326,3085" in text
 
     def test_empty_difficult_set_all_zero(self):
         trace, _ = difficult_fixture_trace()
-        sizes = list(trace.header.expert_sizes)
-        report = difficult_token_expert_distribution(trace, set(), *default_size_classes(sizes))
+        report = difficult_token_expert_distribution(trace, set())
         assert report.per_expert_top1.sum() == 0
         assert report.per_expert_top12.sum() == 0
         assert report.sum_large_top12 == 0
-
-    def test_unknown_size_class_rejected(self):
-        trace, difficult = difficult_fixture_trace()
-        with pytest.raises(ValueError, match="not among"):
-            difficult_token_expert_distribution(trace, difficult, {9999}, set())
 
     def test_mass_conservation_on_per_layer_complete_trace(self):
         # each difficult token routed once per (layer, rank)
@@ -306,12 +294,10 @@ class TestDifficultTokenDistribution:
         for layer in range(layers):
             e0 = rng.integers(0, n, tokens)
             e1 = (e0 + 1 + rng.integers(0, n - 1, tokens)) % n
-            chunks.append(make_records(0, layer, np.arange(tokens), 0, e0, 0.5))
-            chunks.append(make_records(0, layer, np.arange(tokens), 1, e1, 0.5))
+            chunks.append(make_records(0, layer, np.arange(tokens), 0, e0))
+            chunks.append(make_records(0, layer, np.arange(tokens), 1, e1))
         trace = RoutingTrace(header, np.concatenate(chunks))
-        report = difficult_token_expert_distribution(
-            trace, set(range(tokens)), *default_size_classes(list(sizes))
-        )
+        report = difficult_token_expert_distribution(trace, set(range(tokens)))
         assert report.per_expert_top1.sum() == tokens * layers
         assert report.per_expert_top12.sum() == 2 * tokens * layers
         assert report.per_layer_top1.sum(axis=1).tolist() == [tokens] * layers

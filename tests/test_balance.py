@@ -14,11 +14,8 @@ def gate_output_from_probs(probs: np.ndarray) -> GateOutput:
     """Wrap a row-stochastic matrix as a routing decision (top-2 bookkeeping)."""
     probs = np.asarray(probs, dtype=np.float64)
     idx = np.argsort(-probs, axis=1, kind="stable")[:, :2]
-    w = np.take_along_axis(probs, idx, axis=1)
-    w = w / w.sum(axis=1, keepdims=True)
     return GateOutput(
         topk_indices=idx,
-        topk_weights=w,
         full_probs=Tensor(probs, dtype=np.float64),
         logits=Tensor(np.log(np.maximum(probs, 1e-300)), dtype=np.float64),
         masked_probs=None,
@@ -92,7 +89,6 @@ class TestBalanceLoss:
         probs = Tensor(cyclic_peaked_probs(4, reps=2), requires_grad=True, dtype=np.float64)
         out = GateOutput(
             topk_indices=np.argsort(-probs.values, axis=1)[:, :2],
-            topk_weights=np.zeros((8, 2)),
             full_probs=probs,
             logits=probs,
             masked_probs=None,

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modse.trace import RoutingTrace, TraceHeader, make_records, write_trace
+from modse.trace import RECORD_DTYPE, RoutingTrace, TraceHeader, make_records, write_trace
 
 TINY_MODEL = {
     "dim": 16,
@@ -219,9 +219,9 @@ def uniform_trace_file(path, n=4, layers=2, per_expert=6):
     for layer in range(layers):
         for e in range(n):
             for _ in range(per_expert):
-                recs.append((0, layer, tok, 0, e, 0.5, np.nan))
+                recs.append((0, layer, tok, 0, e))
                 tok += 1
-    arr = np.array(recs, dtype=make_records(0, 0, [0], 0, 0, 0.5).dtype)
+    arr = np.array(recs, dtype=RECORD_DTYPE)
     write_trace(path, RoutingTrace(header, arr))
     return tok
 
@@ -241,7 +241,7 @@ class TestAnalyzeCommand:
     def test_empty_trace_exits_one(self, tmp_path):
         tp = tmp_path / "t.jsonl"
         header = TraceHeader("t", 4, 1, 2, (8, 8, 8, 8))
-        write_trace(tp, RoutingTrace(header, np.zeros(0, dtype=make_records(0, 0, [0], 0, 0, 0.5).dtype)))
+        write_trace(tp, RoutingTrace(header, np.zeros(0, dtype=RECORD_DTYPE)))
         r = run_cli("analyze", tp, "--out", tmp_path / "analysis")
         assert r.returncode == 1
         assert "empty trace" in r.stderr
@@ -274,8 +274,8 @@ class TestAnalyzeCommand:
         # widths (12, 4, 8, 7) average 7.75, so 12 and 8 are large, 4 and 7 small
         header = TraceHeader("t", 4, 1, 2, (12, 4, 8, 7))
         experts = np.arange(8) % 4
-        recs = np.concatenate([make_records(0, 0, np.arange(8), 0, experts, 0.5),
-                               make_records(0, 0, np.arange(8), 1, (experts + 1) % 4, 0.5)])
+        recs = np.concatenate([make_records(0, 0, np.arange(8), 0, experts),
+                               make_records(0, 0, np.arange(8), 1, (experts + 1) % 4)])
         tp = tmp_path / "t.jsonl"
         write_trace(tp, RoutingTrace(header, recs))
         base = [3.0, 0.1, 0.1, 3.0, 0.1, 0.1, 0.1, 0.1]  # tokens 0 and 3 are difficult
@@ -470,3 +470,24 @@ class TestRunOutputs:
                 if where == "block":
                     broken(run)
         assert not (tmp_path / "out").exists()
+
+    def test_version_is_described_once_per_process(self, tmp_path, monkeypatch):
+        from modse import manifest
+
+        calls = []
+
+        def fake_run(cmd, **kw):
+            calls.append(cmd)
+            return subprocess.CompletedProcess(cmd, 0, stdout="v-described\n", stderr="")
+
+        manifest.version_string.cache_clear()
+        monkeypatch.setattr(subprocess, "run", fake_run)
+        try:
+            for tag in ("a", "b"):
+                with manifest.RunOutputs(tmp_path / tag, ["modse"], {}, None) as run:
+                    run.stage("x.txt").write_text(tag)
+        finally:
+            manifest.version_string.cache_clear()
+        assert len(calls) == 1
+        for tag in ("a", "b"):
+            assert json.loads((tmp_path / tag / "manifest.json").read_text())["version"] == "v-described"

@@ -62,33 +62,31 @@ def reference_read_jsonl(path):
     records = np.zeros(len(lines) - 1, dtype=RECORD_DTYPE)
     for i, line in enumerate(lines[1:]):
         obj = json.loads(line)
-        records[i] = (
-            obj["epoch"],
-            obj["layer"],
-            obj["token"],
-            obj["rank"],
-            obj["expert"],
-            obj["weight"],
-            obj.get("ce", np.nan),
-        )
+        records[i] = tuple(obj[name] for name in RECORD_DTYPE.names)
     return RoutingTrace(header, records)
 
 
 def sample_trace(count=12):
     rng = np.random.default_rng(2)
-    ce = rng.random(count).astype(np.float32)
-    ce[::4] = np.nan
     records = make_records(
         epoch=rng.integers(0, 3, count),
         layer=rng.integers(0, 2, count),
         token=np.arange(count),
         rank=rng.integers(0, 2, count),
         expert=rng.integers(0, 4, count),
-        weight=rng.random(count).astype(np.float32),
-        ce=ce,
     )
     header = TraceHeader(spec_hash="abc", n_experts=4, n_layers=2, top_k=2, expert_sizes=(12, 4, 8, 8))
     return RoutingTrace(header, records)
+
+
+def version_1_binary(t: RoutingTrace) -> bytes:
+    """An MDSTRC01 trace: 28-byte records, the five fields then a float32 gate weight and loss."""
+    v1 = np.zeros(len(t), dtype=RECORD_DTYPE.descr + [("weight", "<f4"), ("ce", "<f4")])
+    for name in RECORD_DTYPE.names:
+        v1[name] = t.records[name]
+    v1["weight"], v1["ce"] = 0.5, 1.25
+    blob = json.dumps({**t.header.to_dict(), "version": 1}).encode("utf-8")
+    return b"MDSTRC01" + len(blob).to_bytes(4, "little") + blob + v1.tobytes()
 
 
 @given(edits=EDITS)
@@ -118,6 +116,17 @@ def test_binary_trace_loads_or_raises(tmp_path_factory, edits):
     write_trace(tmp / "base.bin", sample_trace(), binary=True)
     p = tmp / "fuzz.bin"
     p.write_bytes(apply_edits((tmp / "base.bin").read_bytes(), edits))
+    try:
+        read_trace(p)
+    except TraceFormatError:
+        pass
+
+
+@given(edits=EDITS)
+@settings(max_examples=150, deadline=None)
+def test_version_1_binary_trace_loads_or_raises(tmp_path_factory, edits):
+    p = tmp_path_factory.getbasetemp() / "fuzz-v1.bin"
+    p.write_bytes(apply_edits(version_1_binary(sample_trace()), edits))
     try:
         read_trace(p)
     except TraceFormatError:

@@ -16,7 +16,7 @@ from modse.placement import (
     plan_baselines,
     plan_pairwise,
 )
-from modse.trace import RoutingTrace, TraceHeader, make_records
+from modse.trace import RECORD_DTYPE, RoutingTrace, TraceHeader, make_records
 
 PUBLISHED_RATIOS = [(4.5, 0.5), (4.0, 1.0), (3.0, 2.0), (2.5, 2.5)]
 
@@ -42,9 +42,9 @@ def uniform_trace(spec, layers, per_expert=5):
     for layer in range(layers):
         for e in range(spec.n_experts):
             for _ in range(per_expert):
-                recs.append((0, layer, tok, 0, e, 0.5, np.nan))
+                recs.append((0, layer, tok, 0, e))
                 tok += 1
-    return make_trace(spec, layers, np.array(recs, dtype=make_records(0, 0, [0], 0, 0, 0.5).dtype))
+    return make_trace(spec, layers, np.array(recs, dtype=RECORD_DTYPE))
 
 
 class TestPairwisePlan:
@@ -143,7 +143,7 @@ class TestWorkload:
     def test_single_expert_trace_gives_inf_sentinel(self):
         spec = spec_300m()
         plan = plan_pairwise(spec, 1, DeviceModel(4))
-        recs = make_records(0, 0, np.arange(10), 0, 3, 0.9)
+        recs = make_records(0, 0, np.arange(10), 0, 3)
         report = evaluate_workload(plan, make_trace(spec, 1, recs), spec)
         assert math.isinf(report.imbalance_ratio)
         assert report.per_device_tokens[plan.assignment[(0, 3)]] == 10
@@ -165,9 +165,9 @@ class TestWorkload:
         tok = 0
         for col, c in enumerate(counts):
             for _ in range(int(c)):
-                recs.append((7, 0, tok, 0, col_to_expert[col], 1.0, np.nan))
+                recs.append((7, 0, tok, 0, col_to_expert[col]))
                 tok += 1
-        rec_arr = np.array(recs, dtype=make_records(0, 0, [0], 0, 0, 0.5).dtype)
+        rec_arr = np.array(recs, dtype=RECORD_DTYPE)
         trace = make_trace(spec, 1, rec_arr)
         plan = plan_pairwise(spec, 1, DeviceModel(4))
         report = evaluate_workload(plan, trace, spec)
@@ -199,7 +199,7 @@ class TestWorkload:
         # bypass RoutingTrace validation by widening the header, then evaluate
         # against the narrower spec
         wide = TraceHeader("t", 16, 1, 2, tuple(spec.expert_sizes) * 2)
-        trace = RoutingTrace(wide, make_records(0, 0, [0], 0, 12, 0.5))
+        trace = RoutingTrace(wide, make_records(0, 0, [0], 0, 12))
         with pytest.raises(TraceRangeError, match="expert"):
             evaluate_workload(plan, trace, spec)
 
@@ -211,7 +211,7 @@ class TestAverageSelectedHiddenSize:
 
     def test_all_tokens_to_widest(self):
         spec = spec_300m()
-        recs = make_records(0, 0, np.arange(7), 0, 0, 1.0)  # expert 0 is the 4.5-ratio one
+        recs = make_records(0, 0, np.arange(7), 0, 0)  # expert 0 is the 4.5-ratio one
         assert average_selected_hidden_size(make_trace(spec, 1, recs)) == 6912.0
 
     def test_skewed_counts_match_weighted_mean(self):
@@ -221,9 +221,9 @@ class TestAverageSelectedHiddenSize:
         tok = 0
         for e, c in counts.items():
             for _ in range(c):
-                recs.append((0, 0, tok, 0, e, 1.0, np.nan))
+                recs.append((0, 0, tok, 0, e))
                 tok += 1
-        trace = make_trace(spec, 1, np.array(recs, dtype=make_records(0, 0, [0], 0, 0, 0.5).dtype))
+        trace = make_trace(spec, 1, np.array(recs, dtype=RECORD_DTYPE))
         sizes = spec.expert_sizes
         expect = sum(sizes[e] * c for e, c in counts.items()) / sum(counts.values())
         assert average_selected_hidden_size(trace) == pytest.approx(expect, rel=1e-15)
@@ -231,7 +231,7 @@ class TestAverageSelectedHiddenSize:
     def test_empty_trace_rejected(self):
         spec = spec_300m()
         with pytest.raises(ValueError, match="empty"):
-            average_selected_hidden_size(make_trace(spec, 1, np.zeros(0, dtype=make_records(0, 0, [0], 0, 0, 0.5).dtype)))
+            average_selected_hidden_size(make_trace(spec, 1, np.zeros(0, dtype=RECORD_DTYPE)))
 
 
 class TestPlanJson:

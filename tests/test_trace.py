@@ -33,31 +33,36 @@ def sample_records(count=10, seed=0):
         token=np.arange(count),
         rank=rng.integers(0, 2, count),
         expert=rng.integers(0, 4, count),
-        weight=rng.random(count).astype(np.float32),
-        ce=rng.random(count).astype(np.float32),
     )
 
 
 def reference_jsonl_lines(records):
     """The per-record writer the block writer replaced: one json.dumps per record dict."""
-    lines = []
-    for r in records:
-        obj = {
-            "epoch": int(r["epoch"]),
-            "layer": int(r["layer"]),
-            "token": int(r["token"]),
-            "rank": int(r["rank"]),
-            "expert": int(r["expert"]),
-            "weight": float(r["weight"]),
-        }
-        ce = float(r["ce"])
-        if not math.isnan(ce):
-            obj["ce"] = ce
+    return [json.dumps(dict(zip(RECORD_DTYPE.names, r))) for r in records.tolist()]
+
+
+def write_v1_trace(path, header, records, weight, ce, binary=False):
+    """The version-1 writer: each record also held a float32 gate weight and loss; a NaN loss was left out of JSONL."""
+    head = {**header.to_dict(), "version": 1}
+    weight, ce = np.float32(weight), np.asarray(ce, dtype=np.float32)
+    if binary:
+        v1 = np.zeros(len(records), dtype=RECORD_DTYPE.descr + [("weight", "<f4"), ("ce", "<f4")])
+        for name in RECORD_DTYPE.names:
+            v1[name] = records[name]
+        v1["weight"], v1["ce"] = weight, ce
+        blob = json.dumps(head, sort_keys=True).encode("utf-8")
+        path.write_bytes(b"MDSTRC01" + len(blob).to_bytes(4, "little") + blob + v1.tobytes())
+        return
+    lines = [json.dumps(head, sort_keys=True)]
+    for r, c in zip(records.tolist(), ce.tolist()):
+        obj = {**dict(zip(RECORD_DTYPE.names, r)), "weight": float(weight)}
+        if not math.isnan(c):
+            obj["ce"] = c
         lines.append(json.dumps(obj))
-    return lines
+    path.write_text("\n".join(lines) + "\n")
 
 
-GOOD_LINE = '{"epoch":0,"layer":0,"token":0,"rank":0,"expert":1,"weight":0.5}'
+GOOD_LINE = '{"epoch":0,"layer":0,"token":0,"rank":0,"expert":1}'
 
 
 def jsonl_with_body(path, body_lines):
@@ -100,20 +105,11 @@ class TestRoundTrip:
             write_trace(p, trace, binary=binary)
             assert np.array_equal(read_trace(p).records, trace.records)
 
-    def test_missing_ce_roundtrips_as_nan(self, tmp_path):
-        rec = make_records(0, 0, [1, 2], 0, 1, 0.5, ce=None)
-        trace = RoutingTrace(header(), rec)
-        p = tmp_path / "t.jsonl"
-        write_trace(p, trace)
-        loaded = read_trace(p)
-        assert np.isnan(loaded.records["ce"]).all()
-        assert "ce" not in p.read_text().splitlines()[1]
-
     def test_streaming_writer_appends(self, tmp_path):
         p = tmp_path / "t.jsonl"
         with TraceWriter(p, header()) as w:
-            w.write(make_records(0, 0, [0], 0, 1, 0.5))
-            w.write(make_records(0, 1, [0], 0, 2, 0.5))
+            w.write(make_records(0, 0, [0], 0, 1))
+            w.write(make_records(0, 1, [0], 0, 2))
         assert len(read_trace(p)) == 2
 
     @given(
@@ -124,8 +120,6 @@ class TestRoundTrip:
                 st.integers(0, 2**64 - 1),
                 st.integers(0, 1),
                 st.integers(0, 3),
-                st.floats(0, 1, width=32),
-                st.floats(width=32, allow_nan=False) | st.just(math.nan),
             ),
             max_size=20,
         ),
@@ -146,25 +140,10 @@ class TestRoundTrip:
 
 class TestBlockWriter:
     def test_matches_per_record_json_dumps(self, tmp_path):
-        tiny = np.float32(1e-45)  # smallest float32 subnormal
-        edge = [  # (token, weight, ce)
-            (2**53 + 1, 0.5, math.nan),
-            (2**64 - 1, 0.5, math.inf),
-            (0, 0.5, -math.inf),
-            (1, math.nan, 1.0),
-            (2, math.inf, math.nan),
-            (3, -math.inf, 2.0),
-            (4, 0.0, 0.0),
-            (5, 1.0, 1.0),
-            (6, tiny, -tiny),
-            (7, np.float32(1.1754942e-38), tiny),
-        ]
         rec = sample_records(count=2 * BLOCK_LINES + 100, seed=5)
-        rec["ce"][::3] = np.nan
         rec["epoch"][-1] = 2**32 - 1
-        for i, (token, weight, ce) in enumerate(edge):
-            row = BLOCK_LINES - 3 + i  # straddles the first block boundary
-            rec["token"][row], rec["weight"][row], rec["ce"][row] = token, weight, ce
+        # straddles the first block boundary
+        rec["token"][BLOCK_LINES - 2 : BLOCK_LINES + 2] = [2**53 + 1, 2**64 - 1, 0, 2**63]
         p = tmp_path / "t.jsonl"
         with TraceWriter(p, header()) as w:
             w.write(rec[:5])
@@ -176,21 +155,17 @@ class TestBlockWriter:
 class TestValidation:
     def test_rank_out_of_range(self):
         with pytest.raises(TraceFormatError, match="rank"):
-            RoutingTrace(header(k=2), make_records(0, 0, [0], 2, 1, 0.5))
+            RoutingTrace(header(k=2), make_records(0, 0, [0], 2, 1))
 
     def test_expert_out_of_range_reports_offset(self):
-        rec = np.concatenate([sample_records(3), make_records(0, 0, [9], 0, 7, 0.5)])
+        rec = np.concatenate([sample_records(3), make_records(0, 0, [9], 0, 7)])
         with pytest.raises(TraceFormatError, match="record 3"):
             RoutingTrace(header(n=4), rec)
 
     def test_layer_out_of_range_reports_offset(self):
-        rec = np.concatenate([sample_records(3), make_records(0, 5, [9], 0, 1, 0.5)])
+        rec = np.concatenate([sample_records(3), make_records(0, 5, [9], 0, 1)])
         with pytest.raises(TraceFormatError, match="record 3: layer 5 >= n_layers 2"):
             RoutingTrace(header(layers=2), rec)
-
-    def test_weight_out_of_range(self):
-        with pytest.raises(TraceFormatError, match="weight"):
-            RoutingTrace(header(), make_records(0, 0, [0], 0, 1, 1.5))
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.jsonl"
@@ -224,10 +199,9 @@ class TestValidation:
 
     def test_bad_record_reports_offset(self, tmp_path):
         p = tmp_path / "bad.jsonl"
-        good = '{"epoch":0,"layer":0,"token":0,"rank":0,"expert":1,"weight":0.5}'
         p.write_text(
-            '{"format":"modse-trace","version":1,"spec_hash":"x","n_experts":4,"n_layers":1,"top_k":2,"expert_sizes":[1,1,1,1]}\n'
-            + good
+            '{"format":"modse-trace","version":2,"spec_hash":"x","n_experts":4,"n_layers":1,"top_k":2,"expert_sizes":[1,1,1,1]}\n'
+            + GOOD_LINE
             + "\n{broken\n"
         )
         with pytest.raises(TraceFormatError, match="offset 1"):
@@ -257,7 +231,7 @@ class TestValidation:
         [
             (GOOD_LINE[:-1] + ',"x":[1', "2]}"),
             (GOOD_LINE[:-1] + ',"x":[1', GOOD_LINE + "]}"),
-            ('{"epoch":0,"layer":0', '"token":0,"rank":0,"expert":1,"weight":0.5}'),
+            ('{"epoch":0,"layer":0', '"token":0,"rank":0,"expert":1}'),
         ],
         ids=["array-tail", "array-of-record", "object-members"],
     )
@@ -270,7 +244,7 @@ class TestValidation:
     def test_lines_the_block_parse_declines_still_load(self, tmp_path):
         lines = [GOOD_LINE, "  " + GOOD_LINE, GOOD_LINE[:-1] + ',"x":[1, 2]}', GOOD_LINE]
         p = jsonl_with_body(tmp_path / "t.jsonl", lines)
-        expected = np.repeat(make_records(0, 0, [0], 0, 1, 0.5), len(lines))
+        expected = np.repeat(make_records(0, 0, [0], 0, 1), len(lines))
         assert read_trace(p).records.tobytes() == expected.tobytes()
 
     def test_invalid_utf8_rejected_with_path(self, tmp_path):
@@ -285,5 +259,43 @@ class TestValidation:
         write_trace(p, trace, binary=True)
         data = p.read_bytes()
         p.write_bytes(data[:-5])
+        with pytest.raises(TraceFormatError, match="truncated"):
+            read_trace(p)
+
+
+class TestFormatVersions:
+    def test_record_layout(self, tmp_path):
+        assert RECORD_DTYPE.names == ("epoch", "layer", "token", "rank", "expert")
+        assert RECORD_DTYPE.itemsize == 20
+        trace = RoutingTrace(header(), sample_records(6))
+        p, q = tmp_path / "t.bin", tmp_path / "t.jsonl"
+        write_trace(p, trace, binary=True)
+        write_trace(q, trace)
+        data = p.read_bytes()
+        assert data[:8] == MAGIC == b"MDSTRC02"
+        blob_len = int.from_bytes(data[8:12], "little")
+        assert json.loads(data[12 : 12 + blob_len])["version"] == 2
+        assert len(data) == 12 + blob_len + 20 * len(trace)
+        assert json.loads(q.read_text().splitlines()[0])["version"] == 2
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["jsonl", "binary"])
+    def test_version_1_file_loads_to_the_same_five_fields(self, tmp_path, binary):
+        rec = sample_records(count=BLOCK_LINES + 9, seed=8)
+        rec["token"][:2] = [2**53 + 1, 2**64 - 1]
+        rec["epoch"][-1] = 2**32 - 1
+        ce = np.random.default_rng(8).random(len(rec)).astype(np.float32)
+        ce[::3] = np.nan  # left out of JSONL lines
+        ce[1] = np.inf  # "Infinity" in JSONL
+        p = tmp_path / ("v1.bin" if binary else "v1.jsonl")
+        write_v1_trace(p, header(), rec, 0.25, ce, binary=binary)
+        loaded = read_trace(p)
+        assert loaded.header == header()
+        assert loaded.records.dtype == RECORD_DTYPE
+        assert loaded.records.tobytes() == rec.tobytes()
+
+    def test_truncated_version_1_binary_rejected(self, tmp_path):
+        p = tmp_path / "v1.bin"
+        write_v1_trace(p, header(), sample_records(4), 0.5, np.zeros(4), binary=True)
+        p.write_bytes(p.read_bytes()[:-12])  # 100 record bytes: five 20-byte records, not whole 28-byte ones
         with pytest.raises(TraceFormatError, match="truncated"):
             read_trace(p)

@@ -115,7 +115,6 @@ class TestTrain:
         order0 = np.lexsort((sel0["token"], sel0["layer"]))
         order1 = np.lexsort((sel1["token"], sel1["layer"]))
         assert (sel0["expert"][order0] != sel1["expert"][order1]).all()
-        assert np.isfinite(rec["ce"]).all()
 
     def test_binary_trace_equivalent(self, corpus, tmp_path):
         cfg = tiny_cfg()
