@@ -5,6 +5,7 @@ tokens whose single most probable expert is i and P_i is the mean router
 probability assigned to i. It is minimized (value alpha) by a uniform
 routing distribution and maximized (alpha * N) by total collapse onto one
 expert. Gradient flows through P only; f is a discrete count held constant.
+The penalty and P come from one `tensor.balance_penalty` node.
 """
 
 from __future__ import annotations
@@ -47,15 +48,5 @@ def balance_loss(gate_out: GateOutput, alpha: float = DEFAULT_ALPHA) -> BalanceS
     am = np.argmax(probs.values, axis=1)
     f = np.bincount(am, minlength=n).astype(np.float64) / t
 
-    dtype = probs.values.dtype
-    ones = Tensor(np.ones((1, t)), dtype=dtype)
-    p_row = tt.div_scale(tt.matmul(ones, probs), t)  # [1, N], exact column means
-    f_row = Tensor(f.reshape(1, n), dtype=dtype)
-    loss = tt.scale(tt.sum_all(tt.mul(p_row, f_row)), alpha * n)
-    return BalanceStats(
-        f=f,
-        P=p_row.values[0].astype(np.float64),
-        loss=loss,
-        alpha=alpha,
-        token_count=t,
-    )
+    loss, p = tt.balance_penalty(probs, f, alpha * n)
+    return BalanceStats(f=f, P=p.astype(np.float64), loss=loss, alpha=alpha, token_count=t)

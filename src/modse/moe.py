@@ -10,7 +10,7 @@ and softmaxes them into combination weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,7 +120,7 @@ class GateOutput:
     topk_indices: np.ndarray  # [T, k] int, rank order (rank 0 = largest logit)
     full_probs: Tensor  # [T, N]
     logits: Tensor  # [T, N]
-    masked_probs: Tensor = field(repr=False, default=None)
+    masked_probs: Tensor  # [T, N]
 
     @property
     def n_tokens(self) -> int:
@@ -154,8 +154,8 @@ def gate_forward(params: GateParams, x: Tensor, k: int) -> GateOutput:
 
 
 def expert_forward(e: ExpertParams, x: Tensor) -> Tensor:
-    """Gated-linear feed-forward: (silu(x W_in) * (x W_gateproj)) W_out."""
-    return tt.matmul(tt.mul(tt.silu(tt.matmul(x, e.w_in)), tt.matmul(x, e.w_gateproj)), e.w_out)
+    """Gated-linear feed-forward (silu(x W_in) * (x W_gateproj)) W_out, one `glu_expert` node."""
+    return tt.glu_expert(x, e.w_in, e.w_gateproj, e.w_out)
 
 
 def moe_layer_forward(

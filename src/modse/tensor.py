@@ -15,6 +15,10 @@ batched matmuls, skips the fully masked part of the score matrix block by
 block, and has a hand-written backward, so a transformer layer records one
 attention node instead of a chain per head.
 
+A gated-linear expert is one `glu_expert` op and the auxiliary balance
+penalty one `balance_penalty` op, each with a hand-written backward, so an
+expert or a penalty records one node instead of a chain of five.
+
 The expert outputs of a mixture layer are merged by one weighted `combine`
 op: it adds each expert's gate-scaled rows into a [tokens, d] matrix, the
 experts in index order, which is identical to the dense per-token sum over
@@ -36,13 +40,9 @@ __all__ = [
     "backward",
     "matmul",
     "add",
-    "mul",
-    "scale",
-    "div_scale",
-    "sum_all",
     "softplus",
-    "silu",
     "rmsnorm",
+    "glu_expert",
     "softmax",
     "keep_topk",
     "topk_indices",
@@ -51,6 +51,7 @@ __all__ = [
     "combine",
     "causal_attention",
     "cross_entropy",
+    "balance_penalty",
     "per_token_cross_entropy",
     "finite_diff_grad",
 ]
@@ -168,23 +169,23 @@ def backward(loss: Tensor) -> None:
 # linear algebra
 
 
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if a.shape[0] <= 16 and a.shape[1] <= 16 and b.shape[1] <= 16:
+        # sequential accumulation over k: bit-identical to a naive triple loop,
+        # which BLAS (reassociated sums) is not
+        return np.einsum("ik,kj->ij", a, b)
+    return a @ b
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     _check_same_dtype(a, b, "matmul")
-    m, k = a.shape
-    n = b.shape[1]
-    if m <= 16 and k <= 16 and n <= 16:
-        # sequential accumulation over k: bit-identical to a naive triple loop,
-        # which BLAS (reassociated sums) is not
-        out = np.einsum("ik,kj->ij", a.values, b.values)
-    else:
-        out = a.values @ b.values
 
     def bw(g):
         return g @ b.values.T, a.values.T @ g
 
-    return _record(out, (a, b), bw)
+    return _record(_mm(a.values, b.values), (a, b), bw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -194,29 +195,30 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(a.values + b.values, (a, b), lambda g: (g, g))
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: shapes differ {a.shape} vs {b.shape}")
-    _check_same_dtype(a, b, "mul")
-    return _record(a.values * b.values, (a, b), lambda g: (g * b.values, g * a.values))
+def glu_expert(x: Tensor, w_in: Tensor, w_gate: Tensor, w_out: Tensor) -> Tensor:
+    """Gated-linear feed-forward (silu(x W_in) * (x W_gate)) W_out as one node.
 
+    x is [R, d], w_in and w_gate are [d, h], w_out is [h, d_out]. The
+    backward reuses the forward's sigmoid and products.
+    """
+    ok = x.values.ndim == w_in.values.ndim == w_out.values.ndim == 2
+    if not (ok and w_gate.shape == w_in.shape and x.shape[1] == w_in.shape[0] and w_in.shape[1] == w_out.shape[0]):
+        raise ShapeError(f"glu_expert: x {x.shape}, w_in {w_in.shape}, w_gate {w_gate.shape}, w_out {w_out.shape}")
+    for w in (w_in, w_gate, w_out):
+        _check_same_dtype(x, w, "glu_expert")
+    a = _mm(x.values, w_in.values)
+    s = _sigmoid(a)
+    act = a * s
+    b = _mm(x.values, w_gate.values)
+    hidden = act * b
 
-def scale(x: Tensor, c: float) -> Tensor:
-    c = x.dtype.type(c)
-    return _record(x.values * c, (x,), lambda g: (g * c,))
-
-
-def div_scale(x: Tensor, c: float) -> Tensor:
-    """x / c with true division; not the same rounding as scale(x, 1/c)."""
-    c = x.dtype.type(c)
-    return _record(x.values / c, (x,), lambda g: (g / c,))
-
-
-def sum_all(x: Tensor) -> Tensor:
     def bw(g):
-        return (np.full_like(x.values, g),)
+        gh = g @ w_out.values.T
+        ga = (gh * b) * (s * (1.0 + a * (1.0 - s)))
+        gb = gh * act
+        return gb @ w_gate.values.T + ga @ w_in.values.T, x.values.T @ ga, x.values.T @ gb, hidden.T @ g
 
-    return _record(np.asarray(x.values.sum(), dtype=x.dtype), (x,), bw)
+    return _record(_mm(hidden, w_out.values), (x, w_in, w_gate, w_out), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +238,6 @@ def softplus(x: Tensor) -> Tensor:
         return (g * _sigmoid(v),)
 
     return _record(out.astype(x.dtype), (x,), bw)
-
-
-def silu(x: Tensor) -> Tensor:
-    s = _sigmoid(x.values)
-    out = x.values * s
-
-    def bw(g):
-        return (g * (s * (1.0 + x.values * (1.0 - s))),)
-
-    return _record(out, (x,), bw)
 
 
 def rmsnorm(x: Tensor, gamma: Tensor, eps: float = 1e-6) -> Tensor:
@@ -545,6 +537,25 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         return (p * (g / logits.dtype.type(t)),)
 
     return _record(loss, (logits,), bw)
+
+
+def balance_penalty(probs: Tensor, f: np.ndarray, c: float) -> tuple[Tensor, np.ndarray]:
+    """The penalty c * sum_i f_i * P_i as one node, and P, the [N] column means
+    ones[1, T] @ probs / T of the [T, N] probs, in their dtype. f is an [N]
+    constant, so every probs row receives the gradient c * f / T.
+    """
+    if probs.values.ndim != 2 or np.shape(f) != probs.shape[1:]:
+        raise ShapeError(f"balance_penalty: probs {probs.shape}, f {np.shape(f)}")
+    (t, n), dt = probs.shape, probs.dtype
+    c, tc = dt.type(c), dt.type(t)
+    f_row = np.asarray(f).reshape(1, n).astype(dt)
+    p_row = _mm(np.ones((1, t), dt), probs.values) / tc
+    loss = np.asarray((p_row * f_row).sum() * c, dtype=dt)
+
+    def bw(g):
+        return (np.repeat((g * c) * f_row / tc, t, axis=0),)
+
+    return _record(loss, (probs,), bw), p_row[0]
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,10 @@ JSONL is written and read a block of records at a time. The writer formats
 each block with one fixed template and writes the same bytes that
 ``json.dumps`` of each record's dict writes; the reader parses a block of
 ``BLOCK_LINES`` lines with one ``json.loads`` and fills each field with one
-assignment, so memory stays bounded by the block. A block that fails to
-parse or convert is read again line by line, to name the first bad record.
+assignment, so memory stays bounded by the block. Every field must be a
+JSON integer: a float or a boolean is a bad record, not a value to round.
+A block that fails to parse or convert is read again line by line, to name
+the first bad record.
 """
 
 from __future__ import annotations
@@ -237,7 +239,9 @@ def _parse_block(lines: list[str]) -> np.ndarray:
         raise ValueError("block is not one object per line")
     block = np.zeros(len(objs), dtype=RECORD_DTYPE)
     for name in RECORD_DTYPE.names:
-        block[name] = [obj[name] for obj in objs]
+        block[name] = col = [obj[name] for obj in objs]
+        if set(map(type, col)) != {int}:  # numpy casts floats and bools without complaint
+            raise ValueError(f"non-integer {name}")
     return block
 
 
@@ -247,7 +251,9 @@ def _parse_lines(path: Path, lines: list[str], offset: int) -> np.ndarray:
     for i, line in enumerate(lines):
         try:
             obj = json.loads(line)
-            records[i] = (obj["epoch"], obj["layer"], obj["token"], obj["rank"], obj["expert"])
+            records[i] = row = tuple(obj[name] for name in RECORD_DTYPE.names)
+            if set(map(type, row)) != {int}:
+                raise ValueError(f"fields {row} are not all integers")
         except _RECORD_ERRORS as e:  # ValueError covers bad JSON
             raise TraceFormatError(f"{path}: bad record at offset {offset + i}: {e}") from e
     return records

@@ -8,7 +8,7 @@ each token chose at each layer and rank) goes to a trace file.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,17 +37,6 @@ class TrainStepRecord:
     grad_norm_pre_clip: float
     per_layer_f: list[list[float]]
     per_layer_P: list[list[float]]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "step": self.step,
-            "ce_loss": self.ce_loss,
-            "balance_loss_sum": self.balance_loss_sum,
-            "lr": self.lr,
-            "grad_norm_pre_clip": self.grad_norm_pre_clip,
-            "per_layer_f": self.per_layer_f,
-            "per_layer_P": self.per_layer_P,
-        }
 
 
 def named_params(weights: dict[str, Tensor]) -> list[tuple[str, Tensor]]:
@@ -141,7 +130,7 @@ def train(
             )
             records.append(rec)
             if metrics_fh is not None:
-                metrics_fh.write(json.dumps(rec.to_json_obj()) + "\n")
+                metrics_fh.write(json.dumps(asdict(rec)) + "\n")
 
             if writer is not None:
                 _trace_step(writer, gate_outs, epoch, token_base)

@@ -78,19 +78,31 @@ def test_end_to_end_micro():
     assert r.worst_err <= 1e-3, sorted(r.per_item.items(), key=lambda kv: -kv[1])[:5]
 
 
+def _corrupted(out):
+    """`out` with every gradient its backward hands on scaled by 1.01."""
+    if out._backward_fn is not None:
+        orig = out._backward_fn
+        out._backward_fn = lambda g: tuple(None if p is None else p * 1.01 for p in orig(g))
+    return out
+
+
 def test_corrupted_gradient_is_detected(monkeypatch):
     # negative control: break one backward rule and the suite must fail
-    real_silu = modse.tensor.silu
-
-    def broken_silu(x):
-        out = real_silu(x)
-        if out._backward_fn is not None:
-            orig = out._backward_fn
-            out._backward_fn = lambda g: tuple(None if p is None else p * 1.01 for p in orig(g))
-        return out
-
-    monkeypatch.setattr(modse.tensor, "silu", broken_silu)
+    real = modse.tensor.glu_expert
+    monkeypatch.setattr(modse.tensor, "glu_expert", lambda *a: _corrupted(real(*a)))
     r = gc.check_moe_layer()
+    assert not r.passed
+
+
+def test_corrupted_balance_gradient_is_detected(monkeypatch):
+    real = modse.tensor.balance_penalty
+
+    def broken(*a):
+        loss, p = real(*a)
+        return _corrupted(loss), p
+
+    monkeypatch.setattr(modse.tensor, "balance_penalty", broken)
+    r = gc.check_balance_loss()
     assert not r.passed
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import modse.tensor as tt
+from modse.gradcheck import _proj
 from modse.tensor import ShapeError, Tensor
 
 # frozen oracle values, evaluated at 50-digit precision
@@ -164,7 +165,7 @@ class TestKeepTopk:
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True, dtype=np.float64)
-        tt.backward(tt.sum_all(x))
+        tt.backward(_proj(x, np.ones((2, 3))))
         assert np.array_equal(x.grad, np.ones((2, 3)))
 
     def test_matmul_grad_matches_finite_differences(self):
@@ -172,9 +173,9 @@ class TestBackward:
         x = rng.normal(size=(3, 4))
         w0 = rng.normal(size=(4, 2))
         w = Tensor(w0, requires_grad=True, dtype=np.float64)
-        tt.backward(tt.sum_all(tt.matmul(Tensor(x, dtype=np.float64), w)))
+        tt.backward(_proj(tt.matmul(Tensor(x, dtype=np.float64), w), np.ones((3, 2))))
         fd = tt.finite_diff_grad(
-            lambda t: tt.sum_all(tt.matmul(Tensor(x, dtype=np.float64), t)).item(),
+            lambda t: tt.matmul(Tensor(x, dtype=np.float64), t).values.sum(),
             Tensor(w0, dtype=np.float64),
         )
         rel = np.abs(w.grad - fd.values) / np.maximum(np.abs(fd.values), 1e-8)
@@ -182,7 +183,7 @@ class TestBackward:
 
     def test_repeated_backward_accumulates(self):
         x = Tensor(np.arange(4.0), requires_grad=True, dtype=np.float64)
-        loss = tt.sum_all(tt.mul(x, x))
+        loss = _proj(tt.softplus(x), np.ones(4))
         tt.backward(loss)
         once = x.grad.copy()
         tt.backward(loss)
@@ -195,27 +196,29 @@ class TestBackward:
 
     def test_zero_grad_resets(self):
         x = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
-        tt.backward(tt.sum_all(x))
+        tt.backward(_proj(x, np.ones(3)))
         x.zero_grad()
         assert x.grad is None
 
     def test_branching_graph_sums_paths(self):
-        # loss = sum(x*x + x) -> grad 2x + 1
-        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True, dtype=np.float64)
-        tt.backward(tt.sum_all(tt.add(tt.mul(x, x), x)))
-        np.testing.assert_allclose(x.grad, 2 * x.values + 1, rtol=1e-15)
+        # loss = sum((x a + x) * p) -> grad p a^T + p
+        rng = np.random.default_rng(2)
+        a, p = rng.normal(size=(3, 3)), rng.normal(size=(2, 3))
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True, dtype=np.float64)
+        tt.backward(_proj(tt.add(tt.matmul(x, Tensor(a, dtype=np.float64)), x), p))
+        np.testing.assert_allclose(x.grad, p @ a.T + p, rtol=1e-15)
 
 
 class TestFiniteDiff:
     def test_sum_of_squares(self):
         fd = tt.finite_diff_grad(
-            lambda t: tt.sum_all(tt.mul(t, t)).item(), Tensor([1.0, 2.0], dtype=np.float64)
+            lambda t: float(np.sum(t.values * t.values)), Tensor([1.0, 2.0], dtype=np.float64)
         )
         np.testing.assert_allclose(fd.values, [2.0, 4.0], atol=1e-6)
 
     def test_softplus_sum_at_zero(self):
         fd = tt.finite_diff_grad(
-            lambda t: tt.sum_all(tt.softplus(t)).item(), Tensor([0.0], dtype=np.float64)
+            lambda t: float(tt.softplus(t).values.sum()), Tensor([0.0], dtype=np.float64)
         )
         np.testing.assert_allclose(fd.values, [0.5], atol=1e-6)
 
@@ -241,7 +244,7 @@ class TestStructuralOps:
         x = Tensor(rng.normal(size=(4, 3)), requires_grad=True, dtype=np.float64)
         idx = np.array(idx, dtype=np.int64)
         g = rng.normal(size=(len(idx), 3))
-        tt.backward(tt.sum_all(tt.mul(tt.gather_rows(x, idx), Tensor(g, dtype=np.float64))))
+        tt.backward(_proj(tt.gather_rows(x, idx), g))
         expected = np.zeros((4, 3))
         np.add.at(expected, idx, g)
         assert np.array_equal(x.grad, expected)
@@ -276,7 +279,7 @@ class TestCombine:
         w_t = Tensor(w, requires_grad=True, dtype=np.float64)
         y = tt.combine(out_t, rows, experts, w_t)
         assert np.array_equal(y.values, expect)
-        tt.backward(tt.sum_all(tt.mul(y, Tensor(g, dtype=np.float64))))
+        tt.backward(_proj(y, g))
         for o, eg in zip(out_t, expect_go):
             assert np.array_equal(o.grad, eg)
         assert np.array_equal(w_t.grad, expect_gw)
@@ -294,6 +297,88 @@ class TestCombine:
             tt.combine([o], [np.array([0, 1])], [0, 1], w)
         with pytest.raises(ShapeError):
             tt.combine([o], [np.array([0, 1])], [0], Tensor(np.ones((3, 2)), dtype=np.float32))
+
+
+def chain_matmul(a, b):
+    """The forward of the matmul op: einsum up to 16 on every side, BLAS above."""
+    return np.einsum("ik,kj->ij", a, b) if max(a.shape[0], a.shape[1], b.shape[1]) <= 16 else a @ b
+
+
+def glu_chain(x, w_in, w_gate, w_out, g):
+    """Output and gradients of the matmul, silu, matmul, mul, matmul chain, given d(loss)/d(output) g."""
+    a = chain_matmul(x, w_in)
+    s = 0.5 * (1.0 + np.tanh(0.5 * a)).astype(a.dtype)
+    act = a * s
+    b = chain_matmul(x, w_gate)
+    hidden = act * b
+    gh = g @ w_out.T
+    g_act, gb = gh * b, gh * act
+    ga = g_act * (s * (1.0 + a * (1.0 - s)))
+    gx = gb @ w_gate.T
+    gx = gx + ga @ w_in.T
+    return chain_matmul(hidden, w_out), gx, x.T @ ga, x.T @ gb, hidden.T @ g
+
+
+def penalty_chain(probs, f, c):
+    """Loss, P and d(loss)/d(probs) of the matmul, div_scale, mul, sum_all, scale chain."""
+    (t, n), dt = probs.shape, probs.dtype
+    ones = np.ones((1, t), dt)
+    p_row = chain_matmul(ones, probs) / dt.type(t)
+    f_row = f.reshape(1, n).astype(dt)
+    loss = np.asarray((p_row * f_row).sum(), dtype=dt) * dt.type(c)
+    g = np.full_like(p_row, np.ones((), dt) * dt.type(c)) * f_row / dt.type(t)
+    return loss, p_row[0], ones.T @ g
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("rows,d,h", [(5, 6, 7), (40, 24, 30)], ids=["einsum", "blas"])
+class TestGluExpert:
+    def test_matches_op_chain_bit_for_bit(self, dtype, rows, d, h):
+        rng = np.random.default_rng(11)
+        arrays_ = [rng.normal(size=s).astype(dtype) for s in ((rows, d), (d, h), (d, h), (h, d))]
+        g = rng.normal(size=(rows, d)).astype(dtype)
+        ts = [Tensor(a, requires_grad=True, dtype=dtype) for a in arrays_]
+        y = tt.glu_expert(*ts)
+        expect = glu_chain(*arrays_, g)
+        assert y.dtype == dtype and np.array_equal(y.values, expect[0])
+        tt.backward(_proj(y, g))
+        for t, eg in zip(ts, expect[1:]):
+            assert t.grad.dtype == dtype and np.array_equal(t.grad, eg)
+
+    def test_shape_and_dtype_errors(self, dtype, rows, d, h):
+        x = Tensor(np.ones((rows, d)), dtype=dtype)
+        w = Tensor(np.ones((d, h)), dtype=dtype)
+        w_out = Tensor(np.ones((h, d)), dtype=dtype)
+        with pytest.raises(ShapeError, match="glu_expert"):
+            tt.glu_expert(x, w, w, w)
+        with pytest.raises(ShapeError, match="glu_expert"):
+            tt.glu_expert(x, w, w_out, w_out)
+        other = np.float32 if dtype == np.float64 else np.float64
+        with pytest.raises(ShapeError, match="mixed dtypes"):
+            tt.glu_expert(x, w, w, Tensor(np.ones((h, d)), dtype=other))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("t", [6, 300], ids=["einsum", "blas"])
+class TestBalancePenalty:
+    def test_matches_op_chain_bit_for_bit(self, dtype, t):
+        rng = np.random.default_rng(12)
+        probs = rng.random((t, 5)).astype(dtype)
+        f = rng.random(5)
+        x = Tensor(probs, requires_grad=True, dtype=dtype)
+        loss, p = tt.balance_penalty(x, f, 0.05)
+        expect_loss, expect_p, expect_g = penalty_chain(probs, f, 0.05)
+        assert loss.values.shape == () and loss.dtype == dtype and loss.values == expect_loss
+        assert p.dtype == dtype and np.array_equal(p, expect_p)
+        tt.backward(loss)
+        assert x.grad.dtype == dtype and np.array_equal(x.grad, expect_g)
+
+    def test_shape_errors(self, dtype, t):
+        probs = Tensor(np.ones((t, 4)), dtype=dtype)
+        with pytest.raises(ShapeError, match="balance_penalty"):
+            tt.balance_penalty(probs, np.ones(3), 1.0)
+        with pytest.raises(ShapeError, match="balance_penalty"):
+            tt.balance_penalty(Tensor(np.ones(4), dtype=dtype), np.ones(4), 1.0)
 
 
 def reference_attention(q, k, v, n_heads, cos, sin):

@@ -216,8 +216,13 @@ class TestValidation:
             "",
             "[" + GOOD_LINE + "]",
             GOOD_LINE.replace('"rank":0,', ""),
+            GOOD_LINE.replace('"expert":1', '"expert":1.7'),
+            GOOD_LINE.replace('"epoch":0', '"epoch":-0.5'),
+            GOOD_LINE.replace('"token":0', '"token":true'),
+            GOOD_LINE.replace('"token":0', '"token":1e3'),
         ],
-        ids=["not-a-number", "negative", "two-objects", "blank", "list", "missing-key"],
+        ids=["not-a-number", "negative", "two-objects", "blank", "list", "missing-key",
+             "float", "negative-float", "bool", "exponent"],
     )
     def test_bad_record_field_reports_offset(self, tmp_path, bad):
         # the bad record sits in the third block, after two blocks that parse
