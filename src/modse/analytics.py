@@ -145,7 +145,7 @@ class DifficultTokenReport:
     per_layer_top1: np.ndarray  # [layers, N] rank-0 events, the heatmap grid
 
 
-def difficult_token_expert_distribution(trace: RoutingTrace, difficult_token_ids: set[int]) -> DifficultTokenReport:
+def difficult_token_expert_distribution(trace: RoutingTrace, difficult_token_ids: np.ndarray) -> DifficultTokenReport:
     """Count where the difficult tokens were routed, by expert and width class.
 
     Per-index widths come from the trace header, which fixes the expert
@@ -154,7 +154,7 @@ def difficult_token_expert_distribution(trace: RoutingTrace, difficult_token_ids
     """
     sizes = list(trace.header.expert_sizes)
     large, small = default_size_classes(sizes)
-    ids = np.fromiter(difficult_token_ids, dtype=np.uint64, count=len(difficult_token_ids))
+    ids = np.asarray(difficult_token_ids, dtype=np.uint64)  # token's dtype: isin would compare int64 as float64
     difficult = trace.records[np.isin(trace.records["token"], ids)]
     _, counts = routing_counts(difficult, trace.header.n_layers, trace.header.n_experts)
     by_rank = counts.sum(axis=0)  # [layers, K, N]

@@ -10,11 +10,14 @@ manifest with digests of every file the command produced.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import logging
 import math
 import os
+import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -144,11 +147,43 @@ def cmd_plan(args, argv: list[str]) -> int:
     return EXIT_OK
 
 
+_LOSS_HEADER = "token_index,loss\n"
+_LOSS_DTYPE = np.dtype([("token_index", np.int64), ("loss", np.float64)])
+# Rows of plain decimal numbers: no whitespace or other character that
+# str.splitlines breaks a line at, and loadtxt would strip inside a field.
+_DECIMAL_ROWS = re.compile(r"[0-9,.eE+\-\n]*")
+
+
 def _read_loss_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Token ids and losses of a `token_index,loss` CSV, or AlignmentError naming the path and line.
+
+    A file that starts with the header and holds only decimal rows is parsed
+    with one loadtxt; its result stands only when every id is non-negative
+    and every loss finite. Anything else, a bad row included, goes through
+    `_parse_loss_lines`, which accepts what Python's int and float accept
+    and names the first bad line.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise AlignmentError(f"{path}: not UTF-8 text: {e}") from e
+    body = text[len(_LOSS_HEADER) :]
+    if text.startswith(_LOSS_HEADER) and _DECIMAL_ROWS.fullmatch(body):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt warns, and returns nothing, for a body of no rows
+                table = np.loadtxt(io.StringIO(body), dtype=_LOSS_DTYPE, delimiter=",", comments=None, ndmin=1)
+        except (ValueError, Warning):
+            pass
+        else:
+            ids, losses = table["token_index"], table["loss"]
+            if (ids >= 0).all() and np.isfinite(losses).all():
+                return ids.copy(), losses.copy()  # contiguous, not views into the two-field table
+    return _parse_loss_lines(path, text)
+
+
+def _parse_loss_lines(path: str, text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Parse loss rows one by one; the first bad one raises with its path and line."""
     ids, losses = [], []
     for i, line in enumerate(text.splitlines()):
         line = line.strip()
@@ -192,8 +227,7 @@ def cmd_analyze(args, argv: list[str]) -> int:
             rows = difficult_token_table(base, other, thresholds)
             run.stage("thresholds.csv").write_text(thresholds_csv(rows), encoding="utf-8")
 
-            difficult = set(base_ids[base > mean].tolist())
-            report = difficult_token_expert_distribution(trace, difficult)
+            report = difficult_token_expert_distribution(trace, base_ids[base > mean])
             run.stage("distribution.csv").write_text(distribution_csv(report), encoding="utf-8")
             grid = report.per_layer_top1
         else:

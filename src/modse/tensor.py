@@ -131,7 +131,7 @@ def _record(values: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Ten
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(t) into `t.grad` for every tensor reachable from `loss`.
+    """Accumulate d(loss)/d(t) into `t.grad` for every leaf tensor reachable from `loss`.
 
     Repeated calls on the same graph add on top of existing grads. Nodes are
     processed in descending creation order, which is a topological order of
@@ -154,9 +154,9 @@ def backward(loss: Tensor) -> None:
         g = flows.pop(id(t), None)
         if g is None:
             continue
-        if t.requires_grad:
-            t.grad = g.copy() if t.grad is None else t.grad + g
         if t._backward_fn is None:
+            if t.requires_grad:
+                t.grad = g.copy() if t.grad is None else t.grad + g
             continue
         for parent, pg in zip(t._parents, t._backward_fn(g)):
             if pg is None or not (parent.requires_grad or parent._parents):

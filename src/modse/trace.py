@@ -12,20 +12,26 @@ Version-1 traces still load: their JSONL lines also carry ``weight`` and
 ``ce`` keys, which both parsers ignore, and ``MDSTRC01`` files hold 28-byte
 records whose trailing float32 gate weight and loss are skipped.
 
-JSONL is written and read a block of records at a time. The writer formats
-each block with one fixed template and writes the same bytes that
-``json.dumps`` of each record's dict writes; the reader parses a block of
-``BLOCK_LINES`` lines with one ``json.loads`` and fills each field with one
-assignment, so memory stays bounded by the block. Every field must be a
-JSON integer: a float or a boolean is a bad record, not a value to round.
-A block that fails to parse or convert is read again line by line, to name
-the first bad record.
+JSONL is written and read a block of ``BLOCK_LINES`` records at a time, so
+memory stays bounded by the block. The writer formats each block with one
+fixed template and writes the same bytes that ``json.dumps`` of each
+record's dict writes. The reader checks a block against the grammar of that
+template, each ``%d`` a JSON non-negative integer (a version-1 line may add
+its ``weight``/``ce`` tail), with one regular-expression match; a block that
+matches has its keys stripped and is parsed with one ``np.loadtxt`` into the
+record dtype, which refuses a value beyond its field's range. Any other
+block, valid JSON in another layout included, is read line by line with
+``json.loads``. There every field must be a JSON integer: a float or a
+boolean is a bad record, not a value to round, and the first bad record is
+named by its file-wide offset.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
+import re
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -204,6 +210,20 @@ def read_trace(path: str | Path) -> RoutingTrace:
 # Errors a record line can raise while it is parsed or converted.
 _RECORD_ERRORS = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
 
+# A block of lines exactly as TraceWriter writes them: _LINE with each %d a
+# JSON non-negative integer, optionally followed by a version-1 writer's
+# "weight" and "ce" members, which reading drops.
+_JSON_INT = "(?:0|[1-9][0-9]*)"
+_JSON_FLOAT = f"(?:-?{_JSON_INT}(?:\\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|NaN|-?Infinity)"
+_V1_TAIL = f', "weight": {_JSON_FLOAT}(?:, "ce": {_JSON_FLOAT})?'
+_HEAD, _CLOSE = _LINE.rsplit("}", 1)
+_CANONICAL_BLOCK = re.compile(
+    "(?:%s(?:%s)?\\}%s)*" % (_JSON_INT.join(map(re.escape, _HEAD.split("%d"))), _V1_TAIL, re.escape(_CLOSE))
+)
+_V1_MEMBERS = re.compile(', "weight": [^}]*')
+# Deletes the keys and punctuation of _LINE, leaving "epoch,layer,token,rank,expert\n".
+_KEYS = str.maketrans("", "", "".join(set(_LINE.replace("%d", "")) - set(",\n")))
+
 
 def _read_jsonl(path: Path, fh) -> RoutingTrace:
     first = fh.readline()
@@ -215,34 +235,30 @@ def _read_jsonl(path: Path, fh) -> RoutingTrace:
         raise TraceFormatError(f"{path}: bad header line: {e}") from e
     blocks, offset = [], 0
     while lines := list(itertools.islice(fh, BLOCK_LINES)):
-        try:
-            blocks.append(_parse_block(lines))
-        except _RECORD_ERRORS:
-            blocks.append(_parse_lines(path, lines, offset))
+        block = _parse_canonical("".join(lines))
+        blocks.append(block if block is not None else _parse_lines(path, lines, offset))
         offset += len(lines)
     records = np.concatenate(blocks) if blocks else np.zeros(0, dtype=RECORD_DTYPE)
     return RoutingTrace(header, records)
 
 
-def _parse_block(lines: list[str]) -> np.ndarray:
-    """Parse newline-terminated record lines with one json.loads call.
+def _parse_canonical(text: str) -> np.ndarray | None:
+    """Records of a block in the writer's exact layout, or None for any other text.
 
-    A JSON string cannot hold a raw newline, so a value can span two lines
-    only if the break falls inside an array or an object; inside an object
-    the token after the joining comma is a key, not "{". So when no line
-    holds "[" and every line after the first starts with "{", no value spans
-    lines, and as many values as lines means exactly one per line.
+    The grammar admits only digit runs where the template has %d, so after
+    the keys are deleted every line is five comma-separated integers;
+    loadtxt raises for one beyond its field's range, which the per-line
+    reader then reports with its offset.
     """
-    text = "[" + ",".join(lines) + "]"
-    objs = json.loads(text)
-    if len(objs) != len(lines) or text.find("[", 1) != -1 or text.count("\n,{") != len(lines) - 1:
-        raise ValueError("block is not one object per line")
-    block = np.zeros(len(objs), dtype=RECORD_DTYPE)
-    for name in RECORD_DTYPE.names:
-        block[name] = col = [obj[name] for obj in objs]
-        if set(map(type, col)) != {int}:  # numpy casts floats and bools without complaint
-            raise ValueError(f"non-integer {name}")
-    return block
+    if not _CANONICAL_BLOCK.fullmatch(text):
+        return None
+    if '"weight"' in text:
+        text = _V1_MEMBERS.sub("", text)
+    body = io.StringIO(text.translate(_KEYS))
+    try:
+        return np.loadtxt(body, dtype=RECORD_DTYPE, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
 
 
 def _parse_lines(path: Path, lines: list[str], offset: int) -> np.ndarray:

@@ -140,7 +140,7 @@ def test_A6_analytics_fixtures():
                 )
                 tok += int(count)
     trace = RoutingTrace(header, np.concatenate(chunks))
-    report = difficult_token_expert_distribution(trace, set(range(tok)))
+    report = difficult_token_expert_distribution(trace, np.arange(tok))
     assert report.sum_large_top12 == 10473
     assert report.sum_small_top12 == 8326
     assert report.sum_large_top1 == 6215

@@ -31,7 +31,7 @@ TOP1_PER_EXPERT = [1560, 2313, 2342, 1166, 1566, 1363, 873, 849]
 SUMS = {"top12_large": 10473, "top12_small": 8326, "top1_large": 6215, "top1_small": 3085}
 
 
-def difficult_fixture_trace() -> tuple[RoutingTrace, set[int]]:
+def difficult_fixture_trace() -> tuple[RoutingTrace, np.ndarray]:
     """Expand the shipped per-(layer, rank, expert) counts into trace records."""
     fix = load_difficult_tokens()
     header = TraceHeader(
@@ -59,7 +59,7 @@ def difficult_fixture_trace() -> tuple[RoutingTrace, set[int]]:
             )
             tok += n
     trace = RoutingTrace(header, np.concatenate(chunks))
-    return trace, set(range(tok))
+    return trace, np.arange(tok)
 
 
 class TestCountRouting:
@@ -169,7 +169,7 @@ class TestRoutingCountsOracle:
 
         hard = Counter((layer, r, x) for _, layer, tok, r, x in events if tok in difficult)
         large, _ = default_size_classes(sizes)
-        report = difficult_token_expert_distribution(trace, difficult)
+        report = difficult_token_expert_distribution(trace, np.array(sorted(difficult), dtype=np.int64))
         grid = [[hard[(layer, 0, x)] for x in range(n)] for layer in range(layers)]
         assert report.per_layer_top1.tolist() == grid
         assert report.per_expert_top1.tolist() == [sum(col) for col in zip(*grid)]
@@ -279,7 +279,7 @@ class TestDifficultTokenDistribution:
 
     def test_empty_difficult_set_all_zero(self):
         trace, _ = difficult_fixture_trace()
-        report = difficult_token_expert_distribution(trace, set())
+        report = difficult_token_expert_distribution(trace, np.array([], dtype=np.int64))
         assert report.per_expert_top1.sum() == 0
         assert report.per_expert_top12.sum() == 0
         assert report.sum_large_top12 == 0
@@ -297,7 +297,7 @@ class TestDifficultTokenDistribution:
             chunks.append(make_records(0, layer, np.arange(tokens), 0, e0))
             chunks.append(make_records(0, layer, np.arange(tokens), 1, e1))
         trace = RoutingTrace(header, np.concatenate(chunks))
-        report = difficult_token_expert_distribution(trace, set(range(tokens)))
+        report = difficult_token_expert_distribution(trace, np.arange(tokens))
         assert report.per_expert_top1.sum() == tokens * layers
         assert report.per_expert_top12.sum() == 2 * tokens * layers
         assert report.per_layer_top1.sum(axis=1).tolist() == [tokens] * layers

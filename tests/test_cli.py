@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from modse import cli
+from modse.analytics import AlignmentError
 from modse.trace import RECORD_DTYPE, RoutingTrace, TraceHeader, make_records, write_trace
 
 TINY_MODEL = {
@@ -377,6 +380,39 @@ class TestAnalyzeCommand:
     def test_missing_trace_exits_two(self, tmp_path):
         r = run_cli("analyze", tmp_path / "nope.jsonl", "--out", tmp_path / "x")
         assert r.returncode == 2
+
+
+class TestReadLossCsv:
+    def test_written_form_never_reaches_the_per_line_parser(self, tmp_path, monkeypatch):
+        ids = np.arange(3000, dtype=np.int64)
+        losses = np.random.default_rng(4).lognormal(0.5, 0.6, len(ids))
+        p = tmp_path / "losses.csv"
+        np.savetxt(p, np.column_stack([ids, losses]), fmt=["%d", "%.6f"], delimiter=",",
+                   header="token_index,loss", comments="")
+
+        def refuse(*args):
+            raise AssertionError("file left the loadtxt path")
+
+        monkeypatch.setattr(cli, "_parse_loss_lines", refuse)
+        got_ids, got_losses = cli._read_loss_csv(str(p))
+        assert got_ids.dtype == np.int64 and got_ids.tobytes() == ids.tobytes()
+        expected = np.array([float(f"{v:.6f}") for v in losses])
+        assert got_losses.dtype == np.float64 and got_losses.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0,1.0\n1,1e400\n", "losses.csv:3: non-finite loss inf"),
+            ("0,1.0\n9223372036854775808,2.0\n", "losses.csv:3: token index 9223372036854775808 out of range"),
+            ("0,1.0\n1,2.0,3\n", "losses.csv:3: bad loss row '1,2.0,3'"),
+        ],
+        ids=["overflowing-loss", "overflowing-id", "three-fields"],
+    )
+    def test_rows_loadtxt_declines_are_named_by_line(self, tmp_path, body, message):
+        p = tmp_path / "losses.csv"
+        p.write_text("token_index,loss\n" + body)
+        with pytest.raises(AlignmentError, match=re.escape(message)):
+            cli._read_loss_csv(str(p))
 
 
 class TestGradcheckCommand:

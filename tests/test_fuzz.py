@@ -3,10 +3,12 @@
 Flipped, deleted or inserted bytes in a valid file must either load or raise
 the reader's typed error (`TraceFormatError`, `CheckpointError`,
 `ConfigError`, `AlignmentError`), never another exception. An edited JSONL
-trace that loads must load exactly as the per-line reader below does.
+trace or loss CSV must load exactly as the per-line reader below does, or
+raise where that reader rejects it.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -56,14 +58,31 @@ def apply_edits(data: bytes, edits) -> bytes:
 
 
 def reference_read_jsonl(path):
-    """The per-line reader the block reader replaced."""
-    lines = path.read_text(encoding="utf-8").splitlines()
+    """The per-line reader: one json.loads per line, every record field a JSON integer."""
+    # a text file iterates by "\n" alone; str.splitlines would also break at U+0085 or U+2028 inside a string
+    lines = path.read_text(encoding="utf-8").removesuffix("\n").split("\n")
     header = TraceHeader.from_dict(json.loads(lines[0]))
     records = np.zeros(len(lines) - 1, dtype=RECORD_DTYPE)
     for i, line in enumerate(lines[1:]):
         obj = json.loads(line)
-        records[i] = tuple(obj[name] for name in RECORD_DTYPE.names)
+        records[i] = row = tuple(obj[name] for name in RECORD_DTYPE.names)
+        if not all(type(v) is int for v in row):
+            raise ValueError(f"record {i}: fields {row} are not all integers")
     return RoutingTrace(header, records)
+
+
+def assert_jsonl_reads_as_reference(p):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace, "BLOCK_LINES", 4)  # 12 records in three blocks
+        try:
+            loaded = read_trace(p)
+        except TraceFormatError:
+            with pytest.raises(Exception):
+                reference_read_jsonl(p)
+            return
+    expected = reference_read_jsonl(p)
+    assert loaded.header == expected.header
+    assert loaded.records.tobytes() == expected.records.tobytes()
 
 
 def sample_trace(count=12):
@@ -96,17 +115,26 @@ def test_jsonl_trace_loads_as_the_per_line_reader_or_raises(tmp_path_factory, ed
     write_trace(tmp / "base.jsonl", sample_trace())
     p = tmp / "fuzz.jsonl"
     p.write_bytes(apply_edits((tmp / "base.jsonl").read_bytes(), edits))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trace, "BLOCK_LINES", 4)  # 12 records in three blocks
-        try:
-            loaded = read_trace(p)
-        except TraceFormatError:
-            with pytest.raises(Exception):
-                reference_read_jsonl(p)
-            return
-    expected = reference_read_jsonl(p)
-    assert loaded.header == expected.header
-    assert loaded.records.tobytes() == expected.records.tobytes()
+    assert_jsonl_reads_as_reference(p)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (b'"expert": 1}', b'"expert": 1e0}'),
+        (b'"expert": 1}', b'"expert": 1.0}'),
+        (b'"abc"', '"a\u0085bc"'.encode()),
+        (b'"abc"', '"a\u2028bc"'.encode()),
+    ],
+    ids=["exponent", "fraction", "nel-in-header", "line-separator-in-header"],
+)
+def test_jsonl_trace_edge_edits_read_as_reference(tmp_path, old, new):
+    # edits the random ones rarely reach: a float record field, and a header string holding a character
+    # that str.splitlines breaks at but a text file's line iteration does not
+    write_trace(tmp_path / "base.jsonl", sample_trace())
+    p = tmp_path / "edited.jsonl"
+    p.write_bytes((tmp_path / "base.jsonl").read_bytes().replace(old, new, 1))
+    assert_jsonl_reads_as_reference(p)
 
 
 @given(edits=EDITS)
@@ -163,17 +191,72 @@ def test_config_loads_or_raises(tmp_path_factory, edits):
         pass
 
 
+def reference_read_loss_csv(path):
+    """The per-line loss CSV reader the loadtxt path sits in front of; raises ValueError where it rejects."""
+    ids, losses = [], []
+    for i, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
+        line = line.strip()
+        if not line or (i == 0 and line.lower().startswith("token_index")):
+            continue
+        tok, loss = line.split(",")
+        ids.append(int(tok))
+        losses.append(float(loss))
+        if not (0 <= ids[-1] < 2**63 and math.isfinite(losses[-1])):
+            raise ValueError(f"line {i + 1} out of range")
+    return np.asarray(ids, dtype=np.int64), np.asarray(losses, dtype=np.float64)
+
+
+def assert_loss_csv_reads_as_reference(p):
+    try:
+        ids, losses = _read_loss_csv(str(p))
+    except AlignmentError:
+        with pytest.raises(ValueError):
+            reference_read_loss_csv(p)
+        return
+    expected_ids, expected_losses = reference_read_loss_csv(p)
+    assert ids.dtype == expected_ids.dtype and ids.tobytes() == expected_ids.tobytes()
+    assert losses.dtype == expected_losses.dtype and losses.tobytes() == expected_losses.tobytes()
+
+
 @given(edits=EDITS)
 @settings(max_examples=150, deadline=None)
 def test_loss_csv_loads_or_raises(tmp_path_factory, edits):
     tmp = tmp_path_factory.getbasetemp()
-    base = "token_index,loss\n" + "".join(f"{i},{1 + 0.25 * i:.6f}\n" for i in range(12))
+    base = "token_index,loss\n" + "".join(f"{i},{(i + 1) / 7:.6f}\n" for i in range(12))
     p = tmp / "fuzz.csv"
     p.write_bytes(apply_edits(base.encode("utf-8"), edits))
-    try:
-        ids, losses = _read_loss_csv(str(p))
-    except AlignmentError:
-        return
-    assert ids.shape == losses.shape
-    assert (ids >= 0).all()
-    assert np.isfinite(losses).all()
+    assert_loss_csv_reads_as_reference(p)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "",
+        "\n\n",
+        "0,1.5\n\n1,2.5",
+        "0005,+.5\n-0,-0.0\n",
+        "1,4.9e-324\n2,0.1000000000000000055511151231257827\n",
+        "1,1e400\n",
+        "1,1e-400\n",
+        "9223372036854775808,1\n",
+        "1e5,1\n",
+        "1.0,2\n",
+        "1,2,3\n",
+        "1,\n",
+        " 1 , 2.5 \n",
+        "1_0,1_5\n",
+        "1,nan\n",
+        "1,-inf\n",
+        "1,2\n  \n3,4\n",
+        "1\x1c,2\n",
+        "1,2\x0b3,4\n",
+        "1\x85,2\n",
+        "1,2\u20283,4\n",
+        "1\xa0,2\n",
+    ],
+)
+def test_loss_csv_edge_rows_read_as_reference(tmp_path, body):
+    # rows the loadtxt path must decline, or parse to the same bits, that random edits rarely reach
+    p = tmp_path / "losses.csv"
+    p.write_text("token_index,loss\n" + body, encoding="utf-8", newline="")
+    assert_loss_csv_reads_as_reference(p)

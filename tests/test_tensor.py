@@ -189,6 +189,14 @@ class TestBackward:
         tt.backward(loss)
         assert np.array_equal(x.grad, 2 * once)
 
+    def test_only_leaves_keep_grad(self):
+        x = Tensor(np.arange(4.0), requires_grad=True, dtype=np.float64)
+        hidden = tt.softplus(x)
+        loss = _proj(hidden, np.ones(4))
+        tt.backward(loss)
+        assert x.grad is not None
+        assert hidden.grad is None and loss.grad is None
+
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ShapeError, match="scalar"):

@@ -152,6 +152,89 @@ class TestBlockWriter:
         assert p.read_text().splitlines()[1:] == reference_jsonl_lines(rec)
 
 
+CANONICAL_LINE = trace._LINE.rstrip("\n") % (0, 0, 0, 0, 1)
+
+
+def count_per_line_parses(monkeypatch):
+    calls = []
+
+    def counted(path, lines, offset):
+        calls.append(len(lines))
+        return parse_lines(path, lines, offset)
+
+    parse_lines = trace._parse_lines
+    monkeypatch.setattr(trace, "_parse_lines", counted)
+    return calls
+
+
+class TestBlockReader:
+    def extreme_records(self):
+        rec = sample_records(count=2 * BLOCK_LINES + 37, seed=6)
+        rec["token"][:3] = [2**53 + 1, 2**64 - 1, 10]
+        rec["epoch"][-1] = 2**32 - 1
+        return rec
+
+    def test_writer_output_never_reaches_the_per_line_parser(self, tmp_path, monkeypatch):
+        rec = self.extreme_records()
+        p = tmp_path / "t.jsonl"
+        with TraceWriter(p, header()) as w:
+            w.write(rec[:5])
+            w.write(rec[5:])
+        calls = count_per_line_parses(monkeypatch)
+        assert read_trace(p).records.tobytes() == rec.tobytes()
+        assert calls == []
+
+    def test_version_1_writer_output_never_reaches_the_per_line_parser(self, tmp_path, monkeypatch):
+        rec = self.extreme_records()
+        ce = np.random.default_rng(6).standard_normal(len(rec)).astype(np.float32) * 1e3
+        ce[::3] = np.nan  # line without "ce"
+        ce[1], ce[2], ce[4] = np.inf, -np.inf, 1e-40  # Infinity, -Infinity, a subnormal's exponent form
+        p = tmp_path / "v1.jsonl"
+        write_v1_trace(p, header(), rec, -0.0, ce)
+        assert '"ce": Infinity' in p.read_text() and "e-" in p.read_text()
+        calls = count_per_line_parses(monkeypatch)
+        assert read_trace(p).records.tobytes() == rec.tobytes()
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            CANONICAL_LINE.replace(": ", ":"),
+            CANONICAL_LINE.replace(", ", " ,  "),
+            CANONICAL_LINE + " ",
+            '{"expert": 1, "rank": 0, "token": 0, "layer": 0, "epoch": 0}',
+            '{"epoch":0,"layer":0,"token":0,"rank":0,"expert":1,"weight":0.5,"ce":1.25}',
+            CANONICAL_LINE[:-1] + ', "ce": 1.25, "weight": 0.5}',
+        ],
+        ids=["no-spaces", "extra-spaces", "trailing-space", "reordered", "v1-compact", "v1-reordered"],
+    )
+    def test_other_layouts_load_through_the_per_line_parser(self, tmp_path, monkeypatch, line):
+        lines = [CANONICAL_LINE] * 3 + [line] + [CANONICAL_LINE] * 5
+        p = jsonl_with_body(tmp_path / "t.jsonl", lines)
+        calls = count_per_line_parses(monkeypatch)
+        monkeypatch.setattr(trace, "BLOCK_LINES", 3)
+        loaded = read_trace(p)
+        assert loaded.records.tobytes() == np.repeat(make_records(0, 0, [0], 0, 1), len(lines)).tobytes()
+        assert calls == [3]  # only the block holding the odd line
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            CANONICAL_LINE.replace('"token"', '"tok0en"'),
+            CANONICAL_LINE.replace('"token": 0', '"token": 01'),
+            CANONICAL_LINE.replace('"epoch": 0', '"epoch": 4294967296'),
+            CANONICAL_LINE.replace('"token": 0', '"token": 18446744073709551616'),
+            CANONICAL_LINE.replace('"rank": 0', '"rank": 65536'),
+        ],
+        ids=["digit-in-key", "leading-zero", "epoch-past-u32", "token-past-u64", "rank-past-u16"],
+    )
+    def test_bad_canonical_record_reports_offset(self, tmp_path, bad):
+        # two whole canonical blocks load before the bad record
+        p = jsonl_with_body(tmp_path / "bad.jsonl", [CANONICAL_LINE] * 1300 + [bad, CANONICAL_LINE])
+        with pytest.raises(TraceFormatError, match=f"{p}: bad record at offset 1300"):
+            read_trace(p)
+
+
 class TestValidation:
     def test_rank_out_of_range(self):
         with pytest.raises(TraceFormatError, match="rank"):
