@@ -17,7 +17,6 @@ import math
 import os
 import re
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -98,11 +97,13 @@ def cmd_train(args, argv: list[str]) -> int:
     cfg, opt = _load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.ratios == "homogeneous":
-        cfg.expert_ratios = "homogeneous"
+    if args.ratios:
+        cfg.expert_ratios = args.ratios
     if args.alpha is not None:
         opt.alpha = args.alpha
     steps = args.steps if args.steps is not None else opt.total_steps
+    if steps < 0:
+        raise ConfigError(f"--steps must be >= 0, got {steps}")
 
     if args.data:
         corpus = load_text_corpus(args.data)
@@ -157,23 +158,21 @@ _DECIMAL_ROWS = re.compile(r"[0-9,.eE+\-\n]*")
 def _read_loss_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Token ids and losses of a `token_index,loss` CSV, or AlignmentError naming the path and line.
 
-    A file that starts with the header and holds only decimal rows is parsed
-    with one loadtxt; its result stands only when every id is non-negative
-    and every loss finite. Anything else, a bad row included, goes through
-    `_parse_loss_lines`, which accepts what Python's int and float accept
-    and names the first bad line.
+    A file that starts with the header and holds only decimal rows, at least
+    one, is parsed with one loadtxt; its result stands only when every id is
+    non-negative and every loss finite. Anything else, a bad row included,
+    goes through `_parse_loss_lines`, which accepts what Python's int and
+    float accept, names the first bad line, and refuses a file of no rows.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise AlignmentError(f"{path}: not UTF-8 text: {e}") from e
     body = text[len(_LOSS_HEADER) :]
-    if text.startswith(_LOSS_HEADER) and _DECIMAL_ROWS.fullmatch(body):
+    if text.startswith(_LOSS_HEADER) and _DECIMAL_ROWS.fullmatch(body) and body.strip("\n"):
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # loadtxt warns, and returns nothing, for a body of no rows
-                table = np.loadtxt(io.StringIO(body), dtype=_LOSS_DTYPE, delimiter=",", comments=None, ndmin=1)
-        except (ValueError, Warning):
+            table = np.loadtxt(io.StringIO(body), dtype=_LOSS_DTYPE, delimiter=",", comments=None, ndmin=1)
+        except ValueError:
             pass
         else:
             ids, losses = table["token_index"], table["loss"]
@@ -199,6 +198,8 @@ def _parse_loss_lines(path: str, text: str) -> tuple[np.ndarray, np.ndarray]:
             raise AlignmentError(f"{path}:{i + 1}: token index {ids[-1]} out of range")
         if not math.isfinite(losses[-1]):
             raise AlignmentError(f"{path}:{i + 1}: non-finite loss {losses[-1]}")
+    if not ids:
+        raise AlignmentError(f"{path}: no loss rows")
     return np.asarray(ids, dtype=np.int64), np.asarray(losses, dtype=np.float64)
 
 
@@ -249,7 +250,7 @@ def cmd_gradcheck(args, argv: list[str]) -> int:
     if args.out:
         with RunOutputs(args.out, argv, {"scale": args.scale}, None) as run:
             payload = [
-                {"suite": r.name, "worst_err": r.worst_err, "tol": r.tol, "passed": r.passed}
+                dict(suite=r.name, worst_err=r.worst_err, per_item=r.per_item, tol=r.tol, passed=r.passed)
                 for r in results
             ]
             run.stage("gradcheck.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
@@ -257,6 +258,8 @@ def cmd_gradcheck(args, argv: list[str]) -> int:
 
 
 def cmd_gen_data(args, argv: list[str]) -> int:
+    if args.docs < 1:
+        raise ConfigError(f"--docs must be >= 1, got {args.docs}")
     docs = synthetic_docs(args.seed, n_docs=args.docs, max_depth=args.max_depth)
     with RunOutputs(args.out, argv, {"seed": args.seed, "docs": args.docs}, args.seed) as run:
         run.stage("corpus.txt").write_text("\n".join(docs) + "\n", encoding="utf-8")
@@ -276,7 +279,7 @@ def build_parser() -> _Parser:
     t.add_argument("--config", help="JSON config with 'model'/'optimizer' sections")
     t.add_argument("--seed", type=int)
     t.add_argument("--steps", type=int)
-    t.add_argument("--ratios", choices=["homogeneous", "paired"], help="override expert sizing")
+    t.add_argument("--ratios", choices=["homogeneous"], help="every expert h_base wide, not the config's ratios")
     t.add_argument("--alpha", type=float, help="balance-loss weight override")
     t.add_argument("--trace", help="routing-trace filename ('.bin' suffix selects binary format)")
     t.add_argument("--out", default="modse-run", help="output directory")

@@ -1,16 +1,20 @@
 """Finite-difference verification suites, all in float64.
 
-Each suite compares backward-pass gradients against central differences and
-reports the worst normwise relative error. Inputs are drawn from fixed named
-streams; where a loss goes through a discrete selection (top-k, argmax) the
-inputs are regenerated until the selection has a safe margin, so the h=1e-5
-probes cannot flip it.
+Every suite goes through one harness, `_fd_each`: a loss of a name->Tensor
+dict is differentiated once with every named array a leaf, and each array's
+gradient is compared with central differences taken while the others are
+held at their values. A suite reports the worst normwise relative error per
+entry. Inputs are drawn from fixed named streams; where a loss goes through a
+discrete selection (top-k, argmax) the inputs are regenerated until the
+selection has a safe margin, so the h=1e-5 probes cannot flip it. The
+end-to-end suite differentiates `train.objective`, the loss training
+minimises.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -18,13 +22,16 @@ import numpy as np
 from . import tensor as tt
 from .balance import balance_loss
 from .model import ModelConfig, init_weights, transformer_forward
-from .moe import GateParams, build_paired_spec, gate_forward, init_experts, init_gate, moe_layer_forward
+from .moe import ExpertParams, GateParams, build_paired_spec, gate_forward, init_experts, init_gate, moe_layer_forward
 from .rng import stream_rng
 from .tensor import Tensor
+from .train import objective
 
 OPS_TOL = 1e-4
 E2E_TOL = 1e-3
 FD_H = 1e-5
+
+Loss = Callable[[dict[str, Tensor]], Tensor]
 
 
 @dataclass
@@ -47,12 +54,25 @@ def rel_err(analytic: np.ndarray | None, fd: np.ndarray) -> float:
     return float(np.linalg.norm(a - b)) / denom
 
 
-def fd_check(f: Callable[[Tensor], Tensor], x0: np.ndarray, h: float = FD_H) -> float:
-    """Worst-case-free single comparison: backward grad of f at x0 vs central differences."""
-    x = Tensor(np.asarray(x0, dtype=np.float64), requires_grad=True, dtype=np.float64)
-    tt.backward(f(x))
-    fd = tt.finite_diff_grad(lambda t: f(t).item(), Tensor(x0, dtype=np.float64), h)
-    return rel_err(x.grad, fd.values)
+def _fd_each(loss: Loss, arrays: dict[str, np.ndarray]) -> dict[str, float]:
+    """Relative error of each named array's backward gradient of `loss` against central differences.
+
+    One backward runs with every array a leaf that requires grad; the
+    central differences perturb one array at a time, the others held
+    constant, so the probing forwards record no tape.
+    """
+    leaves = {k: Tensor(a, requires_grad=True, dtype=np.float64) for k, a in arrays.items()}
+    tt.backward(loss(leaves))
+    held = {k: Tensor(a, dtype=np.float64) for k, a in arrays.items()}
+    errs = {}
+    for name, x in leaves.items():
+        fd = tt.finite_diff_grad(lambda z: loss({**held, name: z}).item(), x, FD_H)
+        errs[name] = rel_err(x.grad, fd.values)
+    return errs
+
+
+def _suite(name: str, errs: dict[str, float], tol: float) -> SuiteResult:
+    return SuiteResult(name, max(errs.values()), tol, errs)
 
 
 def _proj(out: Tensor, proj: np.ndarray) -> Tensor:
@@ -71,253 +91,179 @@ def check_tensor_ops(n_seeds: int = 10) -> SuiteResult:
     """Every differentiable op against central differences, n_seeds inputs each."""
     worst: dict[str, float] = {}
 
-    def run(name: str, err: float):
-        worst[name] = max(worst.get(name, 0.0), err)
+    def run(op: str, loss: Loss, **arrays: np.ndarray) -> None:
+        # a lone array is entry `op`; otherwise each is `op/name`, with a
+        # trailing index dropped so that numbered arrays share one entry
+        for name, err in _fd_each(loss, arrays).items():
+            key = op if len(arrays) == 1 else f"{op}/{name.rstrip('0123456789')}"
+            worst[key] = max(worst.get(key, 0.0), err)
 
     for seed in range(n_seeds):
         rng = stream_rng(seed, "gradcheck-ops")
-        m, k, n = 4, 5, 3
-        a = rng.normal(size=(m, k))
-        b = rng.normal(size=(k, n))
-        pm = rng.normal(size=(m, n))
-        run("matmul/a", fd_check(lambda x: _proj(tt.matmul(x, Tensor(b, dtype=np.float64)), pm), a))
-        run("matmul/b", fd_check(lambda x: _proj(tt.matmul(Tensor(a, dtype=np.float64), x), pm), b))
+        a, b, pm = rng.normal(size=(4, 5)), rng.normal(size=(5, 3)), rng.normal(size=(4, 3))
+        run("matmul", lambda t: _proj(tt.matmul(t["a"], t["b"]), pm), a=a, b=b)
 
-        u = rng.normal(size=(3, 4))
-        v = rng.normal(size=(3, 4))
-        pu = rng.normal(size=(3, 4))
-        run("add", fd_check(lambda x: _proj(tt.add(x, Tensor(v, dtype=np.float64)), pu), u))
-        run("softplus", fd_check(lambda x: _proj(tt.softplus(x), pu), u))
+        u, v, pu = (rng.normal(size=(3, 4)) for _ in range(3))
+        run("add", lambda t: _proj(tt.add(t["x"], Tensor(v, dtype=np.float64)), pu), x=u)
+        run("softplus", lambda t: _proj(tt.softplus(t["x"]), pu), x=u)
 
         gamma_v = rng.normal(size=(4,)) + 1.5
         gamma_s = np.asarray(rng.normal() + 1.5)
-        run("rmsnorm/x", fd_check(lambda x: _proj(tt.rmsnorm(x, Tensor(gamma_v, dtype=np.float64)), pu), u))
-        run(
-            "rmsnorm/gamma_vec",
-            fd_check(lambda x: _proj(tt.rmsnorm(Tensor(u, dtype=np.float64), x), pu), gamma_v),
-        )
-        run(
-            "rmsnorm/gamma_scalar",
-            fd_check(lambda x: _proj(tt.rmsnorm(Tensor(u, dtype=np.float64), x), pu), gamma_s),
-        )
-        run("softmax", fd_check(lambda x: _proj(tt.softmax(x), pu), u))
+        run("rmsnorm", lambda t: _proj(tt.rmsnorm(t["x"], t["gamma_vec"]), pu), x=u, gamma_vec=gamma_v)
+        run("rmsnorm/gamma_scalar", lambda t: _proj(tt.rmsnorm(Tensor(u, dtype=np.float64), t["x"]), pu), x=gamma_s)
+        run("softmax", lambda t: _proj(tt.softmax(t["x"]), pu), x=u)
 
         # spaced logits keep the top-k selection stable under the FD probes
         logits = rng.permuted(np.arange(12, dtype=np.float64).reshape(3, 4) * 0.5, axis=1)
         logits += rng.normal(size=logits.shape) * 0.05
         assert _topk_margin(logits, 2) > 1e-2
-        run(
-            "keep_topk+softmax",
-            fd_check(lambda x: _proj(tt.softmax(tt.keep_topk(x, 2)), pu), logits),
-        )
-        run("keep_topk/k=n", fd_check(lambda x: _proj(tt.keep_topk(x, 4), pu), logits))
+        run("keep_topk+softmax", lambda t: _proj(tt.softmax(tt.keep_topk(t["x"], 2)), pu), x=logits)
+        run("keep_topk/k=n", lambda t: _proj(tt.keep_topk(t["x"], 4), pu), x=logits)
 
         table = rng.normal(size=(6, 4))
         ids = rng.integers(0, 6, size=5)
         p5 = rng.normal(size=(5, 4))
-        run("embedding_lookup", fd_check(lambda x: _proj(tt.embedding_lookup(x, ids), p5), table))
-        run("gather_rows", fd_check(lambda x: _proj(tt.gather_rows(x, ids), p5), table))
+        run("embedding_lookup", lambda t: _proj(tt.embedding_lookup(t["x"], ids), p5), x=table)
+        run("gather_rows", lambda t: _proj(tt.gather_rows(t["x"], ids), p5), x=table)
         rows = np.array([0, 2, 3, 5])  # strictly increasing: the backward assigns
-        run("gather_rows/unique", fd_check(lambda x: _proj(tt.gather_rows(x, rows), p5[:4]), table))
+        run("gather_rows/unique", lambda t: _proj(tt.gather_rows(t["x"], rows), p5[:4]), x=table)
 
         # two experts of a 3-expert gate, the second on a subset of the rows
         sets = (np.arange(4), np.array([1, 3]))
         outs = [rng.normal(size=(len(r), 4)) for r in sets]
         gw = rng.normal(size=(4, 3))
         p4 = rng.normal(size=(4, 4))
-        o0, o1, wt = (Tensor(a, dtype=np.float64) for a in (*outs, gw))
-        run("combine/outputs", fd_check(lambda x: _proj(tt.combine([x, o1], sets, [2, 0], wt), p4), outs[0]))
-        run("combine/outputs", fd_check(lambda x: _proj(tt.combine([o0, x], sets, [2, 0], wt), p4), outs[1]))
-        run("combine/weights", fd_check(lambda x: _proj(tt.combine([o0, o1], sets, [2, 0], x), p4), gw))
+        run(
+            "combine",
+            lambda t: _proj(tt.combine([t["outputs0"], t["outputs1"]], sets, [2, 0], t["weights"]), p4),
+            outputs0=outs[0], outputs1=outs[1], weights=gw,
+        )
 
         # two heads, two sequences: the op's rope, head split and sequence split all show
         seq, n_heads, hd = 5, 2, 4
-        q = rng.normal(size=(2 * seq, n_heads * hd))
-        kk = rng.normal(size=(2 * seq, n_heads * hd))
-        vv = rng.normal(size=(2 * seq, n_heads * hd))
-        pa = rng.normal(size=(2 * seq, n_heads * hd))
+        q, k, v, pa = (rng.normal(size=(2 * seq, n_heads * hd)) for _ in range(4))
         theta = rng.normal(size=(seq, hd // 2))
         cos, sin = np.cos(theta), np.sin(theta)
-        kt = Tensor(kk, dtype=np.float64)
-        vt = Tensor(vv, dtype=np.float64)
-        qt = Tensor(q, dtype=np.float64)
-
-        def attn(qx, kx, vx):
-            return _proj(tt.causal_attention(qx, kx, vx, n_heads, cos, sin), pa)
-
-        run("causal_attention/q", fd_check(lambda x: attn(x, kt, vt), q))
-        run("causal_attention/k", fd_check(lambda x: attn(qt, x, vt), kk))
-        run("causal_attention/v", fd_check(lambda x: attn(qt, kt, x), vv))
+        run(
+            "causal_attention",
+            lambda t: _proj(tt.causal_attention(t["q"], t["k"], t["v"], n_heads, cos, sin), pa),
+            q=q, k=k, v=v,
+        )
 
         lg = rng.normal(size=(6, 5))
         tg = rng.integers(0, 5, size=6)
-        run("cross_entropy", fd_check(lambda x: tt.cross_entropy(x, tg), lg))
+        run("cross_entropy", lambda t: tt.cross_entropy(t["x"], tg), x=lg)
 
         # drawn last, so every entry above keeps its inputs
-        glu = [rng.normal(size=shape) for shape in ((3, 4), (4, 5), (4, 5), (5, 3))]
+        x, w_in, w_gate, w_out = (rng.normal(size=shape) for shape in ((3, 4), (4, 5), (4, 5), (5, 3)))
         pg = rng.normal(size=(3, 3))
-        for i, name in enumerate(("x", "w_in", "w_gate", "w_out")):
-
-            def expert(z, i=i):
-                args = [Tensor(a, dtype=np.float64) for a in glu]
-                args[i] = z
-                return _proj(tt.glu_expert(*args), pg)
-
-            run(f"glu_expert/{name}", fd_check(expert, glu[i]))
+        run(
+            "glu_expert",
+            lambda t: _proj(tt.glu_expert(t["x"], t["w_in"], t["w_gate"], t["w_out"]), pg),
+            x=x, w_in=w_in, w_gate=w_gate, w_out=w_out,
+        )
 
         probs = rng.random(size=(5, 4))
         f = rng.random(size=4)
-        run("balance_penalty", fd_check(lambda x: tt.balance_penalty(x, f, 0.04)[0], probs))
+        run("balance_penalty", lambda t: tt.balance_penalty(t["x"], f, 0.04)[0], x=probs)
 
-    return SuiteResult("tensor_ops", max(worst.values()), OPS_TOL, worst)
+    return _suite("tensor_ops", worst, OPS_TOL)
 
 
-def _stable_gate_inputs(seed_name: str, t: int, d: int, n: int, k: int):
-    """x and gate params whose top-k and argmax margins survive FD probes."""
+def _stable_gate_inputs(seed_name: str, t: int, d: int, n: int, k: int) -> dict[str, np.ndarray]:
+    """x and the gate params, by name, whose top-k and argmax margins survive FD probes."""
     for attempt in range(50):
         rng = stream_rng(attempt, seed_name)
         x = rng.normal(size=(t, d))
         gate = init_gate(d, n, rng, std=0.5, dtype=np.float64)
-        out = gate_forward(gate, Tensor(x, dtype=np.float64), k)
-        lv = out.logits.values
-        srt = np.sort(lv, axis=-1)
-        if _topk_margin(lv, k) > 1e-2 and float(np.min(srt[:, -1] - srt[:, -2])) > 1e-2:
-            return Tensor(x, dtype=np.float64), gate
+        lv = gate_forward(gate, Tensor(x, dtype=np.float64), k).logits.values
+        if min(_topk_margin(lv, k), _topk_margin(lv, 1)) > 1e-2:
+            return {"x": x, "w_gate": gate.w_gate.values, "w_noise": gate.w_noise.values, "gamma": gate.gamma.values}
     raise RuntimeError("could not find margin-stable gate inputs")
+
+
+def _gate(w: dict[str, Tensor]) -> GateParams:
+    return GateParams(w["w_gate"], w["w_noise"], w["gamma"])
 
 
 def check_gate(t: int = 5, d: int = 6, n: int = 4, k: int = 2) -> SuiteResult:
     """Gate logits/probabilities against central differences, per weight matrix."""
-    x, gate = _stable_gate_inputs("gradcheck-gate", t, d, n, k)
+    arrays = _stable_gate_inputs("gradcheck-gate", t, d, n, k)
     rng = stream_rng(99, "gradcheck-gate-proj")
     pa = rng.normal(size=(t, n))
     pb = rng.normal(size=(t, n))
 
-    def loss_from(gate_params: GateParams, xt: Tensor) -> Tensor:
-        out = gate_forward(gate_params, xt, k)
+    def loss(w: dict[str, Tensor]) -> Tensor:
+        out = gate_forward(_gate(w), w["x"], k)
         return tt.add(_proj(out.masked_probs, pa), _proj(out.full_probs, pb))
 
-    worst: dict[str, float] = {}
-    worst["x"] = fd_check(lambda z: loss_from(gate, z), x.values)
-    worst["w_gate"] = fd_check(
-        lambda z: loss_from(GateParams(z, gate.w_noise, gate.gamma), x), gate.w_gate.values
-    )
-    worst["w_noise"] = fd_check(
-        lambda z: loss_from(GateParams(gate.w_gate, z, gate.gamma), x), gate.w_noise.values
-    )
-    worst["gamma"] = fd_check(
-        lambda z: loss_from(GateParams(gate.w_gate, gate.w_noise, z), x), gate.gamma.values
-    )
-    return SuiteResult("gate", max(worst.values()), OPS_TOL, worst)
+    return _suite("gate", _fd_each(loss, arrays), OPS_TOL)
 
 
 def check_moe_layer(t: int = 3, d: int = 8, n: int = 4, k: int = 2) -> SuiteResult:
     """Full expert-layer output against central differences, every weight."""
-    x, gate = _stable_gate_inputs("gradcheck-layer", t, d, n, k)
+    arrays = _stable_gate_inputs("gradcheck-layer", t, d, n, k)
     rng = stream_rng(7, "gradcheck-layer-experts")
     spec = build_paired_spec(d, 6, [(1.0, 0.5), (0.75, 0.75)])
-    experts = init_experts(spec, rng, std=0.5, dtype=np.float64)
+    names = [f.name for f in fields(ExpertParams)]
+    for i, e in enumerate(init_experts(spec, rng, std=0.5, dtype=np.float64)):
+        arrays.update({f"expert{i}.{f}": getattr(e, f).values for f in names})
     proj = rng.normal(size=(t, d))
 
-    def loss(gate_params, expert_list, xt):
-        y, _ = moe_layer_forward(gate_params, expert_list, xt, k)
+    def loss(w: dict[str, Tensor]) -> Tensor:
+        experts = [ExpertParams(**{f: w[f"expert{i}.{f}"] for f in names}) for i in range(spec.n_experts)]
+        y, _ = moe_layer_forward(_gate(w), experts, w["x"], k)
         return _proj(y, proj)
 
-    worst: dict[str, float] = {}
-    worst["x"] = fd_check(lambda z: loss(gate, experts, z), x.values)
-    worst["w_gate"] = fd_check(lambda z: loss(GateParams(z, gate.w_noise, gate.gamma), experts, x), gate.w_gate.values)
-    worst["w_noise"] = fd_check(lambda z: loss(GateParams(gate.w_gate, z, gate.gamma), experts, x), gate.w_noise.values)
-    worst["gamma"] = fd_check(lambda z: loss(GateParams(gate.w_gate, gate.w_noise, z), experts, x), gate.gamma.values)
-    for i, e in enumerate(experts):
-        for fieldname in ("w_in", "w_gateproj", "w_out"):
-            base = getattr(e, fieldname)
-
-            def loss_w(z, i=i, fieldname=fieldname):
-                swapped = list(experts)
-                kw = {f: getattr(experts[i], f) for f in ("w_in", "w_gateproj", "w_out")}
-                kw[fieldname] = z
-                swapped[i] = type(e)(**kw)
-                return loss(gate, swapped, x)
-
-            worst[f"expert{i}.{fieldname}"] = fd_check(loss_w, base.values)
-    return SuiteResult("moe_layer", max(worst.values()), OPS_TOL, worst)
+    return _suite("moe_layer", _fd_each(loss, arrays), OPS_TOL)
 
 
 def check_balance_loss(t: int = 5, d: int = 8, n: int = 4, k: int = 2) -> SuiteResult:
     """Balance penalty gradient (flows through P only) against central differences."""
-    x, gate = _stable_gate_inputs("gradcheck-balance", t, d, n, k)
+    arrays = _stable_gate_inputs("gradcheck-balance", t, d, n, k)
 
-    def loss(gate_params, xt):
-        out = gate_forward(gate_params, xt, k)
-        return balance_loss(out, alpha=0.01).loss
+    def loss(w: dict[str, Tensor]) -> Tensor:
+        return balance_loss(gate_forward(_gate(w), w["x"], k), alpha=0.01).loss
 
-    worst: dict[str, float] = {}
-    worst["x"] = fd_check(lambda z: loss(gate, z), x.values)
-    worst["w_gate"] = fd_check(lambda z: loss(GateParams(z, gate.w_noise, gate.gamma), x), gate.w_gate.values)
-    worst["w_noise"] = fd_check(lambda z: loss(GateParams(gate.w_gate, z, gate.gamma), x), gate.w_noise.values)
-    worst["gamma"] = fd_check(lambda z: loss(GateParams(gate.w_gate, gate.w_noise, z), x), gate.gamma.values)
-    return SuiteResult("balance_loss", max(worst.values()), OPS_TOL, worst)
+    return _suite("balance_loss", _fd_each(loss, arrays), OPS_TOL)
+
+
+_SCALES = {
+    "micro": dict(dim=16, n_layers=1, vocab_size=11, h_base=8, seq_len=4),
+    "small": dict(dim=24, n_layers=2, vocab_size=13, h_base=12, seq_len=6),
+}
 
 
 def micro_config(scale: str = "micro") -> ModelConfig:
-    if scale == "micro":
-        return ModelConfig(
-            dim=16, n_layers=1, n_heads=2, n_experts=4, top_k=2, vocab_size=11,
-            h_base=8, expert_ratios=((0.75, 0.25), (0.5, 0.5)), seq_len=4, batch_size=1, seed=3,
-        )
-    if scale == "small":
-        return ModelConfig(
-            dim=24, n_layers=2, n_heads=2, n_experts=4, top_k=2, vocab_size=13,
-            h_base=12, expert_ratios=((0.75, 0.25), (0.5, 0.5)), seq_len=6, batch_size=1, seed=3,
-        )
-    raise ValueError(f"unknown gradcheck scale {scale!r}")
+    if scale not in _SCALES:
+        raise ValueError(f"unknown gradcheck scale {scale!r}")
+    return ModelConfig(
+        n_heads=2, n_experts=4, top_k=2, expert_ratios=((0.75, 0.25), (0.5, 0.5)), batch_size=1, seed=3,
+        **_SCALES[scale],
+    )
 
 
 def _stable_micro_instance(scale: str):
-    """Weights and tokens whose routing selections have margin to spare for FD probes."""
+    """Config, weight arrays and tokens whose routing selections have margin to spare for FD probes."""
     base = micro_config(scale)
     for seed in range(base.seed, base.seed + 60):
-        cfg = micro_config(scale)
-        cfg.seed = seed
+        cfg = replace(base, seed=seed)
         rng = stream_rng(seed, "gradcheck-e2e-tokens")
         tokens = rng.integers(0, cfg.vocab_size, size=(cfg.batch_size, cfg.seq_len + 1))
         weights = init_weights(cfg, dtype=np.float64)
         _, gate_outs = transformer_forward(cfg, weights, tokens[:, :-1])
-        margin = min(
-            min(_topk_margin(go.logits.values, cfg.top_k), _topk_margin(go.logits.values, 1))
-            for go in gate_outs
-        )
-        if margin > 1e-3:
-            return cfg, weights, tokens
+        lvs = [go.logits.values for go in gate_outs]
+        if min(min(_topk_margin(lv, cfg.top_k), _topk_margin(lv, 1)) for lv in lvs) > 1e-3:
+            return cfg, {name: p.values for name, p in weights.items()}, tokens
     raise RuntimeError("could not find a margin-stable model instance")
 
 
 def check_end_to_end(scale: str = "micro") -> SuiteResult:
-    """Whole-model loss (cross entropy + balance penalties) against central differences."""
-    cfg, weights, tokens = _stable_micro_instance(scale)
+    """The training objective (cross entropy + balance penalties) against central differences, every weight."""
+    cfg, arrays, tokens = _stable_micro_instance(scale)
     inputs, targets = tokens[:, :-1], tokens[:, 1:].reshape(-1)
-
-    def full_loss(w: dict[str, Tensor]) -> Tensor:
-        logits, gate_outs = transformer_forward(cfg, w, inputs)
-        loss = tt.cross_entropy(logits, targets)
-        for go in gate_outs:
-            loss = tt.add(loss, balance_loss(go, alpha=0.01).loss)
-        return loss
-
-    loss = full_loss(weights)
-    tt.backward(loss)
-    worst: dict[str, float] = {}
-    for name, p in weights.items():
-        analytic = p.grad
-
-        def f(z: Tensor, name=name) -> float:
-            trial = dict(weights)
-            trial[name] = z
-            return full_loss(trial).item()
-
-        fd = tt.finite_diff_grad(f, Tensor(p.values, dtype=np.float64), FD_H)
-        worst[name] = rel_err(analytic, fd.values)
-    return SuiteResult("end_to_end", max(worst.values()), E2E_TOL, worst)
+    errs = _fd_each(lambda w: objective(cfg, w, inputs, targets, alpha=0.01)[0], arrays)
+    return _suite("end_to_end", errs, E2E_TOL)
 
 
 def run_all(scale: str = "micro") -> list[SuiteResult]:

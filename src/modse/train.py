@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as tt
-from .balance import balance_loss
+from .balance import BalanceStats, balance_loss
 from .checkpoint import save_checkpoint
 from .data import Batcher
 from .model import ModelConfig, init_weights, spec_hash, transformer_forward
@@ -64,6 +64,22 @@ def _trace_step(
             )
 
 
+def objective(
+    cfg: ModelConfig, weights: dict[str, Tensor], inputs: np.ndarray, targets: np.ndarray, alpha: float
+) -> tuple[Tensor, Tensor, list[BalanceStats], list[GateOutput]]:
+    """The loss training minimises: next-token cross entropy plus every layer's balance penalty.
+
+    Returns the loss, the cross entropy, and each layer's balance stats and gate output.
+    """
+    logits, gate_outs = transformer_forward(cfg, weights, inputs)
+    ce = tt.cross_entropy(logits, targets)
+    stats = [balance_loss(go, alpha) for go in gate_outs]
+    loss = ce
+    for st in stats:
+        loss = tt.add(loss, st.loss)
+    return loss, ce, stats, gate_outs
+
+
 def train(
     cfg: ModelConfig,
     opt: OptimizerConfig,
@@ -101,12 +117,7 @@ def train(
             batch = batcher.next_batch()
             inputs, targets = batch[:, :-1], batch[:, 1:].reshape(-1)
 
-            logits, gate_outs = transformer_forward(cfg, weights, inputs)
-            ce = tt.cross_entropy(logits, targets)
-            stats = [balance_loss(go, opt.alpha) for go in gate_outs]
-            loss = ce
-            for st in stats:
-                loss = tt.add(loss, st.loss)
+            loss, ce, stats, gate_outs = objective(cfg, weights, inputs, targets, opt.alpha)
             if not np.isfinite(loss.values):
                 raise NonFiniteLossError(f"step {step}: loss is {float(loss.values)} (cross entropy {float(ce.values)})")
 
@@ -161,8 +172,10 @@ def eval_loss(
     Windows tile the corpus back to back; trailing tokens short of a full
     window are skipped. With `with_per_token`, also returns the loss of each
     predicted position, in corpus order (position i is the prediction of
-    token i+1 within its window).
+    token i+1 within its window). The forward runs on constant views of the
+    weights, so it records no tape.
     """
+    weights = {name: Tensor(t.values) for name, t in weights.items()}
     corpus = np.asarray(corpus, dtype=np.int32)
     s = cfg.seq_len
     starts = np.arange(0, len(corpus) - s, s)

@@ -175,6 +175,18 @@ class TestTrainCommand:
         r = run_cli("train", "--config", tmp_path / "nope.json", "--steps", 1, "--out", tmp_path / "run")
         assert r.returncode == 2
 
+    def test_negative_steps_exit_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY_MODEL, TINY_OPT)
+        assert cli.main(["train", "--config", str(cfg), "--steps", "-1", "--out", str(tmp_path / "run")]) == 1
+        assert "--steps must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_paired_ratios_choice_is_gone(self, tmp_path):
+        # the config's ratios are the paired widths; only the homogeneous override exists
+        cfg = write_config(tmp_path, TINY_MODEL, TINY_OPT)
+        assert cli.main(["train", "--config", str(cfg), "--ratios", "paired", "--out", str(tmp_path / "run")]) == 1
+        assert not (tmp_path / "run").exists()
+
 
 class TestPlanCommand:
     def test_published_spec_four_devices_equal_totals(self, tmp_path):
@@ -361,8 +373,11 @@ class TestAnalyzeCommand:
             (b"token_index,loss\n0,inf\n1,1.0\n", "base.csv:2: non-finite loss inf"),
             (b"token_index,loss\n0,1.0\n-1,3.0\n", "base.csv:3: token index -1 out of range"),
             (b"token_index,loss\n0,1.0\n1,\xff\n", "base.csv: not UTF-8 text"),
+            (b"token_index,loss\n", "base.csv: no loss rows"),
+            (b"", "base.csv: no loss rows"),
+            (b"\n\n", "base.csv: no loss rows"),
         ],
-        ids=["nan", "inf", "negative-token", "bad-utf8"],
+        ids=["nan", "inf", "negative-token", "bad-utf8", "header-only", "empty", "blank-lines"],
     )
     def test_bad_loss_csv_exits_one_naming_path(self, tmp_path, body, message):
         tp = tmp_path / "t.jsonl"
@@ -424,6 +439,7 @@ class TestGradcheckCommand:
         assert all("worst rel err" in line and line.endswith("PASS") for line in lines)
         report = json.loads((tmp_path / "gc" / "gradcheck.json").read_text())
         assert all(item["passed"] for item in report)
+        assert all(max(item["per_item"].values()) == item["worst_err"] for item in report)
 
     def test_repeated_invocations_identical_output(self, tmp_path):
         a = run_cli("gradcheck", "--scale", "micro")
@@ -458,6 +474,11 @@ class TestGenDataCommand:
         r2 = run_cli("gen-data", "--seed", 2, "--docs", 20, "--out", tmp_path / "b")
         assert r1.returncode == r2.returncode == 0
         assert (tmp_path / "a/corpus.txt").read_text() != (tmp_path / "b/corpus.txt").read_text()
+
+    def test_no_docs_exit_one(self, tmp_path, capsys):
+        assert cli.main(["gen-data", "--docs", "-3", "--out", str(tmp_path / "d")]) == 1
+        assert "--docs must be >= 1, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
 
 class TestUsage:

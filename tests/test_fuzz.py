@@ -203,6 +203,8 @@ def reference_read_loss_csv(path):
         losses.append(float(loss))
         if not (0 <= ids[-1] < 2**63 and math.isfinite(losses[-1])):
             raise ValueError(f"line {i + 1} out of range")
+    if not ids:
+        raise ValueError("no rows")
     return np.asarray(ids, dtype=np.int64), np.asarray(losses, dtype=np.float64)
 
 

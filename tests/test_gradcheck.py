@@ -79,31 +79,31 @@ def test_end_to_end_micro():
 
 
 def _corrupted(out):
-    """`out` with every gradient its backward hands on scaled by 1.01."""
-    if out._backward_fn is not None:
-        orig = out._backward_fn
-        out._backward_fn = lambda g: tuple(None if p is None else p * 1.01 for p in orig(g))
+    """`out`, or the loss of a `(loss, P)` pair, with every gradient its backward hands on scaled by 1.01."""
+    t = out[0] if isinstance(out, tuple) else out
+    if t._backward_fn is not None:
+        orig = t._backward_fn
+        t._backward_fn = lambda g: tuple(None if p is None else p * 1.01 for p in orig(g))
     return out
 
 
-def test_corrupted_gradient_is_detected(monkeypatch):
-    # negative control: break one backward rule and the suite must fail
-    real = modse.tensor.glu_expert
-    monkeypatch.setattr(modse.tensor, "glu_expert", lambda *a: _corrupted(real(*a)))
-    r = gc.check_moe_layer()
-    assert not r.passed
-
-
-def test_corrupted_balance_gradient_is_detected(monkeypatch):
-    real = modse.tensor.balance_penalty
-
-    def broken(*a):
-        loss, p = real(*a)
-        return _corrupted(loss), p
-
-    monkeypatch.setattr(modse.tensor, "balance_penalty", broken)
-    r = gc.check_balance_loss()
-    assert not r.passed
+@pytest.mark.parametrize(
+    "suite, op",
+    [
+        ("tensor_ops", "glu_expert"),
+        ("gate", "softplus"),
+        ("moe_layer", "glu_expert"),
+        ("balance_loss", "balance_penalty"),
+        ("end_to_end", "glu_expert"),
+    ],
+)
+def test_corrupted_gradient_is_detected(monkeypatch, suite, op):
+    # negative control: break one backward rule the suite reaches and the suite must fail
+    real = getattr(modse.tensor, op)
+    monkeypatch.setattr(modse.tensor, op, lambda *a: _corrupted(real(*a)))
+    r = getattr(gc, f"check_{suite}")()
+    assert r.name == suite
+    assert not r.passed, r.per_item
 
 
 def test_repeated_runs_identical():

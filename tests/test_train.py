@@ -216,6 +216,26 @@ class TestEvalLoss:
         assert per.tolist() == pytest.approx(expect, rel=1e-6)
         assert mean == pytest.approx(sum(expect) / 2, rel=1e-6)
 
+    def test_records_no_tape_and_matches_a_grad_forward(self, corpus, monkeypatch):
+        from modse.model import transformer_forward
+
+        cfg = tiny_cfg()
+        weights = init_weights(cfg)  # every weight requires grad
+        s, b = cfg.seq_len, cfg.batch_size
+        text = np.asarray(corpus[: s * b + 1], dtype=np.int32)  # exactly one batch of windows
+        batch = np.stack([text[j : j + s + 1] for j in range(0, s * b, s)])
+        logits, _ = transformer_forward(cfg, weights, batch[:, :-1])
+        assert logits._parents  # the reference forward records a tape
+        expect = tt.per_token_cross_entropy(logits.values, batch[:, 1:].reshape(-1))
+
+        real = tt._record
+        nodes = []
+        monkeypatch.setattr(tt, "_record", lambda *a: nodes.append(real(*a)) or nodes[-1])
+        mean, per = eval_loss(cfg, weights, text, with_per_token=True)
+        assert nodes and not any(n._parents for n in nodes)
+        assert per.tobytes() == expect.tobytes()
+        assert all(w.requires_grad for w in weights.values())
+
     def test_too_short_corpus_rejected(self):
         cfg = tiny_cfg()
         with pytest.raises(ValueError, match="shorter"):
