@@ -10,6 +10,7 @@ manifest with digests of every file the command produced.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import logging
@@ -100,7 +101,10 @@ def cmd_train(args, argv: list[str]) -> int:
     if args.ratios:
         cfg.expert_ratios = args.ratios
     if args.alpha is not None:
-        opt.alpha = args.alpha
+        try:
+            opt = dataclasses.replace(opt, alpha=args.alpha)
+        except ValueError as e:
+            raise ConfigError(f"--alpha: {e}") from e
     steps = args.steps if args.steps is not None else opt.total_steps
     if steps < 0:
         raise ConfigError(f"--steps must be >= 0, got {steps}")
@@ -260,6 +264,8 @@ def cmd_gradcheck(args, argv: list[str]) -> int:
 def cmd_gen_data(args, argv: list[str]) -> int:
     if args.docs < 1:
         raise ConfigError(f"--docs must be >= 1, got {args.docs}")
+    if args.max_depth < 1:
+        raise ConfigError(f"--max-depth must be >= 1, got {args.max_depth}")
     docs = synthetic_docs(args.seed, n_docs=args.docs, max_depth=args.max_depth)
     with RunOutputs(args.out, argv, {"seed": args.seed, "docs": args.docs}, args.seed) as run:
         run.stage("corpus.txt").write_text("\n".join(docs) + "\n", encoding="utf-8")

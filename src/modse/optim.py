@@ -28,6 +28,14 @@ class OptimizerConfig:
         for name, v in self.__dict__.items():
             if type(v) not in (int, float):  # bools and strings are not numbers here
                 raise ValueError(f"{name} must be a number, got {v!r}")
+            if type(v) is float and not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
+        for name in ("alpha", "weight_decay"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        for name in ("lr_init", "lr_peak", "lr_min", "eps", "grad_clip_norm"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
         for name in ("warmup_steps", "total_steps"):
             v = getattr(self, name)
             if type(v) is not int or v < 0:

@@ -10,14 +10,17 @@ recording order, visiting each node once.
 
 Multi-head causal self-attention is a single fused op, `causal_attention`:
 it takes the [tokens, d] query/key/value projections, applies rotary mixing
-to queries and keys inside, works on all heads and sequences at once with
-batched matmuls, skips the fully masked part of the score matrix block by
-block, and has a hand-written backward, so a transformer layer records one
-attention node instead of a chain per head.
+to queries and keys inside, over whole contiguous rows, works on all heads
+and sequences at once with batched matmuls, skips the fully masked part of
+the score matrix block by block, keeps each block's probabilities key-major,
+and has a hand-written backward whose softmax row term comes from the
+output rows, so a transformer layer records one attention node instead of a
+chain per head.
 
 A gated-linear expert is one `glu_expert` op and the auxiliary balance
 penalty one `balance_penalty` op, each with a hand-written backward, so an
-expert or a penalty records one node instead of a chain of five.
+expert or a penalty records one node instead of a chain of five. Both give
+the chain's bits; `glu_expert` computes its pointwise terms in place.
 
 The expert outputs of a mixture layer are merged by one weighted `combine`
 op: it adds each expert's gate-scaled rows into a [tokens, d] matrix, the
@@ -198,8 +201,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def glu_expert(x: Tensor, w_in: Tensor, w_gate: Tensor, w_out: Tensor) -> Tensor:
     """Gated-linear feed-forward (silu(x W_in) * (x W_gate)) W_out as one node.
 
-    x is [R, d], w_in and w_gate are [d, h], w_out is [h, d_out]. The
-    backward reuses the forward's sigmoid and products.
+    x is [R, d], w_in and w_gate are [d, h], w_out is [h, d_out]. The tape
+    keeps a = x W_in, its sigmoid s and b = x W_gate; the backward rebuilds
+    silu(a) = a*s and the hidden product from them, in the forward's order,
+    so every bit matches the unfused chain. The pointwise work runs in place
+    in one or two [R, h] buffers.
     """
     ok = x.values.ndim == w_in.values.ndim == w_out.values.ndim == 2
     if not (ok and w_gate.shape == w_in.shape and x.shape[1] == w_in.shape[0] and w_in.shape[1] == w_out.shape[0]):
@@ -208,15 +214,22 @@ def glu_expert(x: Tensor, w_in: Tensor, w_gate: Tensor, w_out: Tensor) -> Tensor
         _check_same_dtype(x, w, "glu_expert")
     a = _mm(x.values, w_in.values)
     s = _sigmoid(a)
-    act = a * s
     b = _mm(x.values, w_gate.values)
-    hidden = act * b
+    hidden = np.multiply(a, s)
+    hidden *= b
 
     def bw(g):
         gh = g @ w_out.values.T
-        ga = (gh * b) * (s * (1.0 + a * (1.0 - s)))
-        gb = gh * act
-        return gb @ w_gate.values.T + ga @ w_in.values.T, x.values.T @ ga, x.values.T @ gb, hidden.T @ g
+        t = np.subtract(1.0, s)  # t = s * (1 + a*(1 - s)), silu's derivative
+        t *= a
+        t += 1.0
+        t *= s
+        ga = np.multiply(gh, b)
+        ga *= t
+        np.multiply(a, s, out=t)  # silu(a)
+        gh *= t  # the gradient of b
+        t *= b  # the hidden product
+        return gh @ w_gate.values.T + ga @ w_in.values.T, x.values.T @ ga, x.values.T @ gh, t.T @ g
 
     return _record(_mm(hidden, w_out.values), (x, w_in, w_gate, w_out), bw)
 
@@ -226,8 +239,12 @@ def glu_expert(x: Tensor, w_in: Tensor, w_gate: Tensor, w_out: Tensor) -> Tensor
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
-    # tanh form avoids exp overflow on both tails
-    return 0.5 * (1.0 + np.tanh(0.5 * v)).astype(v.dtype)
+    # tanh form avoids exp overflow on both tails: 0.5 * (1 + tanh(0.5 * v)), in one buffer
+    s = np.multiply(v, 0.5)
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
 def softplus(x: Tensor) -> Tensor:
@@ -256,20 +273,22 @@ def rmsnorm(x: Tensor, gamma: Tensor, eps: float = 1e-6) -> Tensor:
     _check_same_dtype(x, gamma, "rmsnorm")
     ms = np.mean(np.square(v), axis=-1, keepdims=True)
     r = 1.0 / np.sqrt(ms + x.dtype.type(eps))
-    out = gamma.values * (v * r)
+    xhat = v * r
 
     def bw(g):
         gg = g * gamma.values
-        dot = np.sum(gg * v, axis=-1, keepdims=True)
-        gx = gg * r - v * (r**3 / n) * dot
-        ggamma = g * (v * r)
+        # gx = r * (gg - xhat * mean(gg * xhat)), the mean over the last axis
+        gx = xhat * (np.einsum("...i,...i->...", gg, xhat)[..., None] / n)
+        np.subtract(gg, gx, out=gx)
+        gx *= r
+        ggamma = np.multiply(g, xhat, out=gg)
         if gamma.values.ndim == 0:
             ggamma = np.asarray(ggamma.sum(), dtype=x.dtype)
         else:
             ggamma = ggamma.reshape(-1, n).sum(axis=0)
         return gx, ggamma
 
-    return _record(out, (x, gamma), bw)
+    return _record(gamma.values * xhat, (x, gamma), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -399,19 +418,31 @@ def combine(
 ATTN_BLOCK = 64
 
 
-def _rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Rotary position mixing on half-split features, written into `out`.
+def _rotary_tables(cos: np.ndarray, sin: np.ndarray, n_heads: int) -> tuple[np.ndarray, np.ndarray]:
+    """Full-width rotary tables from the [S, hd/2] angle tables, shaped
+    [S, H, 2, hd/2] over a row's columns: each head holds [cos | cos] and
+    [-sin | sin]."""
+    shape = (cos.shape[0], n_heads, 2, cos.shape[1])
+    cos_t = np.broadcast_to(cos[:, None, None], shape)
+    sin_t = np.broadcast_to(np.stack([-sin, sin], axis=1)[:, None], shape)
+    return cos_t.copy(), sin_t.copy()
 
-    x and out are [..., S, hd]; cos/sin are [S, hd/2] and broadcast over the
-    leading axes. With x = [x1 | x2] the result is
-    [x1*cos - x2*sin | x1*sin + x2*cos], a rotation per position, so
-    `_rope(g, cos, -sin, ...)` applies its transpose.
+
+def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotary position mixing of [B*S, d] rows by the tables of `_rotary_tables`.
+
+    With each head's columns split [x1 | x2], the result is
+    x * cos + (x with each head's halves swapped) * sin
+    = [x1*cos - x2*sin | x2*cos + x1*sin], a rotation per position and
+    frequency, computed over whole contiguous rows. `_rotate(g, cos, -sin)`
+    applies its transpose; scaling both tables scales the result.
     """
-    h = x.shape[-1] // 2
-    x1, x2 = x[..., :h], x[..., h:]
-    out[..., :h] = x1 * cos - x2 * sin
-    out[..., h:] = x1 * sin + x2 * cos
-    return out
+    seqs = (-1, cos.size)  # one sequence per row, so the tables broadcast over a contiguous row
+    swapped = x.reshape(-1, 2, cos.shape[-1])[:, ::-1].reshape(seqs)  # a copy
+    swapped *= sin.reshape(-1)
+    out = np.multiply(x.reshape(seqs), cos.reshape(-1))
+    out += swapped
+    return out.reshape(x.shape)
 
 
 def causal_attention(
@@ -425,9 +456,14 @@ def causal_attention(
     own sequence and head. The output is [B*S, d] with heads concatenated
     in the same column layout.
 
-    Query rows go in blocks of ATTN_BLOCK; a block ending at row r1 scores
-    only keys 0..r1-1, so the fully masked triangle beyond it is never
-    computed, and only the diagonal block carries a -inf mask.
+    Queries and keys are rotated as whole [B*S, d] rows, the queries by
+    tables scaled by 1/sqrt(hd). Query rows go in blocks of ATTN_BLOCK; a
+    block ending at row r1 scores only keys 0..r1-1, so the fully masked
+    triangle beyond it is never computed, and only the diagonal block
+    carries a -inf mask. Each block's probabilities are stored key-major,
+    [keys, queries], so the softmax reduces over the second-to-last axis.
+    The backward's per-query row term sum_j dP_ij P_ij is taken as
+    dO_i . O_i, over head columns instead of over keys.
     """
     ok = q.values.ndim == 2 and cos.ndim == 2
     if ok:
@@ -458,49 +494,53 @@ def causal_attention(
         # [B*S, d] <-> [B, H, S, hd] as a view of a [B, S, H, hd] buffer
         return x.reshape(split).transpose(0, 2, 1, 3)
 
-    qr = _rope(heads(q.values), cos, sin, np.empty((b, n_heads, seq_len, hd), dt))
-    kr = _rope(heads(k.values), cos, sin, np.empty((b, n_heads, seq_len, hd), dt))
-    vh = heads(v.values)
+    cos_k, sin_k = _rotary_tables(cos.astype(dt, copy=False), sin.astype(dt, copy=False), n_heads)
     inv = dt.type(1.0 / math.sqrt(hd))
-    diag_mask = np.triu(np.full((ATTN_BLOCK, ATTN_BLOCK), -np.inf, dtype=dt), k=1)
+    cos_q, sin_q = cos_k * inv, sin_k * inv
+    qh = heads(_rotate(q.values, cos_q, sin_q))
+    kh = heads(_rotate(k.values, cos_k, sin_k))
+    vh = heads(v.values)
+    diag_mask = np.tril(np.full((ATTN_BLOCK, ATTN_BLOCK), -np.inf, dtype=dt), k=-1)
 
     out = np.empty(split, dt)
     out_h = out.transpose(0, 2, 1, 3)
     blocks: list[tuple[int, int, np.ndarray]] = []
     for r0 in range(0, seq_len, ATTN_BLOCK):
         r1 = min(r0 + ATTN_BLOCK, seq_len)
-        p = qr[:, :, r0:r1] @ kr[:, :, :r1].swapaxes(-1, -2)
-        p *= inv
-        p[..., r0:] += diag_mask[: r1 - r0, : r1 - r0]
-        p -= p.max(axis=-1, keepdims=True)
+        p = kh[:, :, :r1] @ qh[:, :, r0:r1].swapaxes(-1, -2)
+        p[..., r0:, :] += diag_mask[: r1 - r0, : r1 - r0]
+        p -= p.max(axis=-2, keepdims=True)
         np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        out_h[:, :, r0:r1] = p @ vh[:, :, :r1]
+        p /= p.sum(axis=-2, keepdims=True)
+        np.matmul(p.swapaxes(-1, -2), vh[:, :, :r1], out=out_h[:, :, r0:r1])
         blocks.append((r0, r1, p))
+    out = out.reshape(rows, d)
 
     def bw(g):
         gh = heads(g)
-        gq = np.empty((b, n_heads, seq_len, hd), dt)
-        gk = np.zeros((b, n_heads, seq_len, hd), dt)
-        gv = np.zeros(split, dt)
-        gv_h = gv.transpose(0, 2, 1, 3)
+        # the softmax row term sum_j dP_ij P_ij = dO_i . O_i, per head, as [B, H, 1, S]
+        row_term = np.einsum("bshk,bshk->bhs", g.reshape(split), out.reshape(split))[:, :, None, :]
+        gq, gk, gv = (np.empty(split, dt) for _ in range(3))
+        gq_h, gk_h, gv_h = (x.transpose(0, 2, 1, 3) for x in (gq, gk, gv))
+
+        def add_keys(dst, r0, part):
+            # keys 0..r0-1 hold the earlier blocks' sums; this block is the first to reach the rest
+            dst[:, :, :r0] += part[:, :, :r0]
+            dst[:, :, r0 : part.shape[2]] = part[:, :, r0:]
+
         for r0, r1, p in blocks:
             go = gh[:, :, r0:r1]
-            gv_h[:, :, :r1] += p.swapaxes(-1, -2) @ go
-            ds = go @ vh[:, :, :r1].swapaxes(-1, -2)
-            ds -= np.sum(ds * p, axis=-1, keepdims=True)
+            add_keys(gv_h, r0, p @ go)
+            ds = vh[:, :, :r1] @ go.swapaxes(-1, -2)
+            ds -= row_term[..., r0:r1]
             ds *= p
-            gq[:, :, r0:r1] = ds @ kr[:, :, :r1]
-            gk[:, :, :r1] += ds.swapaxes(-1, -2) @ qr[:, :, r0:r1]
-        gq *= inv
-        gk *= inv
-        gq_out = np.empty(split, dt)
-        gk_out = np.empty(split, dt)
-        _rope(gq, cos, -sin, gq_out.transpose(0, 2, 1, 3))
-        _rope(gk, cos, -sin, gk_out.transpose(0, 2, 1, 3))
-        return gq_out.reshape(rows, d), gk_out.reshape(rows, d), gv.reshape(rows, d)
+            np.matmul(ds.swapaxes(-1, -2), kh[:, :, :r1], out=gq_h[:, :, r0:r1])
+            add_keys(gk_h, r0, ds @ qh[:, :, r0:r1])
+        gq = _rotate(gq.reshape(rows, d), cos_q, -sin_q)
+        gk = _rotate(gk.reshape(rows, d), cos_k, -sin_k)
+        return gq, gk, gv.reshape(rows, d)
 
-    return _record(out.reshape(rows, d), (q, k, v), bw)
+    return _record(out, (q, k, v), bw)
 
 
 # ---------------------------------------------------------------------------

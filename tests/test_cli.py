@@ -181,6 +181,21 @@ class TestTrainCommand:
         assert "--steps must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_alpha_flag_exits_one_naming_flag(self, tmp_path, value, capsys):
+        cfg = write_config(tmp_path, TINY_MODEL, TINY_OPT)
+        argv = ["train", "--config", str(cfg), "--alpha", value, "--steps", "2", "--out", str(tmp_path / "run")]
+        assert cli.main(argv) == 1
+        assert "error: --alpha: alpha must be" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("field,value", [("alpha", -1), ("weight_decay", -0.5), ("lr_min", 0), ("eps", 0)])
+    def test_bad_optimizer_value_exits_one_naming_file(self, tmp_path, field, value, capsys):
+        cfg = write_config(tmp_path, TINY_MODEL, {**TINY_OPT, field: value})
+        assert cli.main(["train", "--config", str(cfg), "--steps", "2", "--out", str(tmp_path / "run")]) == 1
+        assert f"error: {cfg}: {field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_paired_ratios_choice_is_gone(self, tmp_path):
         # the config's ratios are the paired widths; only the homogeneous override exists
         cfg = write_config(tmp_path, TINY_MODEL, TINY_OPT)
@@ -478,6 +493,12 @@ class TestGenDataCommand:
     def test_no_docs_exit_one(self, tmp_path, capsys):
         assert cli.main(["gen-data", "--docs", "-3", "--out", str(tmp_path / "d")]) == 1
         assert "--docs must be >= 1, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("depth", ["0", "-2"])
+    def test_max_depth_below_one_exits_one(self, tmp_path, depth, capsys):
+        assert cli.main(["gen-data", "--docs", "3", "--max-depth", depth, "--out", str(tmp_path / "d")]) == 1
+        assert f"--max-depth must be >= 1, got {depth}" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
 

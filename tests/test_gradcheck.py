@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import modse.tensor
+import modse.tensor as tt
 from modse import gradcheck as gc
+from modse.tensor import Tensor
 
 
 def test_tensor_ops_ten_seeds():
@@ -24,6 +26,46 @@ def test_every_op_has_a_gradcheck_entry():
     covered = {re.split(r"[/+]", item)[0] for item in gc.check_tensor_ops(n_seeds=1).per_item}
     ops = set(modse.tensor.__all__) - NON_OPS
     assert ops <= covered, sorted(ops - covered)
+
+
+# one small call per op, given a maker of leaf tensors of a shape
+OP_CALLS = {
+    "matmul": lambda t: tt.matmul(t(3, 4), t(4, 5)),
+    "add": lambda t: tt.add(t(3, 4), t(3, 4)),
+    "softplus": lambda t: tt.softplus(t(3, 4)),
+    "rmsnorm": lambda t: tt.rmsnorm(t(3, 4), t(4)),
+    "glu_expert": lambda t: tt.glu_expert(t(3, 4), t(4, 5), t(4, 5), t(5, 4)),
+    "softmax": lambda t: tt.softmax(t(3, 4)),
+    "keep_topk": lambda t: tt.keep_topk(t(3, 4), 2),
+    "gather_rows": lambda t: tt.gather_rows(t(5, 4), np.array([0, 2, 2])),
+    "embedding_lookup": lambda t: tt.embedding_lookup(t(5, 4), np.array([4, 1, 1])),
+    "combine": lambda t: tt.combine([t(2, 4), t(1, 4)], [np.array([0, 2]), np.array([1])], [0, 1], t(3, 2)),
+    "causal_attention": lambda t: tt.causal_attention(
+        t(6, 8), t(6, 8), t(6, 8), 2, np.cos(np.ones((3, 2))), np.sin(np.ones((3, 2)))
+    ),
+    "cross_entropy": lambda t: tt.cross_entropy(t(3, 4), np.array([0, 3, 1])),
+    "balance_penalty": lambda t: tt.balance_penalty(t(3, 4), np.full(4, 0.25), 0.5)[0],
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", sorted(set(modse.tensor.__all__) - NON_OPS))
+def test_backward_writes_into_no_input(op, dtype):
+    # add hands one g to both parents, so a backward that wrote into its incoming
+    # gradient, or into an input's values, would corrupt another node's gradient
+    rng = np.random.default_rng(14)
+
+    def readonly(a):
+        a = np.ascontiguousarray(a, dtype=dtype)
+        a.flags.writeable = False
+        return a
+
+    def leaf(*shape):
+        return Tensor(readonly(rng.normal(size=shape)), requires_grad=True)
+
+    out = OP_CALLS[op](leaf)
+    assert not any(p.values.flags.writeable for p in out._parents)
+    out._backward_fn(readonly(rng.normal(size=out.shape)))
 
 
 def _tensor_calls(path: Path) -> set[str]:

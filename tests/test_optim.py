@@ -56,6 +56,29 @@ class TestLrSchedule:
             cfg(warmup_steps=2000, total_steps=100)
 
 
+class TestConfigRanges:
+    @pytest.mark.parametrize("field", ["beta1", "eps", "weight_decay", "grad_clip_norm", "lr_peak", "alpha"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            cfg(**{field: value})
+
+    @pytest.mark.parametrize("field", ["alpha", "weight_decay"])
+    def test_negative_weight_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+            cfg(**{field: -1e-9})
+        assert getattr(cfg(**{field: 0}), field) == 0
+
+    @pytest.mark.parametrize("field", ["lr_init", "lr_peak", "lr_min", "eps", "grad_clip_norm"])
+    @pytest.mark.parametrize("value", [0.0, -1e-3])
+    def test_non_positive_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be > 0"):
+            cfg(**{field: value})
+
+    def test_huge_integer_is_finite(self):
+        assert cfg(alpha=10**400).alpha == 10**400
+
+
 class TestAdam:
     def test_zero_grad_zero_decay_no_change(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True, dtype=np.float64)

@@ -389,20 +389,23 @@ class TestBalancePenalty:
             tt.balance_penalty(Tensor(np.ones(4), dtype=dtype), np.ones(4), 1.0)
 
 
+def reference_rotation(x, cos, sin):
+    """Rotary mixing of one head's [S, hd] rows: each (x1, x2) half pair turned by its angle."""
+    half = cos.shape[1]
+    return np.hstack([x[:, :half] * cos - x[:, half:] * sin, x[:, :half] * sin + x[:, half:] * cos])
+
+
 def reference_attention(q, k, v, n_heads, cos, sin):
     """Plain-numpy multi-head causal attention, one head and one sequence at a time."""
     seq_len, half = cos.shape
     hd = 2 * half
-
-    def rot(x):
-        return np.hstack([x[:, :half] * cos - x[:, half:] * sin, x[:, :half] * sin + x[:, half:] * cos])
-
     out = np.zeros_like(v)
     for b in range(q.shape[0] // seq_len):
         rows = slice(b * seq_len, (b + 1) * seq_len)
         for h in range(n_heads):
             cols = slice(h * hd, (h + 1) * hd)
-            qh, kh, vh = rot(q[rows, cols]), rot(k[rows, cols]), v[rows, cols]
+            qh, kh = (reference_rotation(x[rows, cols], cos, sin) for x in (q, k))
+            vh = v[rows, cols]
             for i in range(seq_len):
                 scores = kh[: i + 1] @ qh[i] / np.sqrt(hd)
                 w = np.exp(scores - scores.max())
@@ -421,13 +424,33 @@ def attend(q, k, v, n_heads, cos, sin):
     ).values
 
 
+def rotate(x, n_heads, cos, sin):
+    """The op's rotation of [B*S, n_heads*hd] rows by the [S, hd/2] angle tables."""
+    return tt._rotate(x, *tt._rotary_tables(cos, sin, n_heads))
+
+
 class TestRope:
     def test_rotation_preserves_norm(self):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(2, 3, 5, 8))
+        x = rng.normal(size=(2 * 5, 3 * 8))
         cos, sin = rope_angles(5, 8, rng)
-        out = tt._rope(x, cos, sin, np.empty_like(x))
-        np.testing.assert_allclose(np.linalg.norm(out, axis=-1), np.linalg.norm(x, axis=-1), rtol=1e-12)
+        out = rotate(x, 3, cos, sin)
+        per_head = (2, 5, 3, 8)
+        np.testing.assert_allclose(
+            np.linalg.norm(out.reshape(per_head), axis=-1), np.linalg.norm(x.reshape(per_head), axis=-1), rtol=1e-12
+        )
+
+    def test_rotation_matches_per_head_reference(self):
+        rng = np.random.default_rng(9)
+        n_heads, hd, seq_len = 3, 8, 5
+        x = rng.normal(size=(2 * seq_len, n_heads * hd))
+        cos, sin = rope_angles(seq_len, hd, rng)
+        out = rotate(x, n_heads, cos, sin)
+        for b in range(2):
+            rows = slice(b * seq_len, (b + 1) * seq_len)
+            for h in range(n_heads):
+                cols = slice(h * hd, (h + 1) * hd)
+                assert np.array_equal(out[rows, cols], reference_rotation(x[rows, cols], cos, sin))
 
     def test_zero_angle_is_identity(self):
         rng = np.random.default_rng(7)
@@ -473,6 +496,35 @@ class TestCausalAttention:
         whole = attend(q, k, v, 2, cos, sin)
         first = attend(q[:4], k[:4], v[:4], 2, cos, sin)
         np.testing.assert_allclose(whole[:4], first, rtol=1e-15)
+
+    def test_gradients_across_blocks_match_central_differences(self):
+        # S = 130: three query blocks, the last one partial; every block gets sampled coordinates
+        rng = np.random.default_rng(13)
+        n_heads, hd, seq_len, h = 2, 4, 130, 1e-6
+        arrays_ = {name: rng.normal(size=(seq_len, n_heads * hd)) for name in "qkv"}
+        cos, sin = rope_angles(seq_len, hd, rng)
+        proj = rng.normal(size=(seq_len, n_heads * hd))
+
+        def loss(values):
+            q, k, v = (values[name] for name in "qkv")
+            return _proj(tt.causal_attention(q, k, v, n_heads, cos, sin), proj)
+
+        leaves = {name: Tensor(a, requires_grad=True, dtype=np.float64) for name, a in arrays_.items()}
+        tt.backward(loss(leaves))
+        blocks = [(r0, min(r0 + tt.ATTN_BLOCK, seq_len)) for r0 in range(0, seq_len, tt.ATTN_BLOCK)]
+        assert len(blocks) == 3 and blocks[-1] == (128, 130)
+        for name, leaf in leaves.items():
+            for r0, r1 in blocks:
+                cells = rng.choice((r1 - r0) * n_heads * hd, size=10, replace=False)
+                for row, col in zip(r0 + cells // (n_heads * hd), cells % (n_heads * hd)):
+                    probe = {}
+                    for sign in (1, -1):
+                        a = arrays_[name].copy()
+                        a[row, col] += sign * h
+                        values = {n: Tensor(a if n == name else arrays_[n], dtype=np.float64) for n in "qkv"}
+                        probe[sign] = loss(values).item()
+                    fd = (probe[1] - probe[-1]) / (2 * h)
+                    assert leaf.grad[row, col] == pytest.approx(fd, rel=1e-6, abs=1e-8), (name, row, col)
 
     def test_shape_errors(self):
         x = Tensor(np.zeros((6, 8)), dtype=np.float64)
