@@ -208,6 +208,8 @@ def _parse_loss_lines(path: str, text: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_analyze(args, argv: list[str]) -> int:
+    if (args.losses_baseline is None) != (args.losses_modse is None):
+        raise ConfigError("--losses-baseline and --losses-modse must be given together")
     trace = read_trace(args.trace)
     if len(trace) == 0:
         raise ConfigError("empty trace")
@@ -220,8 +222,6 @@ def cmd_analyze(args, argv: list[str]) -> int:
             ratio = "inf" if r.min == 0 else f"{r.ratio:.2f}"
             print(f"epoch {r.epoch} layer {r.layer} rank {r.rank} max/min: {ratio}")
 
-        if (args.losses_baseline is None) != (args.losses_modse is None):
-            raise ConfigError("--losses-baseline and --losses-modse must be given together")
         if args.losses_baseline:
             base_ids, base = _read_loss_csv(args.losses_baseline)
             modse_ids, other = _read_loss_csv(args.losses_modse)
@@ -289,7 +289,7 @@ def build_parser() -> _Parser:
     t.add_argument("--alpha", type=float, help="balance-loss weight override")
     t.add_argument("--trace", help="routing-trace filename ('.bin' suffix selects binary format)")
     t.add_argument("--out", default="modse-run", help="output directory")
-    t.add_argument("--data", nargs="*", help="UTF-8 text corpus files (default: synthetic)")
+    t.add_argument("--data", nargs="+", help="UTF-8 text corpus files (default: synthetic)")
     t.set_defaults(func=cmd_train)
 
     pl = sub.add_parser("plan", help="assign experts to logical devices")

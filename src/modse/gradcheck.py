@@ -22,7 +22,7 @@ import numpy as np
 from . import tensor as tt
 from .balance import balance_loss
 from .model import ModelConfig, init_weights, transformer_forward
-from .moe import ExpertParams, GateParams, build_paired_spec, gate_forward, init_experts, init_gate, moe_layer_forward
+from .moe import ExpertParams, GateOutput, GateParams, build_paired_spec, gate_forward, moe_layer_forward
 from .rng import stream_rng
 from .tensor import Tensor
 from .train import objective
@@ -117,8 +117,8 @@ def check_tensor_ops(n_seeds: int = 10) -> SuiteResult:
         logits = rng.permuted(np.arange(12, dtype=np.float64).reshape(3, 4) * 0.5, axis=1)
         logits += rng.normal(size=logits.shape) * 0.05
         assert _topk_margin(logits, 2) > 1e-2
-        run("keep_topk+softmax", lambda t: _proj(tt.softmax(tt.keep_topk(t["x"], 2)), pu), x=logits)
-        run("keep_topk/k=n", lambda t: _proj(tt.keep_topk(t["x"], 4), pu), x=logits)
+        run("topk_softmax", lambda t: _proj(tt.topk_softmax(t["x"], 2)[0], pu[:, :2]), x=logits)
+        run("topk_softmax/k=n", lambda t: _proj(tt.topk_softmax(t["x"], 4)[0], pu), x=logits)
 
         table = rng.normal(size=(6, 4))
         ids = rng.integers(0, 6, size=5)
@@ -128,14 +128,15 @@ def check_tensor_ops(n_seeds: int = 10) -> SuiteResult:
         rows = np.array([0, 2, 3, 5])  # strictly increasing: the backward assigns
         run("gather_rows/unique", lambda t: _proj(tt.gather_rows(t["x"], rows), p5[:4]), x=table)
 
-        # two experts of a 3-expert gate, the second on a subset of the rows
+        # two experts of a top-3 gate, the first at rank 2 of every row, the second at rank 0 of a subset
         sets = (np.arange(4), np.array([1, 3]))
+        ranks = (np.full(4, 2), np.zeros(2, dtype=np.int64))
         outs = [rng.normal(size=(len(r), 4)) for r in sets]
         gw = rng.normal(size=(4, 3))
         p4 = rng.normal(size=(4, 4))
         run(
             "combine",
-            lambda t: _proj(tt.combine([t["outputs0"], t["outputs1"]], sets, [2, 0], t["weights"]), p4),
+            lambda t: _proj(tt.combine([t["outputs0"], t["outputs1"]], sets, ranks, t["weights"]), p4),
             outputs0=outs[0], outputs1=outs[1], weights=gw,
         )
 
@@ -174,16 +175,26 @@ def _stable_gate_inputs(seed_name: str, t: int, d: int, n: int, k: int) -> dict[
     """x and the gate params, by name, whose top-k and argmax margins survive FD probes."""
     for attempt in range(50):
         rng = stream_rng(attempt, seed_name)
-        x = rng.normal(size=(t, d))
-        gate = init_gate(d, n, rng, std=0.5, dtype=np.float64)
-        lv = gate_forward(gate, Tensor(x, dtype=np.float64), k).logits.values
+        arrays = {"x": rng.normal(size=(t, d))}
+        arrays.update((name, rng.normal(0.0, 0.5, (d, n))) for name in ("w_gate", "w_noise"))
+        arrays["gamma"] = np.asarray(1.0)
+        w = {name: Tensor(a, dtype=np.float64) for name, a in arrays.items()}
+        lv = gate_forward(_gate(w), w["x"], k).logits.values
         if min(_topk_margin(lv, k), _topk_margin(lv, 1)) > 1e-2:
-            return {"x": x, "w_gate": gate.w_gate.values, "w_noise": gate.w_noise.values, "gamma": gate.gamma.values}
+            return arrays
     raise RuntimeError("could not find margin-stable gate inputs")
 
 
 def _gate(w: dict[str, Tensor]) -> GateParams:
     return GateParams(w["w_gate"], w["w_noise"], w["gamma"])
+
+
+def _dense_weights(out: GateOutput) -> Tensor:
+    """The [T, N] combination weights, zero off each row's top-k, as one tape node."""
+    idx = out.topk_indices
+    dense = np.zeros(out.full_probs.shape)
+    np.put_along_axis(dense, idx, out.topk_probs.values, axis=1)
+    return tt._record(dense, (out.topk_probs,), lambda g: (np.take_along_axis(g, idx, axis=1),))
 
 
 def check_gate(t: int = 5, d: int = 6, n: int = 4, k: int = 2) -> SuiteResult:
@@ -195,7 +206,7 @@ def check_gate(t: int = 5, d: int = 6, n: int = 4, k: int = 2) -> SuiteResult:
 
     def loss(w: dict[str, Tensor]) -> Tensor:
         out = gate_forward(_gate(w), w["x"], k)
-        return tt.add(_proj(out.masked_probs, pa), _proj(out.full_probs, pb))
+        return tt.add(_proj(_dense_weights(out), pa), _proj(out.full_probs, pb))
 
     return _suite("gate", _fd_each(loss, arrays), OPS_TOL)
 
@@ -206,8 +217,9 @@ def check_moe_layer(t: int = 3, d: int = 8, n: int = 4, k: int = 2) -> SuiteResu
     rng = stream_rng(7, "gradcheck-layer-experts")
     spec = build_paired_spec(d, 6, [(1.0, 0.5), (0.75, 0.75)])
     names = [f.name for f in fields(ExpertParams)]
-    for i, e in enumerate(init_experts(spec, rng, std=0.5, dtype=np.float64)):
-        arrays.update({f"expert{i}.{f}": getattr(e, f).values for f in names})
+    for i, h in enumerate(spec.expert_sizes):
+        for f, shape in zip(names, ((d, h), (d, h), (h, d))):
+            arrays[f"expert{i}.{f}"] = rng.normal(0.0, 0.5, shape)
     proj = rng.normal(size=(t, d))
 
     def loss(w: dict[str, Tensor]) -> Tensor:

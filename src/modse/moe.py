@@ -4,8 +4,9 @@ A layer holds N gated-linear experts whose hidden sizes may differ, arranged
 in pairs whose widths sum to twice the reference width h_base, so the layer's
 parameter count always equals that of N uniform experts of width h_base. The
 gate scores each token against every expert, adds a deterministic
-softplus/rmsnorm term derived from the token itself, keeps the top-k logits,
-and softmaxes them into combination weights.
+softplus/rmsnorm term derived from the token itself, and with one
+`topk_softmax` keeps each token's top-k experts and softmaxes their logits
+into [T, k] combination weights, aligned with the [T, k] expert indices.
 """
 
 from __future__ import annotations
@@ -112,15 +113,15 @@ def homogeneous_spec(d_model: int, h_base: int, n_experts: int) -> PairedExpertS
 class GateOutput:
     """Routing decision for a batch of tokens.
 
-    `masked_probs` is the full [T, N] matrix of combination weights (exact
-    zeros off the top-k). `full_probs` is the unmasked softmax of the logits,
-    the input to the balance loss.
+    `topk_probs[t, r]` is the combination weight of expert
+    `topk_indices[t, r]` for token t. `full_probs` is the unmasked softmax
+    of the logits, the input to the balance loss.
     """
 
     topk_indices: np.ndarray  # [T, k] int, rank order (rank 0 = largest logit)
     full_probs: Tensor  # [T, N]
     logits: Tensor  # [T, N]
-    masked_probs: Tensor  # [T, N]
+    topk_probs: Tensor  # [T, k], aligned with topk_indices
 
     @property
     def n_tokens(self) -> int:
@@ -143,14 +144,8 @@ def gate_forward(params: GateParams, x: Tensor, k: int) -> GateOutput:
         raise ValueError(f"gate_forward: k={k} outside 1..{n}")
     noise = tt.rmsnorm(tt.softplus(tt.matmul(x, params.w_noise)), params.gamma, eps=GATE_NORM_EPS)
     logits = tt.add(tt.matmul(x, params.w_gate), noise)
-    masked_probs = tt.softmax(tt.keep_topk(logits, k))
-    full_probs = tt.softmax(logits)
-    return GateOutput(
-        topk_indices=tt.topk_indices(logits.values, k),
-        full_probs=full_probs,
-        logits=logits,
-        masked_probs=masked_probs,
-    )
+    probs, idx = tt.topk_softmax(logits, k)
+    return GateOutput(topk_indices=idx, full_probs=tt.softmax(logits), logits=logits, topk_probs=probs)
 
 
 def expert_forward(e: ExpertParams, x: Tensor) -> Tensor:
@@ -164,43 +159,22 @@ def moe_layer_forward(
     """Route each token to its top-k experts and combine the outputs.
 
     Each expert runs once, on the rows routed to it; one weighted `combine`
-    then adds every expert's gate-scaled rows in expert-index order, which is
-    identical to a dense per-token sum over experts evaluated in the same
-    order. Tokens outside an expert's routing set contribute exactly zero to
-    it and are never evaluated.
+    then adds every expert's gate-scaled rows in expert-index order, each
+    row weighted at the rank that chose the expert, which is identical to a
+    dense per-token sum over experts evaluated in the same order. Tokens
+    outside an expert's routing set contribute exactly zero to it and are
+    never evaluated.
     """
     if not experts:
         raise ValueError("moe_layer_forward: experts list is empty")
     out = gate_forward(gate, x, k)
-    outputs, rows, used = [], [], []
+    outputs, rows, ranks = [], [], []
     for e_idx, expert in enumerate(experts):
-        routed = np.nonzero((out.topk_indices == e_idx).any(axis=1))[0]
+        routed, rank = np.nonzero(out.topk_indices == e_idx)
         if routed.size == 0:
             continue
         outputs.append(expert_forward(expert, tt.gather_rows(x, routed)))
         rows.append(routed)
-        used.append(e_idx)
-    return tt.combine(outputs, rows, used, out.masked_probs), out
+        ranks.append(rank)
+    return tt.combine(outputs, rows, ranks, out.topk_probs), out
 
-
-def init_gate(d_model: int, n_experts: int, rng: np.random.Generator, std: float = 0.02, dtype=np.float32) -> GateParams:
-    return GateParams(
-        w_gate=Tensor(rng.normal(0.0, std, (d_model, n_experts)), requires_grad=True, dtype=dtype),
-        w_noise=Tensor(rng.normal(0.0, std, (d_model, n_experts)), requires_grad=True, dtype=dtype),
-        gamma=Tensor(np.asarray(1.0), requires_grad=True, dtype=dtype),
-    )
-
-
-def init_experts(
-    spec: PairedExpertSpec, rng: np.random.Generator, std: float = 0.02, dtype=np.float32
-) -> list[ExpertParams]:
-    experts = []
-    for h in spec.expert_sizes:
-        experts.append(
-            ExpertParams(
-                w_in=Tensor(rng.normal(0.0, std, (spec.d_model, h)), requires_grad=True, dtype=dtype),
-                w_gateproj=Tensor(rng.normal(0.0, std, (spec.d_model, h)), requires_grad=True, dtype=dtype),
-                w_out=Tensor(rng.normal(0.0, std, (h, spec.d_model)), requires_grad=True, dtype=dtype),
-            )
-        )
-    return experts

@@ -22,11 +22,15 @@ penalty one `balance_penalty` op, each with a hand-written backward, so an
 expert or a penalty records one node instead of a chain of five. Both give
 the chain's bits; `glu_expert` computes its pointwise terms in place.
 
-The expert outputs of a mixture layer are merged by one weighted `combine`
-op: it adds each expert's gate-scaled rows into a [tokens, d] matrix, the
-experts in index order, which is identical to the dense per-token sum over
-experts in that order. Its hand-written backward is a plain gather, since
-no token row repeats within one expert.
+A gate's routing decision is one `topk_softmax` op: one stable sort picks
+each token's k largest logits, and their softmax is kept as [tokens, k]
+weights beside the [tokens, k] expert indices, in rank order. The expert
+outputs of a mixture layer are merged by one weighted `combine` op: it adds
+each expert's gate-scaled rows into a [tokens, d] matrix, the experts in
+index order, reading each row's weight at the rank that chose the expert,
+which is identical to the dense per-token sum over experts in that order.
+Its hand-written backward is a plain gather, since no token row repeats
+within one expert.
 """
 
 from __future__ import annotations
@@ -47,8 +51,7 @@ __all__ = [
     "rmsnorm",
     "glu_expert",
     "softmax",
-    "keep_topk",
-    "topk_indices",
+    "topk_softmax",
     "gather_rows",
     "embedding_lookup",
     "combine",
@@ -273,9 +276,9 @@ def rmsnorm(x: Tensor, gamma: Tensor, eps: float = 1e-6) -> Tensor:
     _check_same_dtype(x, gamma, "rmsnorm")
     ms = np.mean(np.square(v), axis=-1, keepdims=True)
     r = 1.0 / np.sqrt(ms + x.dtype.type(eps))
-    xhat = v * r
 
     def bw(g):
+        xhat = v * r  # rebuilt, not kept on the tape
         gg = g * gamma.values
         # gx = r * (gg - xhat * mean(gg * xhat)), the mean over the last axis
         gx = xhat * (np.einsum("...i,...i->...", gg, xhat)[..., None] / n)
@@ -288,7 +291,9 @@ def rmsnorm(x: Tensor, gamma: Tensor, eps: float = 1e-6) -> Tensor:
             ggamma = ggamma.reshape(-1, n).sum(axis=0)
         return gx, ggamma
 
-    return _record(gamma.values * xhat, (x, gamma), bw)
+    out = v * r
+    out *= gamma.values
+    return _record(out, (x, gamma), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +301,8 @@ def rmsnorm(x: Tensor, gamma: Tensor, eps: float = 1e-6) -> Tensor:
 
 
 def softmax(x: Tensor) -> Tensor:
-    """Row-wise softmax with max subtraction; -inf entries yield exactly 0."""
+    """Row-wise softmax with max subtraction."""
     v = x.values
-    if np.isneginf(v).all(axis=-1).any():
-        raise ValueError("softmax: empty support (a row is entirely masked)")
     m = np.max(v, axis=-1, keepdims=True)
     e = np.exp(v - m)
     out = e / e.sum(axis=-1, keepdims=True)
@@ -311,34 +314,32 @@ def softmax(x: Tensor) -> Tensor:
     return _record(out, (x,), bw)
 
 
-def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
-    """Per-row indices of the k largest entries, in rank order.
+def topk_softmax(logits: Tensor, k: int) -> tuple[Tensor, np.ndarray]:
+    """Softmax over each row's k largest logits: the [T, k] weights and their
+    [T, k] indices, both in rank order (rank 0 = largest logit).
 
-    Ties break toward the lowest index (stable sort on negated values), the
-    same rule `keep_topk` uses.
+    One stable sort of the negated logits picks the entries, so ties go to
+    the lowest index. The selection is constant during backward: the [T, k]
+    softmax gradient is scattered into a zero [T, N] matrix. The normaliser
+    sums in rank order; for k <= 2 that gives the bits of a softmax over
+    the row with every other entry at -inf.
     """
-    v = np.atleast_2d(values)
-    if not 1 <= k <= v.shape[-1]:
-        raise ValueError(f"topk: k={k} outside 1..{v.shape[-1]}")
-    return np.argsort(-v, axis=-1, kind="stable")[:, :k]
-
-
-def keep_topk(x: Tensor, k: int) -> Tensor:
-    """Keep each row's k largest entries, set the rest to -inf.
-
-    The selection pattern is treated as constant during backward: retained
-    positions pass gradient through unchanged, masked positions get zero.
-    """
-    idx = topk_indices(x.values, k)
-    mask2 = np.zeros_like(np.atleast_2d(x.values), dtype=bool)
-    np.put_along_axis(mask2, idx, True, axis=-1)
-    mask = mask2.reshape(x.shape)
-    out = np.where(mask, x.values, x.dtype.type(-np.inf))
+    v = logits.values
+    if v.ndim != 2:
+        raise ShapeError(f"topk_softmax: logits must be [T, N], got {logits.shape}")
+    if not 1 <= k <= v.shape[1]:
+        raise ValueError(f"topk_softmax: k={k} outside 1..{v.shape[1]}")
+    idx = np.argsort(-v, axis=-1, kind="stable")[:, :k]
+    top = np.take_along_axis(v, idx, axis=-1)
+    e = np.exp(top - top[:, :1])
+    e /= e.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        return (np.where(mask, g, 0),)
+        gx = np.zeros_like(v)
+        np.put_along_axis(gx, idx, e * (g - np.sum(g * e, axis=-1, keepdims=True)), axis=-1)
+        return (gx,)
 
-    return _record(out, (x,), bw)
+    return _record(e, (logits,), bw), idx
 
 
 # ---------------------------------------------------------------------------
@@ -370,31 +371,33 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def combine(
-    outputs: Sequence[Tensor], rows: Sequence[np.ndarray], experts: Sequence[int], weights: Tensor
+    outputs: Sequence[Tensor], rows: Sequence[np.ndarray], ranks: Sequence[np.ndarray], weights: Tensor
 ) -> Tensor:
     """Gate-weighted merge of per-expert outputs into one [T, d] matrix.
 
-    `weights` is the [T, N] gate matrix; `outputs[i]` holds expert
-    `experts[i]`'s results for the distinct token rows `rows[i]`. Starting
-    from zeros, output i is added in list order as
+    `weights` is the gate's [T, k] matrix in rank order; `outputs[i]` holds
+    one expert's results for the distinct token rows `rows[i]`, which chose
+    that expert at ranks `ranks[i]`. Starting from zeros, output i is added
+    in list order as
 
-        y[rows_i] += weights[rows_i, experts_i][:, None] * outputs_i
+        y[rows_i] += weights[rows_i, ranks_i][:, None] * outputs_i
 
     so each token sums its experts in list order, exactly as a dense
     per-token sum in that order does. No row repeats within one output, so
     the backward is a plain gather: output i receives g[rows_i] * w_i and
-    `weights` receives sum(g[rows_i] * outputs_i, axis=1) at (rows_i, experts_i).
+    `weights` receives sum(g[rows_i] * outputs_i, axis=1) at (rows_i, ranks_i).
     """
     matrices = outputs and outputs[0].values.ndim == weights.values.ndim == 2
-    if not (matrices and len(outputs) == len(rows) == len(experts)):
-        raise ShapeError(f"combine: {len(outputs)} outputs, {len(rows)} row sets, {len(experts)} experts")
-    (t, n), d = weights.shape, outputs[0].shape[1]
+    if not (matrices and len(outputs) == len(rows) == len(ranks)):
+        raise ShapeError(f"combine: {len(outputs)} outputs, {len(rows)} row sets, {len(ranks)} rank sets")
+    (t, k), d = weights.shape, outputs[0].shape[1]
     rows = [np.asarray(r, dtype=np.int64) for r in rows]
-    for o, r, e in zip(outputs, rows, experts):
-        if o.shape != (len(r), d) or not 0 <= e < n:
-            raise ShapeError(f"combine: output {o.shape} for {len(r)} rows of expert {e}, weights {weights.shape}")
+    ranks = [np.asarray(rk, dtype=np.int64) for rk in ranks]
+    for o, r, rk in zip(outputs, rows, ranks):
+        if o.shape != (len(r), d) or rk.shape != r.shape or rk.min(initial=0) < 0 or rk.max(initial=0) >= k:
+            raise ShapeError(f"combine: output {o.shape} for {len(r)} rows, ranks {rk.shape}, weights {weights.shape}")
         _check_same_dtype(o, weights, "combine")
-    cols = [weights.values[r, e][:, None] for r, e in zip(rows, experts)]
+    cols = [weights.values[r, rk][:, None] for r, rk in zip(rows, ranks)]
     y = np.zeros((t, d), dtype=weights.dtype)
     for o, r, w in zip(outputs, rows, cols):
         y[r] += o.values * w
@@ -402,10 +405,10 @@ def combine(
     def bw(g):
         gw = np.zeros_like(weights.values)
         grads = []
-        for o, r, e, w in zip(outputs, rows, experts, cols):
+        for o, r, rk, w in zip(outputs, rows, ranks, cols):
             gr = g[r]
             grads.append(gr * w)
-            gw[r, e] += np.sum(gr * o.values, axis=1)
+            gw[r, rk] += np.sum(gr * o.values, axis=1)
         return (*grads, gw)
 
     return _record(y, (*outputs, weights), bw)

@@ -79,7 +79,7 @@ def _gate_output_from_probs(probs):
         topk_indices=idx,
         full_probs=Tensor(probs, dtype=np.float64),
         logits=Tensor(probs, dtype=np.float64),
-        masked_probs=None,
+        topk_probs=None,
     )
 
 

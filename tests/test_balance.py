@@ -18,7 +18,7 @@ def gate_output_from_probs(probs: np.ndarray) -> GateOutput:
         topk_indices=idx,
         full_probs=Tensor(probs, dtype=np.float64),
         logits=Tensor(np.log(np.maximum(probs, 1e-300)), dtype=np.float64),
-        masked_probs=None,
+        topk_probs=None,
     )
 
 
@@ -91,7 +91,7 @@ class TestBalanceLoss:
             topk_indices=np.argsort(-probs.values, axis=1)[:, :2],
             full_probs=probs,
             logits=probs,
-            masked_probs=None,
+            topk_probs=None,
         )
         stats = balance_loss(out, alpha=0.01)
         tt.backward(stats.loss)

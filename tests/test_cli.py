@@ -189,6 +189,12 @@ class TestTrainCommand:
         assert "error: --alpha: alpha must be" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_data_flag_without_files_exits_one_naming_flag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY_MODEL, TINY_OPT)
+        assert cli.main(["train", "--config", str(cfg), "--steps", "1", "--out", str(tmp_path / "run"), "--data"]) == 1
+        assert "--data" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("field,value", [("alpha", -1), ("weight_decay", -0.5), ("lr_min", 0), ("eps", 0)])
     def test_bad_optimizer_value_exits_one_naming_file(self, tmp_path, field, value, capsys):
         cfg = write_config(tmp_path, TINY_MODEL, {**TINY_OPT, field: value})
@@ -324,6 +330,18 @@ class TestAnalyzeCommand:
             "sum_large,2,1",
             "sum_small,2,1",
         ]
+
+    @pytest.mark.parametrize("flag", ["--losses-baseline", "--losses-modse"])
+    def test_one_losses_flag_exits_one_before_any_output(self, tmp_path, flag, capsys):
+        tp = tmp_path / "t.jsonl"
+        uniform_trace_file(tp)
+        (tmp_path / "l.csv").write_text("token_index,loss\n0,1.0\n")
+        out = tmp_path / "analysis"
+        assert cli.main(["analyze", str(tp), flag, str(tmp_path / "l.csv"), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be given together" in captured.err
+        assert not out.exists()
 
     def test_heatmap_failure_exits_two_no_output_dir(self, tmp_path, monkeypatch):
         from modse import analytics, cli

@@ -18,7 +18,7 @@ def test_tensor_ops_ten_seeds():
 
 
 # names in tensor.__all__ that are not differentiable ops
-NON_OPS = {"ShapeError", "Tensor", "backward", "topk_indices", "per_token_cross_entropy", "finite_diff_grad"}
+NON_OPS = {"ShapeError", "Tensor", "backward", "per_token_cross_entropy", "finite_diff_grad"}
 
 
 def test_every_op_has_a_gradcheck_entry():
@@ -36,10 +36,12 @@ OP_CALLS = {
     "rmsnorm": lambda t: tt.rmsnorm(t(3, 4), t(4)),
     "glu_expert": lambda t: tt.glu_expert(t(3, 4), t(4, 5), t(4, 5), t(5, 4)),
     "softmax": lambda t: tt.softmax(t(3, 4)),
-    "keep_topk": lambda t: tt.keep_topk(t(3, 4), 2),
+    "topk_softmax": lambda t: tt.topk_softmax(t(3, 4), 2)[0],
     "gather_rows": lambda t: tt.gather_rows(t(5, 4), np.array([0, 2, 2])),
     "embedding_lookup": lambda t: tt.embedding_lookup(t(5, 4), np.array([4, 1, 1])),
-    "combine": lambda t: tt.combine([t(2, 4), t(1, 4)], [np.array([0, 2]), np.array([1])], [0, 1], t(3, 2)),
+    "combine": lambda t: tt.combine(
+        [t(2, 4), t(1, 4)], [np.array([0, 2]), np.array([1])], [np.array([0, 1]), np.array([0])], t(3, 2)
+    ),
     "causal_attention": lambda t: tt.causal_attention(
         t(6, 8), t(6, 8), t(6, 8), 2, np.cos(np.ones((3, 2))), np.sin(np.ones((3, 2)))
     ),

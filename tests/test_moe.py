@@ -15,8 +15,6 @@ from modse.moe import (
     expert_forward,
     gate_forward,
     homogeneous_spec,
-    init_experts,
-    init_gate,
     moe_layer_forward,
 )
 from modse.rng import stream_rng
@@ -97,8 +95,13 @@ class TestCountParameters:
         assert self._count(experts) == self._count(uniform)
 
 
+def _gate(d, n, rng, dtype=np.float64, std=0.5):
+    w_gate, w_noise = (Tensor(rng.normal(0.0, std, (d, n)), dtype=dtype) for _ in range(2))
+    return GateParams(w_gate=w_gate, w_noise=w_noise, gamma=Tensor(np.asarray(1.0), dtype=dtype))
+
+
 def _seeded_gate(d, n, seed=0, dtype=np.float64, std=0.5):
-    return init_gate(d, n, stream_rng(seed, "test-gate"), std=std, dtype=dtype)
+    return _gate(d, n, stream_rng(seed, "test-gate"), dtype=dtype, std=std)
 
 
 class TestGateForward:
@@ -124,7 +127,8 @@ class TestGateForward:
         rng = stream_rng(2, "test-gate-x")
         x = Tensor(rng.normal(size=(t, d)), dtype=np.float64)
         out = gate_forward(_seeded_gate(d, n), x, n)
-        np.testing.assert_allclose(out.masked_probs.values, out.full_probs.values, rtol=1e-12)
+        full = np.take_along_axis(out.full_probs.values, out.topk_indices, axis=1)
+        np.testing.assert_allclose(out.topk_probs.values, full, rtol=1e-12)
 
     def test_scalar_reimplementation_oracle(self):
         d, n, k, t = 4, 4, 2, 3
@@ -148,7 +152,7 @@ class TestGateForward:
             full = [e / sum(full_exps) for e in full_exps]
             np.testing.assert_allclose(out.logits.values[ti], logits, rtol=1e-10)
             assert list(out.topk_indices[ti]) == kept
-            np.testing.assert_allclose(out.masked_probs.values[ti], weights, rtol=1e-10, atol=0)
+            np.testing.assert_allclose(out.topk_probs.values[ti], [weights[i] for i in kept], rtol=1e-10, atol=0)
             np.testing.assert_allclose(out.full_probs.values[ti], full, rtol=1e-10)
 
     def test_weights_sum_to_one_and_sparsity(self):
@@ -156,20 +160,19 @@ class TestGateForward:
         rng = stream_rng(4, "test-gate-x")
         x = Tensor(rng.normal(size=(t, d)), dtype=np.float64)
         out = gate_forward(_seeded_gate(d, n, seed=4), x, k)
-        np.testing.assert_allclose(out.masked_probs.values.sum(axis=1), 1.0, atol=1e-6)
+        np.testing.assert_allclose(out.topk_probs.values.sum(axis=1), 1.0, atol=1e-6)
         np.testing.assert_allclose(out.full_probs.values.sum(axis=1), 1.0, atol=1e-6)
-        # exactly k nonzero weights per token, the rest exactly zero
-        nonzero = out.masked_probs.values != 0.0
-        assert (nonzero.sum(axis=1) == k).all()
+        # exactly k positive weights per token, one per distinct expert
+        assert out.topk_probs.shape == (t, k) and (out.topk_probs.values > 0.0).all()
         for ti in range(t):
             assert len(set(out.topk_indices[ti])) == k
 
     def test_shift_invariance_of_selection_and_weights(self):
         rng = stream_rng(5, "test-shift")
         logits = rng.normal(size=(7, 5))
-        a = tt.softmax(tt.keep_topk(Tensor(logits, dtype=np.float64), 2))
-        b = tt.softmax(tt.keep_topk(Tensor(logits + 3.7, dtype=np.float64), 2))
-        assert np.array_equal(a.values != 0, b.values != 0)
+        a, idx_a = tt.topk_softmax(Tensor(logits, dtype=np.float64), 2)
+        b, idx_b = tt.topk_softmax(Tensor(logits + 3.7, dtype=np.float64), 2)
+        assert np.array_equal(idx_a, idx_b)
         np.testing.assert_allclose(a.values, b.values, rtol=1e-12)
 
     def test_k_out_of_range(self):
@@ -180,7 +183,12 @@ class TestGateForward:
 
 
 def _seeded_experts(spec, seed=0, dtype=np.float64):
-    return init_experts(spec, stream_rng(seed, "test-experts"), std=0.5, dtype=dtype)
+    rng = stream_rng(seed, "test-experts")
+    d = spec.d_model
+    return [
+        ExpertParams(*(Tensor(rng.normal(0.0, 0.5, shape), dtype=dtype) for shape in ((d, h), (d, h), (h, d))))
+        for h in spec.expert_sizes
+    ]
 
 
 class TestExpertForward:
@@ -256,7 +264,9 @@ class TestMoeLayerForward:
         y, out = moe_layer_forward(gate, experts, x, k)
         dense = np.zeros((t, d))
         for i, e in enumerate(experts):
-            dense += out.masked_probs.values[:, i : i + 1] * expert_forward(e, x).values
+            # expert i's weight per token: its top-k weight, or zero when not chosen
+            w = np.where(out.topk_indices == i, out.topk_probs.values, 0.0).sum(axis=1, keepdims=True)
+            dense += w * expert_forward(e, x).values
         np.testing.assert_allclose(y.values, dense, rtol=1e-12, atol=1e-15)
 
     def test_unrouted_experts_contribute_exact_zero(self):
@@ -284,8 +294,8 @@ class TestMoeLayerForward:
         assert paired.expert_sizes == uniform.expert_sizes
         e1 = _seeded_experts(paired, seed=11, dtype=np.float32)
         e2 = _seeded_experts(uniform, seed=11, dtype=np.float32)
-        g1 = init_gate(d, n, stream_rng(11, "g"), dtype=np.float32)
-        g2 = init_gate(d, n, stream_rng(11, "g"), dtype=np.float32)
+        g1 = _gate(d, n, stream_rng(11, "g"), dtype=np.float32, std=0.02)
+        g2 = _gate(d, n, stream_rng(11, "g"), dtype=np.float32, std=0.02)
         x = Tensor(stream_rng(11, "t").normal(size=(7, d)), dtype=np.float32)
         y1, _ = moe_layer_forward(g1, e1, x, 2)
         y2, _ = moe_layer_forward(g2, e2, x, 2)

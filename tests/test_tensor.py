@@ -119,10 +119,6 @@ class TestSoftmax:
         assert np.isfinite(out.values).all()
         assert out.values.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_empty_support_raises(self):
-        with pytest.raises(ValueError, match="empty support"):
-            tt.softmax(Tensor([-np.inf, -np.inf]))
-
     @given(arrays(np.float64, (3, 5), elements=st.floats(-50, 50)))
     @settings(max_examples=50)
     def test_rows_sum_to_one_nonnegative(self, x):
@@ -131,35 +127,85 @@ class TestSoftmax:
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
 
-class TestKeepTopk:
+def masked_softmax_chain(x, k, g):
+    """Weights and d(loss)/d(x) of the keep-top-k then softmax chain the gate used before
+    `topk_softmax`: every entry but a row's k largest set to -inf, then a row softmax over
+    all N entries, with the top-k selection held constant in the backward. `g` is
+    d(loss)/d(weights) as a [T, N] matrix."""
+    idx = np.argsort(-x, axis=-1, kind="stable")[:, :k]
+    mask = np.zeros(x.shape, dtype=bool)
+    np.put_along_axis(mask, idx, True, axis=-1)
+    v = np.where(mask, x, x.dtype.type(-np.inf))
+    e = np.exp(v - np.max(v, axis=-1, keepdims=True))
+    out = e / e.sum(axis=-1, keepdims=True)
+    dot = np.sum(g * out, axis=-1, keepdims=True)
+    return out, np.where(mask, out * (g - dot), 0)
+
+
+class TestTopkSoftmax:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    def test_matches_masked_softmax_chain_bit_for_bit(self, k, dtype):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(7, 6)).astype(dtype)
+        g = rng.normal(size=(7, k)).astype(dtype)
+        order = np.argsort(-x, axis=-1, kind="stable")
+        if k == x.shape[1]:
+            # the normaliser sums in rank order: the chain gives the same bits on rank-ordered rows
+            x = np.take_along_axis(x, order, axis=-1)
+        xt = Tensor(x, requires_grad=True, dtype=dtype)
+        probs, idx = tt.topk_softmax(xt, k)
+        g_dense = np.zeros_like(x)
+        np.put_along_axis(g_dense, idx, g, axis=-1)
+        expect, expect_gx = masked_softmax_chain(x, k, g_dense)
+        assert np.array_equal(idx, np.argsort(-x, axis=-1, kind="stable")[:, :k])
+        assert probs.dtype == dtype and np.array_equal(probs.values, np.take_along_axis(expect, idx, axis=-1))
+        tt.backward(_proj(probs, g))
+        assert xt.grad.dtype == dtype and np.array_equal(xt.grad, expect_gx)
+
     def test_basic(self):
-        out = tt.keep_topk(Tensor([3.0, 1.0, 2.0], dtype=np.float64), 2)
-        assert out.values.tolist() == [3.0, -np.inf, 2.0]
+        probs, idx = tt.topk_softmax(Tensor([[3.0, 1.0, 2.0]], dtype=np.float64), 2)
+        assert idx.tolist() == [[0, 2]]
+        np.testing.assert_allclose(probs.values[0], SOFTMAX_3_2, rtol=0, atol=1e-15)
 
     def test_tie_lowest_index_wins(self):
-        out = tt.keep_topk(Tensor([5.0, 5.0, 1.0], dtype=np.float64), 1)
-        assert out.values.tolist() == [5.0, -np.inf, -np.inf]
+        probs, idx = tt.topk_softmax(Tensor([[5.0, 5.0, 1.0]], dtype=np.float64), 1)
+        assert idx.tolist() == [[0]] and probs.values.tolist() == [[1.0]]
+        assert tt.topk_softmax(Tensor([[1.0, 5.0, 5.0, 5.0]], dtype=np.float64), 2)[1].tolist() == [[1, 2]]
 
-    def test_k_equals_n_identity(self):
-        v = Tensor([1.0, 2.0, 3.0, 4.0], dtype=np.float64)
-        assert np.array_equal(tt.keep_topk(v, 4).values, v.values)
+    def test_k_equals_n_is_full_softmax(self):
+        x = Tensor([[1.0, 4.0, 2.0, 3.0]], dtype=np.float64)
+        probs, idx = tt.topk_softmax(x, 4)
+        assert idx.tolist() == [[1, 3, 2, 0]]
+        np.testing.assert_allclose(probs.values, tt.softmax(x).values[:, [1, 3, 2, 0]], rtol=1e-15)
 
     def test_k_too_large_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            tt.keep_topk(Tensor([1.0, 2.0]), 3)
+        for k in (0, 3):
+            with pytest.raises(ValueError, match="outside"):
+                tt.topk_softmax(Tensor([[1.0, 2.0]]), k)
+        with pytest.raises(ShapeError, match="topk_softmax"):
+            tt.topk_softmax(Tensor([1.0, 2.0]), 1)
 
     @given(arrays(np.float64, (4, 6), elements=st.floats(-100, 100)), st.integers(1, 6))
     @settings(max_examples=50)
     def test_idempotent(self, v, k):
-        once = tt.keep_topk(Tensor(v, dtype=np.float64), k)
-        twice = tt.keep_topk(once, k)
+        # selecting again from the kept logits keeps all of them, in place, with the same weights
+        once, idx = tt.topk_softmax(Tensor(v, dtype=np.float64), k)
+        twice, idx2 = tt.topk_softmax(Tensor(np.take_along_axis(v, idx, axis=-1), dtype=np.float64), k)
+        assert np.array_equal(idx2, np.broadcast_to(np.arange(k), idx2.shape))
         assert np.array_equal(once.values, twice.values)
 
     @given(arrays(np.float64, (4, 6), elements=st.floats(-100, 100)), st.integers(1, 6))
     @settings(max_examples=50)
     def test_keeps_exactly_k(self, v, k):
-        out = tt.keep_topk(Tensor(v, dtype=np.float64), k)
-        assert (np.isfinite(out.values).sum(axis=1) == k).all()
+        probs, idx = tt.topk_softmax(Tensor(v, dtype=np.float64), k)
+        assert probs.shape == idx.shape == (4, k)
+        assert all(len(set(row)) == k for row in idx.tolist())
+        dropped = np.ones(v.shape, dtype=bool)
+        np.put_along_axis(dropped, idx, False, axis=-1)
+        for row, kept, off in zip(v, np.take_along_axis(v, idx, axis=-1), dropped):
+            assert not off.any() or kept.min() >= row[off].max()
+        np.testing.assert_allclose(probs.values.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestBackward:
@@ -264,28 +310,28 @@ class TestStructuralOps:
 
 class TestCombine:
     def test_matches_numpy_loop(self):
-        # float64, three experts in a non-sorted order, one on a subset of rows:
-        # forward and both gradients equal a plain loop bit for bit
+        # float64, three experts of a top-3 gate, two on subsets of the rows, each row's
+        # experts at distinct ranks: forward and both gradients equal a plain loop bit for bit
         rng = np.random.default_rng(5)
-        t, d, n = 6, 4, 5
-        w = rng.random((t, n))
+        t, d, k = 6, 4, 3
+        w = rng.random((t, k))
         rows = [np.arange(t), np.array([1, 4, 5]), np.array([0, 2])]
-        experts = [3, 0, 4]
+        ranks = [np.array([0, 1, 2, 0, 1, 0]), np.array([0, 2, 2]), np.array([2, 0])]
         outs = [rng.normal(size=(len(r), d)) for r in rows]
         g = rng.normal(size=(t, d))
 
         expect = np.zeros((t, d))
         expect_go = []
-        expect_gw = np.zeros((t, n))
-        for o, r, e in zip(outs, rows, experts):
-            for j, i in enumerate(r):
-                expect[i] = expect[i] + o[j] * w[i, e]
-                expect_gw[i, e] = np.sum(g[i] * o[j])
-            expect_go.append(g[r] * w[r, e][:, None])
+        expect_gw = np.zeros((t, k))
+        for o, r, rk in zip(outs, rows, ranks):
+            for j, (i, c) in enumerate(zip(r, rk)):
+                expect[i] = expect[i] + o[j] * w[i, c]
+                expect_gw[i, c] = np.sum(g[i] * o[j])
+            expect_go.append(g[r] * w[r, rk][:, None])
 
         out_t = [Tensor(o, requires_grad=True, dtype=np.float64) for o in outs]
         w_t = Tensor(w, requires_grad=True, dtype=np.float64)
-        y = tt.combine(out_t, rows, experts, w_t)
+        y = tt.combine(out_t, rows, ranks, w_t)
         assert np.array_equal(y.values, expect)
         tt.backward(_proj(y, g))
         for o, eg in zip(out_t, expect_go):
@@ -295,16 +341,20 @@ class TestCombine:
     def test_shape_errors(self):
         w = Tensor(np.ones((3, 2)))
         o = Tensor(np.ones((2, 4)))
+        r = np.array([0, 1])
         with pytest.raises(ShapeError):
             tt.combine([], [], [], w)
         with pytest.raises(ShapeError):
-            tt.combine([o], [np.array([0, 1, 2])], [0], w)
+            tt.combine([o], [np.array([0, 1, 2])], [np.zeros(3)], w)
         with pytest.raises(ShapeError):
-            tt.combine([o], [np.array([0, 1])], [2], w)
+            tt.combine([o], [r], [np.array([0])], w)
+        for bad_rank in (2, -1):
+            with pytest.raises(ShapeError):
+                tt.combine([o], [r], [np.array([0, bad_rank])], w)
         with pytest.raises(ShapeError):
-            tt.combine([o], [np.array([0, 1])], [0, 1], w)
+            tt.combine([o], [r], [r, r], w)
         with pytest.raises(ShapeError):
-            tt.combine([o], [np.array([0, 1])], [0], Tensor(np.ones((3, 2)), dtype=np.float32))
+            tt.combine([o], [r], [r], Tensor(np.ones((3, 2)), dtype=np.float32))
 
 
 def chain_matmul(a, b):

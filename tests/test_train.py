@@ -52,14 +52,14 @@ class TestTrain:
         for name in fresh:
             np.testing.assert_array_equal(weights[name].values, fresh[name].values)
 
-    def test_micro_step_records_32_nodes(self, corpus, monkeypatch):
-        # one tape node per op call, each expert and each balance penalty fused
-        # into one: an op chain coming back raises the count
+    def test_micro_step_records_31_nodes(self, corpus, monkeypatch):
+        # one tape node per op call, each expert, each gate's top-k softmax and each
+        # balance penalty fused into one: an op chain coming back raises the count
         real = tt._record
         nodes = []
         monkeypatch.setattr(tt, "_record", lambda *a: nodes.append(a) or real(*a))
         train(tiny_cfg(n_layers=1, batch_size=8, seed=3), tiny_opt(), corpus, steps=1)
-        assert len(nodes) == 32
+        assert len(nodes) == 31
 
     def test_alpha_zero_same_step0_ce_then_diverges(self, corpus):
         cfg = tiny_cfg()
