@@ -90,10 +90,14 @@ def train(
     checkpoint_out: str | Path | None = None,
     trace_binary: bool = False,
 ) -> tuple[list[TrainStepRecord], dict[str, Tensor]]:
-    """Run `steps` optimizer steps from fresh seeded weights; returns records and weights."""
+    """Run `steps` optimizer steps from fresh seeded weights; returns records and weights.
+
+    The trainable weights are packed into one flat buffer before step 0 (see
+    `AdamState`), so the returned tensors hold views of it.
+    """
     weights = init_weights(cfg)
     params = named_params(weights)
-    state = AdamState()
+    state = AdamState(params)
     batcher = Batcher(corpus, cfg.seq_len, cfg.batch_size, cfg.seed)
     spec = cfg.expert_spec()
 
@@ -122,11 +126,11 @@ def train(
                 raise NonFiniteLossError(f"step {step}: loss is {float(loss.values)} (cross entropy {float(ce.values)})")
 
             tt.backward(loss)
-            gnorm = clip_global_norm(params, opt.grad_clip_norm)
+            gnorm = clip_global_norm(state, opt.grad_clip_norm)
             if not np.isfinite(gnorm):
                 bad = next((n for n, p in params if p.grad is not None and not np.isfinite(p.grad).all()), None)
                 raise NonFiniteLossError(f"step {step}: gradient norm is {gnorm} (first non-finite gradient: {bad})")
-            adam_step(params, state, opt, step + 1)
+            adam_step(state, opt, step + 1)
             for _, p in params:
                 p.zero_grad()
 
@@ -146,6 +150,8 @@ def train(
             if writer is not None:
                 _trace_step(writer, gate_outs, epoch, token_base)
             token_base += inputs.size
+            # drop this step's graph (activations and closures) before the next forward
+            del loss, ce, stats, gate_outs
     finally:
         if writer is not None:
             writer.close()

@@ -195,7 +195,7 @@ class TestTrainCommand:
         assert "--data" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("field,value", [("alpha", -1), ("weight_decay", -0.5), ("lr_min", 0), ("eps", 0)])
+    @pytest.mark.parametrize("field,value", [("alpha", -1), ("weight_decay", -0.5), ("lr_min", 0), ("eps", 0), ("lr_min", 2e-3)])
     def test_bad_optimizer_value_exits_one_naming_file(self, tmp_path, field, value, capsys):
         cfg = write_config(tmp_path, TINY_MODEL, {**TINY_OPT, field: value})
         assert cli.main(["train", "--config", str(cfg), "--steps", "2", "--out", str(tmp_path / "run")]) == 1

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -164,26 +166,67 @@ class TestTrain:
         steps = [json.loads(line)["step"] for line in (tmp_path / "m.jsonl").read_text().splitlines()]
         assert steps == [0, 1]
 
+    @staticmethod
+    def count_optimizer_calls(monkeypatch) -> list:
+        # perfbench times clipping and Adam by wrapping these two names in
+        # modse.train: a rename would silently zero its optim.* metrics
+        real_clip, real_adam = modse.train.clip_global_norm, modse.train.adam_step
+        calls = []
+
+        def counting_clip(state, max_norm):
+            calls.append("clip")
+            return real_clip(state, max_norm)
+
+        def counting_adam_step(state, opt, step):
+            calls.append(f"adam {step}")
+            real_adam(state, opt, step)
+
+        monkeypatch.setattr(modse.train, "clip_global_norm", counting_clip)
+        monkeypatch.setattr(modse.train, "adam_step", counting_adam_step)
+        return calls
+
+    def test_clip_and_adam_run_once_per_step(self, corpus, monkeypatch):
+        calls = self.count_optimizer_calls(monkeypatch)
+        train(tiny_cfg(), tiny_opt(), corpus, steps=3)
+        assert calls == ["clip", "adam 1", "clip", "adam 2", "clip", "adam 3"]
+
     def test_non_finite_gradient_stops_before_the_update(self, corpus, tmp_path, monkeypatch):
         # an absurd learning rate: after step 0's update the loss stays finite
         # but step 1's gradients are NaN, and Adam must not apply them
-        real = modse.train.adam_step
-        updates = []
-
-        def counting_adam_step(params, state, opt, step):
-            updates.append(step)
-            real(params, state, opt, step)
-
-        monkeypatch.setattr(modse.train, "adam_step", counting_adam_step)
+        calls = self.count_optimizer_calls(monkeypatch)
         opt = tiny_opt(warmup_steps=0, lr_peak=1e30)
         with np.errstate(all="ignore"), pytest.raises(
             NonFiniteLossError, match=r"step 1: gradient norm is nan \(first non-finite gradient: \w+"
         ):
             train(tiny_cfg(), opt, corpus, 6, metrics_out=tmp_path / "m.jsonl")
-        assert updates == [1]
+        assert calls == ["clip", "adam 1", "clip"]
         rows = [json.loads(line) for line in (tmp_path / "m.jsonl").read_text().splitlines()]
         assert [r["step"] for r in rows] == [0]
         assert math.isfinite(rows[0]["grad_norm_pre_clip"])
+
+    def test_previous_step_graph_freed_before_next_forward(self, corpus, monkeypatch):
+        # a step's tape holds every activation; keeping it through the next
+        # step's forward and backward doubles the peak memory
+        real = modse.train.objective
+        refs, live = [], []
+
+        def tracking_objective(*args):
+            gc.collect()
+            live.append(sum(r() is not None for r in refs))
+            out = real(*args)
+            refs.append(weakref.ref(out[3][0].full_probs.values))
+            return out
+
+        monkeypatch.setattr(modse.train, "objective", tracking_objective)
+        train(tiny_cfg(), tiny_opt(), corpus, steps=3)
+        assert live == [0, 0, 0]
+
+    def test_weights_are_views_of_one_flat_buffer(self, corpus):
+        _, weights = train(tiny_cfg(), tiny_opt(), corpus, steps=1)
+        bases = {id(t.values.base) for t in weights.values()}
+        assert len(bases) == 1
+        flat = next(iter(weights.values())).values.base
+        assert flat.size == sum(t.size for t in weights.values())
 
 
 class TestEvalLoss:
