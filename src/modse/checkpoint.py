@@ -50,10 +50,13 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], dict]:
         remaining = os.fstat(fh.fileno()).st_size - fh.tell()
         for i, entry in enumerate(entries):
             try:
-                name = entry["name"]
-                shape = tuple(int(n) for n in entry["shape"])
-            except (KeyError, TypeError, ValueError, OverflowError) as e:
+                name, shape = entry["name"], entry["shape"]
+            except (KeyError, TypeError) as e:
                 raise CheckpointError(f"{path}: tensor entry {i} needs a 'name' and an integer 'shape'") from e
+            # JSON integers only: `type(n) is int` turns away floats and bools, which int() would cast
+            if not isinstance(shape, list) or not all(type(n) is int for n in shape):
+                raise CheckpointError(f"{path}: tensor entry {i} needs a 'name' and an integer 'shape', got {shape!r}")
+            shape = tuple(shape)
             if not isinstance(name, str):
                 raise CheckpointError(f"{path}: tensor entry {i} has a non-string name {name!r}")
             if min(shape, default=0) < 0:

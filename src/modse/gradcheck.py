@@ -105,7 +105,6 @@ def check_tensor_ops(n_seeds: int = 10) -> SuiteResult:
 
         u, v, pu = (rng.normal(size=(3, 4)) for _ in range(3))
         run("add", lambda t: _proj(tt.add(t["x"], Tensor(v, dtype=np.float64)), pu), x=u)
-        run("softplus", lambda t: _proj(tt.softplus(t["x"]), pu), x=u)
 
         gamma_v = rng.normal(size=(4,)) + 1.5
         gamma_s = np.asarray(rng.normal() + 1.5)
@@ -140,22 +139,17 @@ def check_tensor_ops(n_seeds: int = 10) -> SuiteResult:
             outputs0=outs[0], outputs1=outs[1], weights=gw,
         )
 
-        # two heads, two sequences: the op's rope, head split and sequence split all show
+        # two heads, two sequences: the op's rope, head split and sequence split all show; its
+        # weights are drawn at the end, and the two unused draws keep the later entries' inputs
         seq, n_heads, hd = 5, 2, 4
-        q, k, v, pa = (rng.normal(size=(2 * seq, n_heads * hd)) for _ in range(4))
+        h, _, _, pa = (rng.normal(size=(2 * seq, n_heads * hd)) for _ in range(4))
         theta = rng.normal(size=(seq, hd // 2))
-        cos, sin = np.cos(theta), np.sin(theta)
-        run(
-            "causal_attention",
-            lambda t: _proj(tt.causal_attention(t["q"], t["k"], t["v"], n_heads, cos, sin), pa),
-            q=q, k=k, v=v,
-        )
+        tables = tt.build_attention_tables(np.cos(theta), np.sin(theta), n_heads)
 
         lg = rng.normal(size=(6, 5))
         tg = rng.integers(0, 5, size=6)
         run("cross_entropy", lambda t: tt.cross_entropy(t["x"], tg), x=lg)
 
-        # drawn last, so every entry above keeps its inputs
         x, w_in, w_gate, w_out = (rng.normal(size=shape) for shape in ((3, 4), (4, 5), (4, 5), (5, 3)))
         pg = rng.normal(size=(3, 3))
         run(
@@ -167,6 +161,23 @@ def check_tensor_ops(n_seeds: int = 10) -> SuiteResult:
         probs = rng.random(size=(5, 4))
         f = rng.random(size=4)
         run("balance_penalty", lambda t: tt.balance_penalty(t["x"], f, 0.04)[0], x=probs)
+
+        # the fused ops' remaining inputs, drawn after every other entry's
+        d = n_heads * hd
+        attn = {"gamma": rng.normal(size=(d,)) + 1.5}
+        attn.update((name, rng.normal(0.0, 0.5, (d, d))) for name in ("wq", "wk", "wv", "wo"))
+        run(
+            "causal_attention",
+            lambda t: _proj(tt.causal_attention(t["h"], t["gamma"], t["wq"], t["wk"], t["wv"], t["wo"], tables), pa),
+            h=h, **attn,
+        )
+
+        x, w_gate, w_noise, pl = (rng.normal(size=shape) for shape in ((5, 6), (6, 4), (6, 4), (5, 4)))
+        run(
+            "gate_logits",
+            lambda t: _proj(tt.gate_logits(t["x"], t["w_gate"], t["w_noise"], t["gamma"]), pl),
+            x=x, w_gate=w_gate, w_noise=w_noise, gamma=np.asarray(rng.normal() + 1.5),
+        )
 
     return _suite("tensor_ops", worst, OPS_TOL)
 

@@ -2,13 +2,17 @@
 
 Pre-norm blocks: rmsnorm -> causal multi-head attention with rotary position
 mixing -> residual -> rmsnorm -> routed expert layer -> residual, then a final
-rmsnorm and an output projection. No biases, no dropout. Weights live in a
-flat ordered name->Tensor dict so checkpointing and the optimizer can treat
-the model as a list of named buffers.
+rmsnorm and an output projection. No biases, no dropout. Each attention
+sublayer, from its norm to its residual, is one `causal_attention` node, fed
+rotary tables and a causal mask that are built once per shape and dtype and
+shared, read-only, by every later forward. Weights live in a flat ordered
+name->Tensor dict so checkpointing and the optimizer can treat the model as
+a list of named buffers.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, asdict
@@ -159,6 +163,12 @@ def rope_tables(seq_len: int, head_dim: int, dtype, base: float = ROPE_BASE):
     return np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
 
 
+@functools.lru_cache(maxsize=None)
+def attention_tables(seq_len: int, head_dim: int, n_heads: int, dtype) -> tt.AttentionTables:
+    """The read-only rotary tables and causal mask of `tt.causal_attention`, built once per argument tuple."""
+    return tt.build_attention_tables(*rope_tables(seq_len, head_dim, dtype), n_heads)
+
+
 def transformer_forward(cfg: ModelConfig, weights: dict[str, Tensor], tokens: np.ndarray):
     """Forward pass over a [batch, seq] token matrix.
 
@@ -171,20 +181,14 @@ def transformer_forward(cfg: ModelConfig, weights: dict[str, Tensor], tokens: np
     if tokens.size and (tokens.min() < 0 or tokens.max() >= cfg.vocab_size):
         raise ValueError(f"token id out of range for vocab {cfg.vocab_size}")
     b, s = tokens.shape
-    head_dim = cfg.dim // cfg.n_heads
-    dtype = weights["embed"].values.dtype
-    cos, sin = rope_tables(s, head_dim, dtype)
+    tables = attention_tables(s, cfg.dim // cfg.n_heads, cfg.n_heads, weights["embed"].values.dtype)
 
     h = tt.embedding_lookup(weights["embed"], tokens.reshape(-1))
     gate_outs = []
     for i in range(cfg.n_layers):
         p = f"layers.{i}"
-        a_in = tt.rmsnorm(h, weights[f"{p}.attn_norm.gamma"], eps=NORM_EPS)
-        q = tt.matmul(a_in, weights[f"{p}.attn.wq"])
-        k = tt.matmul(a_in, weights[f"{p}.attn.wk"])
-        v = tt.matmul(a_in, weights[f"{p}.attn.wv"])
-        attn = tt.matmul(tt.causal_attention(q, k, v, cfg.n_heads, cos, sin), weights[f"{p}.attn.wo"])
-        h = tt.add(h, attn)
+        proj = (weights[f"{p}.attn.{name}"] for name in ("wq", "wk", "wv", "wo"))
+        h = tt.causal_attention(h, weights[f"{p}.attn_norm.gamma"], *proj, tables, eps=NORM_EPS)
 
         m_in = tt.rmsnorm(h, weights[f"{p}.ffn_norm.gamma"], eps=NORM_EPS)
         y, gate_out = moe_layer_forward(

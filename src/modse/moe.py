@@ -3,10 +3,11 @@
 A layer holds N gated-linear experts whose hidden sizes may differ, arranged
 in pairs whose widths sum to twice the reference width h_base, so the layer's
 parameter count always equals that of N uniform experts of width h_base. The
-gate scores each token against every expert, adds a deterministic
-softplus/rmsnorm term derived from the token itself, and with one
-`topk_softmax` keeps each token's top-k experts and softmaxes their logits
-into [T, k] combination weights, aligned with the [T, k] expert indices.
+gate scores each token against every expert and adds a deterministic
+softplus/rmsnorm term derived from the token itself, both in one
+`gate_logits` node, and with one `topk_softmax` keeps each token's top-k
+experts and softmaxes their logits into [T, k] combination weights, aligned
+with the [T, k] expert indices.
 """
 
 from __future__ import annotations
@@ -136,14 +137,14 @@ def gate_forward(params: GateParams, x: Tensor, k: int) -> GateOutput:
     """Score tokens against experts and pick each token's top-k.
 
     Logits are x @ w_gate plus an rmsnorm-scaled softplus of x @ w_noise,
-    computed per token over the expert axis. There is no random sampling:
-    the additive term is a deterministic function of the token.
+    computed per token over the expert axis, as one `gate_logits` node.
+    There is no random sampling: the additive term is a deterministic
+    function of the token.
     """
     n = params.n_experts
     if not 1 <= k <= n:
         raise ValueError(f"gate_forward: k={k} outside 1..{n}")
-    noise = tt.rmsnorm(tt.softplus(tt.matmul(x, params.w_noise)), params.gamma, eps=GATE_NORM_EPS)
-    logits = tt.add(tt.matmul(x, params.w_gate), noise)
+    logits = tt.gate_logits(x, params.w_gate, params.w_noise, params.gamma, GATE_NORM_EPS)
     probs, idx = tt.topk_softmax(logits, k)
     return GateOutput(topk_indices=idx, full_probs=tt.softmax(logits), logits=logits, topk_probs=probs)
 

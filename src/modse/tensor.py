@@ -8,14 +8,19 @@ stores its parents and a backward closure, and carries a monotonically
 increasing node id, so `backward` can replay the tape in exact reverse
 recording order, visiting each node once.
 
-Multi-head causal self-attention is a single fused op, `causal_attention`:
-it takes the [tokens, d] query/key/value projections, applies rotary mixing
-to queries and keys inside, over whole contiguous rows, works on all heads
-and sequences at once with batched matmuls, skips the fully masked part of
-the score matrix block by block, keeps each block's probabilities key-major,
-and has a hand-written backward whose softmax row term comes from the
-output rows, so a transformer layer records one attention node instead of a
-chain per head.
+The pre-norm attention sublayer is a single fused op, `causal_attention`:
+h + Attn(rope(n Wq), rope(n Wk), n Wv) Wo with n = rmsnorm(h, gamma). It
+rotates queries and keys over whole contiguous rows by tables built once
+per shape (`AttentionTables`), works on all heads and sequences at once with
+batched matmuls, skips the fully masked part of the score matrix block by
+block, keeps each block's probabilities key-major, and has a hand-written
+backward whose softmax row term comes from the output rows, so a
+transformer layer records one attention node instead of a chain of seven.
+
+A gate's logits, x W_gate + rmsnorm(softplus(x W_noise)), are one
+`gate_logits` op instead of a chain of five. Both fused ops give the bits
+of the chains they replace: each lists an input once per use and returns
+its partial gradients in the order the chain's tape accumulated them.
 
 A gated-linear expert is one `glu_expert` op and the auxiliary balance
 penalty one `balance_penalty` op, each with a hand-written backward, so an
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,8 +52,8 @@ __all__ = [
     "backward",
     "matmul",
     "add",
-    "softplus",
     "rmsnorm",
+    "gate_logits",
     "glu_expert",
     "softmax",
     "topk_softmax",
@@ -250,14 +255,36 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
     return s
 
 
-def softplus(x: Tensor) -> Tensor:
-    v = x.values
-    out = np.maximum(v, 0) + np.log1p(np.exp(-np.abs(v)))
+def _softplus(v: np.ndarray) -> np.ndarray:
+    return np.maximum(v, 0) + np.log1p(np.exp(-np.abs(v)))
 
-    def bw(g):
-        return (g * _sigmoid(v),)
 
-    return _record(out.astype(x.dtype), (x,), bw)
+def _check_gamma(gamma: Tensor, n: int, op: str) -> None:
+    if gamma.values.ndim not in (0, 1) or (gamma.values.ndim == 1 and gamma.shape[0] != n):
+        raise ShapeError(f"{op}: gamma shape {gamma.shape} does not fit last axis {n}")
+
+
+def _rms_scale(v: np.ndarray, eps: float) -> np.ndarray:
+    """1 / sqrt(mean(v^2) + eps) over the last axis, kept as a trailing axis of length 1."""
+    if eps < 0:
+        raise ValueError("eps must be non-negative")
+    ms = np.mean(np.square(v), axis=-1, keepdims=True)
+    return 1.0 / np.sqrt(ms + v.dtype.type(eps))
+
+
+def _rmsnorm_backward(g: np.ndarray, v: np.ndarray, r: np.ndarray, gamma: np.ndarray):
+    """Gradients of v and gamma of v * r * gamma, given r = `_rms_scale(v)` and d(loss)/d(out) g."""
+    n = v.shape[-1]
+    xhat = v * r  # rebuilt, not kept on the tape
+    gg = g * gamma
+    # gx = r * (gg - xhat * mean(gg * xhat)), the mean over the last axis
+    gx = xhat * (np.einsum("...i,...i->...", gg, xhat)[..., None] / n)
+    np.subtract(gg, gx, out=gx)
+    gx *= r
+    ggamma = np.multiply(g, xhat, out=gg)
+    if gamma.ndim == 0:
+        return gx, np.asarray(ggamma.sum(), dtype=v.dtype)
+    return gx, ggamma.reshape(-1, n).sum(axis=0)
 
 
 def rmsnorm(x: Tensor, gamma: Tensor, eps: float = 1e-6) -> Tensor:
@@ -267,33 +294,46 @@ def rmsnorm(x: Tensor, gamma: Tensor, eps: float = 1e-6) -> Tensor:
     the last axis. `eps` keeps the zero vector a fixed point; eps=0 is
     allowed for exact hand comparisons on nonzero inputs.
     """
-    if eps < 0:
-        raise ValueError("rmsnorm: eps must be non-negative")
     v = x.values
-    n = v.shape[-1]
-    if gamma.values.ndim not in (0, 1) or (gamma.values.ndim == 1 and gamma.shape[0] != n):
-        raise ShapeError(f"rmsnorm: gamma shape {gamma.shape} does not fit last axis {n}")
+    _check_gamma(gamma, v.shape[-1], "rmsnorm")
     _check_same_dtype(x, gamma, "rmsnorm")
-    ms = np.mean(np.square(v), axis=-1, keepdims=True)
-    r = 1.0 / np.sqrt(ms + x.dtype.type(eps))
-
-    def bw(g):
-        xhat = v * r  # rebuilt, not kept on the tape
-        gg = g * gamma.values
-        # gx = r * (gg - xhat * mean(gg * xhat)), the mean over the last axis
-        gx = xhat * (np.einsum("...i,...i->...", gg, xhat)[..., None] / n)
-        np.subtract(gg, gx, out=gx)
-        gx *= r
-        ggamma = np.multiply(g, xhat, out=gg)
-        if gamma.values.ndim == 0:
-            ggamma = np.asarray(ggamma.sum(), dtype=x.dtype)
-        else:
-            ggamma = ggamma.reshape(-1, n).sum(axis=0)
-        return gx, ggamma
-
+    r = _rms_scale(v, eps)
     out = v * r
     out *= gamma.values
-    return _record(out, (x, gamma), bw)
+    return _record(out, (x, gamma), lambda g: _rmsnorm_backward(g, v, r, gamma.values))
+
+
+def gate_logits(x: Tensor, w_gate: Tensor, w_noise: Tensor, gamma: Tensor, eps: float = 1e-6) -> Tensor:
+    """A gate's expert logits x W_gate + rmsnorm(softplus(x W_noise), gamma) as one node.
+
+    x is [T, d], w_gate and w_noise are [d, N], gamma is a scalar or an [N]
+    vector. The tape keeps a = x W_noise, s = softplus(a) and the norm's
+    1/rms; the backward evaluates the chain's expressions in the chain's
+    order. Its parents are (x, x, w_gate, w_noise, gamma): x's x W_gate
+    term comes first and its noise term second, the order in which the
+    chain's tape added them, so an x that feeds other nodes too
+    accumulates the same bits.
+    """
+    ok = x.values.ndim == w_gate.values.ndim == 2 and w_noise.shape == w_gate.shape
+    if not (ok and x.shape[1] == w_gate.shape[0]):
+        raise ShapeError(f"gate_logits: x {x.shape}, w_gate {w_gate.shape}, w_noise {w_noise.shape}")
+    _check_gamma(gamma, w_gate.shape[1], "gate_logits")
+    for w in (w_gate, w_noise, gamma):
+        _check_same_dtype(x, w, "gate_logits")
+    a = _mm(x.values, w_noise.values)
+    s = _softplus(a)
+    r = _rms_scale(s, eps)
+    logits = s * r
+    logits *= gamma.values
+    logits += _mm(x.values, w_gate.values)
+
+    def bw(g):
+        gs, ggamma = _rmsnorm_backward(g, s, r, gamma.values)
+        gs *= _sigmoid(a)  # softplus' derivative: the gradient of a
+        xt = x.values.T
+        return g @ w_gate.values.T, gs @ w_noise.values.T, xt @ g, xt @ gs, ggamma
+
+    return _record(logits, (x, x, w_gate, w_noise, gamma), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -421,92 +461,127 @@ def combine(
 ATTN_BLOCK = 64
 
 
-def _rotary_tables(cos: np.ndarray, sin: np.ndarray, n_heads: int) -> tuple[np.ndarray, np.ndarray]:
-    """Full-width rotary tables from the [S, hd/2] angle tables, shaped
-    [S, H, 2, hd/2] over a row's columns: each head holds [cos | cos] and
-    [-sin | sin]."""
+class AttentionTables(NamedTuple):
+    """The constant inputs of `causal_attention` for one (seq_len, head_dim, n_heads, dtype), read-only.
+
+    cos_k and sin_k are the full-width rotary tables, [S, H, 2, hd/2] over
+    a row's columns: each head holds [cos | cos] and [-sin | sin]. cos_q
+    and sin_q are the same tables scaled by 1/sqrt(hd), so rotating the
+    queries also applies the score scale. mask is the diagonal block's
+    key-major [ATTN_BLOCK, ATTN_BLOCK] causal mask: -inf where key > query.
+    """
+
+    cos_q: np.ndarray
+    sin_q: np.ndarray
+    cos_k: np.ndarray
+    sin_k: np.ndarray
+    mask: np.ndarray
+
+
+def build_attention_tables(cos: np.ndarray, sin: np.ndarray, n_heads: int) -> AttentionTables:
+    """The tables of `n_heads` heads from the [S, hd/2] angle tables cos/sin, in their dtype."""
+    if cos.ndim != 2 or sin.shape != cos.shape or cos.dtype != sin.dtype or n_heads < 1 or cos.shape[1] < 1:
+        raise ShapeError(f"attention tables: cos {cos.shape}, sin {sin.shape}, n_heads {n_heads}")
+    dt = cos.dtype
     shape = (cos.shape[0], n_heads, 2, cos.shape[1])
-    cos_t = np.broadcast_to(cos[:, None, None], shape)
-    sin_t = np.broadcast_to(np.stack([-sin, sin], axis=1)[:, None], shape)
-    return cos_t.copy(), sin_t.copy()
+    cos_k = np.broadcast_to(cos[:, None, None], shape).copy()
+    sin_k = np.broadcast_to(np.stack([-sin, sin], axis=1)[:, None], shape).copy()
+    inv = dt.type(1.0 / math.sqrt(2 * cos.shape[1]))
+    mask = np.tril(np.full((ATTN_BLOCK, ATTN_BLOCK), -np.inf, dtype=dt), k=-1)
+    tables = AttentionTables(cos_k * inv, sin_k * inv, cos_k, sin_k, mask)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
-def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotary position mixing of [B*S, d] rows by the tables of `_rotary_tables`.
+def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Rotary position mixing of [B*S, d] rows by full-width tables of `AttentionTables`.
 
     With each head's columns split [x1 | x2], the result is
     x * cos + (x with each head's halves swapped) * sin
     = [x1*cos - x2*sin | x2*cos + x1*sin], a rotation per position and
-    frequency, computed over whole contiguous rows. `_rotate(g, cos, -sin)`
-    applies its transpose; scaling both tables scales the result.
+    frequency, computed over whole contiguous rows. `inverse` subtracts the
+    second term instead, which applies the transpose (the same bits as
+    adding it with -sin); scaling both tables scales the result.
     """
     seqs = (-1, cos.size)  # one sequence per row, so the tables broadcast over a contiguous row
     swapped = x.reshape(-1, 2, cos.shape[-1])[:, ::-1].reshape(seqs)  # a copy
     swapped *= sin.reshape(-1)
     out = np.multiply(x.reshape(seqs), cos.reshape(-1))
-    out += swapped
+    if inverse:
+        out -= swapped
+    else:
+        out += swapped
     return out.reshape(x.shape)
 
 
 def causal_attention(
-    q: Tensor, k: Tensor, v: Tensor, n_heads: int, cos: np.ndarray, sin: np.ndarray
+    h: Tensor,
+    gamma: Tensor,
+    wq: Tensor,
+    wk: Tensor,
+    wv: Tensor,
+    wo: Tensor,
+    tables: AttentionTables,
+    eps: float = 1e-6,
 ) -> Tensor:
-    """Multi-head causal self-attention with rotary mixing of queries and keys.
+    """The pre-norm attention sublayer h + Attn(rope(n Wq), rope(n Wk), n Wv) Wo as one node.
 
-    q/k/v are [B*S, d] projections; rows b*S..b*S+S-1 are sequence b and
-    columns h*hd..h*hd+hd-1 are head h (hd = d / n_heads). cos/sin are the
-    [S, hd/2] rotary tables. Position i attends to positions j <= i of its
-    own sequence and head. The output is [B*S, d] with heads concatenated
-    in the same column layout.
+    h is [B*S, d]: rows b*S..b*S+S-1 are sequence b and columns
+    h*hd..h*hd+hd-1 are head h, with S, the head count and hd read from
+    `tables`. n = rmsnorm(h, gamma, eps), gamma a scalar or a [d] vector;
+    the four weights are [d, d]. Position i attends to positions j <= i of
+    its own sequence and head.
 
-    Queries and keys are rotated as whole [B*S, d] rows, the queries by
+    Queries and keys are rotated as whole [B*S, d] rows, the queries by the
     tables scaled by 1/sqrt(hd). Query rows go in blocks of ATTN_BLOCK; a
     block ending at row r1 scores only keys 0..r1-1, so the fully masked
     triangle beyond it is never computed, and only the diagonal block
-    carries a -inf mask. Each block's probabilities are stored key-major,
+    carries the -inf mask. Each block's probabilities are stored key-major,
     [keys, queries], so the softmax reduces over the second-to-last axis.
     The backward's per-query row term sum_j dP_ij P_ij is taken as
     dO_i . O_i, over head columns instead of over keys.
+
+    The parents are (h, h, gamma, wq, wk, wv, wo): h's residual term g comes
+    before the norm's term, and the norm's input gradient sums
+    (gv Wv^T + gk Wk^T) + gq Wq^T, the order in which the unfused chain's
+    tape added them, so every bit matches that chain.
     """
-    ok = q.values.ndim == 2 and cos.ndim == 2
+    ok = h.values.ndim == 2 and all(t.ndim == 4 and t.shape == tables.cos_k.shape for t in tables[:4])
     if ok:
-        rows, d = q.shape
-        seq_len, half = cos.shape
-        ok = (
-            k.shape == q.shape
-            and v.shape == q.shape
-            and sin.shape == cos.shape
-            and n_heads >= 1
-            and half >= 1
-            and d == n_heads * 2 * half
-            and seq_len >= 1
-            and rows % seq_len == 0
-        )
+        rows, d = h.shape
+        seq_len, n_heads, two, half = tables.cos_k.shape
+        ok = two == 2 and d == n_heads * 2 * half and seq_len >= 1 and rows % seq_len == 0
+        ok = ok and all(w.shape == (d, d) for w in (wq, wk, wv, wo))
     if not ok:
         raise ShapeError(
-            f"causal_attention: q {q.shape}, k {k.shape}, v {v.shape}, "
-            f"n_heads {n_heads}, cos {cos.shape}, sin {sin.shape}"
+            f"causal_attention: h {h.shape}, weights {[w.shape for w in (wq, wk, wv, wo)]}, "
+            f"tables {tables.cos_k.shape}"
         )
-    _check_same_dtype(q, k, "causal_attention")
-    _check_same_dtype(q, v, "causal_attention")
-    dt = q.dtype
+    _check_gamma(gamma, d, "causal_attention")
+    for w in (gamma, wq, wk, wv, wo):
+        _check_same_dtype(h, w, "causal_attention")
+    dt = h.dtype
+    if any(t.dtype != dt for t in tables):
+        raise ShapeError(f"causal_attention: mixed dtypes {dt} and {tables.cos_k.dtype} (tables)")
     b, hd = rows // seq_len, d // n_heads
     split = (b, seq_len, n_heads, hd)
+    cos_q, sin_q, cos_k, sin_k, diag_mask = tables
 
     def heads(x: np.ndarray) -> np.ndarray:
         # [B*S, d] <-> [B, H, S, hd] as a view of a [B, S, H, hd] buffer
         return x.reshape(split).transpose(0, 2, 1, 3)
 
-    cos_k, sin_k = _rotary_tables(cos.astype(dt, copy=False), sin.astype(dt, copy=False), n_heads)
-    inv = dt.type(1.0 / math.sqrt(hd))
-    cos_q, sin_q = cos_k * inv, sin_k * inv
-    qh = heads(_rotate(q.values, cos_q, sin_q))
-    kh = heads(_rotate(k.values, cos_k, sin_k))
-    vh = heads(v.values)
-    diag_mask = np.tril(np.full((ATTN_BLOCK, ATTN_BLOCK), -np.inf, dtype=dt), k=-1)
+    x = h.values
+    r = _rms_scale(x, eps)
+    n = x * r
+    n *= gamma.values
+    qh = heads(_rotate(_mm(n, wq.values), cos_q, sin_q))
+    kh = heads(_rotate(_mm(n, wk.values), cos_k, sin_k))
+    vh = heads(_mm(n, wv.values))
 
-    out = np.empty(split, dt)
-    out_h = out.transpose(0, 2, 1, 3)
+    att = np.empty(split, dt)
+    att_h = att.transpose(0, 2, 1, 3)
     blocks: list[tuple[int, int, np.ndarray]] = []
     for r0 in range(0, seq_len, ATTN_BLOCK):
         r1 = min(r0 + ATTN_BLOCK, seq_len)
@@ -515,16 +590,19 @@ def causal_attention(
         p -= p.max(axis=-2, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=-2, keepdims=True)
-        np.matmul(p.swapaxes(-1, -2), vh[:, :, :r1], out=out_h[:, :, r0:r1])
+        np.matmul(p.swapaxes(-1, -2), vh[:, :, :r1], out=att_h[:, :, r0:r1])
         blocks.append((r0, r1, p))
-    out = out.reshape(rows, d)
+    att = att.reshape(rows, d)
+    out = _mm(att, wo.values)
+    out += x  # the residual
 
     def bw(g):
-        gh = heads(g)
+        ga = g @ wo.values.T
+        gh = heads(ga)
         # the softmax row term sum_j dP_ij P_ij = dO_i . O_i, per head, as [B, H, 1, S]
-        row_term = np.einsum("bshk,bshk->bhs", g.reshape(split), out.reshape(split))[:, :, None, :]
+        row_term = np.einsum("bshk,bshk->bhs", ga.reshape(split), att.reshape(split))[:, :, None, :]
         gq, gk, gv = (np.empty(split, dt) for _ in range(3))
-        gq_h, gk_h, gv_h = (x.transpose(0, 2, 1, 3) for x in (gq, gk, gv))
+        gq_h, gk_h, gv_h = (t.transpose(0, 2, 1, 3) for t in (gq, gk, gv))
 
         def add_keys(dst, r0, part):
             # keys 0..r0-1 hold the earlier blocks' sums; this block is the first to reach the rest
@@ -539,11 +617,16 @@ def causal_attention(
             ds *= p
             np.matmul(ds.swapaxes(-1, -2), kh[:, :, :r1], out=gq_h[:, :, r0:r1])
             add_keys(gk_h, r0, ds @ qh[:, :, r0:r1])
-        gq = _rotate(gq.reshape(rows, d), cos_q, -sin_q)
-        gk = _rotate(gk.reshape(rows, d), cos_k, -sin_k)
-        return gq, gk, gv.reshape(rows, d)
+        gq = _rotate(gq.reshape(rows, d), cos_q, sin_q, inverse=True)
+        gk = _rotate(gk.reshape(rows, d), cos_k, sin_k, inverse=True)
+        gv = gv.reshape(rows, d)
+        gn = gv @ wv.values.T
+        gn += gk @ wk.values.T
+        gn += gq @ wq.values.T
+        gx, ggamma = _rmsnorm_backward(gn, x, r, gamma.values)
+        return g, gx, ggamma, n.T @ gq, n.T @ gk, n.T @ gv, att.T @ g
 
-    return _record(out, (q, k, v), bw)
+    return _record(out, (h, h, gamma, wq, wk, wv, wo), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -84,23 +84,24 @@ class TraceHeader:
         if not isinstance(d, dict) or d.get("format") != "modse-trace":
             found = d.get("format") if isinstance(d, dict) else d
             raise TraceFormatError(f"not a trace header: {found!r}")
-        try:
-            header = cls(
-                spec_hash=d["spec_hash"],
-                n_experts=int(d["n_experts"]),
-                n_layers=int(d["n_layers"]),
-                top_k=int(d["top_k"]),
-                expert_sizes=tuple(int(s) for s in d["expert_sizes"]),
-            )
-        except KeyError as e:
-            raise TraceFormatError(f"trace header lacks field {e}") from e
-        except (TypeError, ValueError, OverflowError) as e:
-            raise TraceFormatError(f"malformed trace header field: {e}") from e
-        if len(header.expert_sizes) != header.n_experts:
+        missing = [name for name in ("spec_hash", "n_experts", "n_layers", "top_k", "expert_sizes") if name not in d]
+        if missing:
+            raise TraceFormatError(f"trace header lacks field {missing[0]!r}")
+        # JSON integers only: `type(v) is int` turns away floats and bools, which int() would cast
+        counts = {name: d[name] for name in ("n_experts", "n_layers", "top_k")}
+        for name, v in counts.items():
+            if type(v) is not int or v < 1:
+                raise TraceFormatError(f"trace header field {name!r} must be an integer >= 1, got {v!r}")
+        if counts["top_k"] > counts["n_experts"]:
+            raise TraceFormatError(f"trace header top_k {counts['top_k']} exceeds n_experts {counts['n_experts']}")
+        sizes = d["expert_sizes"]
+        if not isinstance(sizes, list) or not all(type(w) is int and w >= 1 for w in sizes):
+            raise TraceFormatError(f"trace header expert_sizes must be a list of integers >= 1, got {sizes!r}")
+        if len(sizes) != counts["n_experts"]:
             raise TraceFormatError(
-                f"trace header lists {len(header.expert_sizes)} expert sizes for n_experts={header.n_experts}"
+                f"trace header lists {len(sizes)} expert sizes for n_experts={counts['n_experts']}"
             )
-        return header
+        return cls(spec_hash=d["spec_hash"], expert_sizes=tuple(sizes), **counts)
 
 
 @dataclass

@@ -85,6 +85,11 @@ def test_header_without_section_rejected(tmp_path, missing):
         {"name": ["a"], "shape": [2]},
         {"name": "a", "shape": [float("inf")]},
         {"name": "a", "shape": [0, 10**30]},
+        {"name": "a", "shape": [2.9]},
+        {"name": "a", "shape": [2.0]},
+        {"name": "a", "shape": [True, 2]},
+        {"name": "a", "shape": "2"},
+        ["a", [2]],
     ],
 )
 def test_bad_tensor_entry_rejected(tmp_path, entry):
@@ -95,7 +100,7 @@ def test_bad_tensor_entry_rejected(tmp_path, entry):
         load_checkpoint(p)
 
 
-@pytest.mark.parametrize("shape", [[4e12, 4e12], [2**62, 4], [10**20]])
+@pytest.mark.parametrize("shape", [[4 * 10**12, 4 * 10**12], [2**62, 4], [10**20]])
 def test_shape_larger_than_the_file_rejected(tmp_path, shape):
     p = tmp_path / "ck.bin"
     header = {"format": "modse-ckpt", "version": 1, "meta": {}, "tensors": [{"name": "a", "shape": shape}]}

@@ -381,6 +381,23 @@ class TestAnalyzeCommand:
         assert r.returncode == 1, r.stderr
         assert "bad record at offset 0" in r.stderr
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"expert_sizes": [0, -3]}, {"top_k": 0}, {"n_experts": 2.9}, {"n_layers": True}],
+        ids=["widths-below-one", "top-k-zero", "fractional-count", "boolean-count"],
+    )
+    def test_bad_header_exits_one_no_output_dir(self, tmp_path, fields):
+        tp = tmp_path / "t.jsonl"
+        tp.write_text(
+            json.dumps({**TraceHeader("t", 2, 1, 1, (8, 8)).to_dict(), **fields})
+            + '\n{"epoch":0,"layer":0,"token":0,"rank":0,"expert":1}\n'
+        )
+        out = tmp_path / "analysis"
+        r = run_cli("analyze", tp, "--out", out)
+        assert r.returncode == 1, r.stderr
+        assert "trace header" in r.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("with_losses", [False, True], ids=["counts", "losses"])
     def test_out_of_range_layer_exits_one(self, tmp_path, with_losses):
         tp = tmp_path / "t.jsonl"

@@ -28,12 +28,19 @@ def test_every_op_has_a_gradcheck_entry():
     assert ops <= covered, sorted(ops - covered)
 
 
+def _attention_call(t):
+    h = t(6, 8)
+    angles = np.ones((3, 2), dtype=h.dtype)
+    tables = tt.build_attention_tables(np.cos(angles), np.sin(angles), 2)
+    return tt.causal_attention(h, t(8), t(8, 8), t(8, 8), t(8, 8), t(8, 8), tables)
+
+
 # one small call per op, given a maker of leaf tensors of a shape
 OP_CALLS = {
     "matmul": lambda t: tt.matmul(t(3, 4), t(4, 5)),
     "add": lambda t: tt.add(t(3, 4), t(3, 4)),
-    "softplus": lambda t: tt.softplus(t(3, 4)),
     "rmsnorm": lambda t: tt.rmsnorm(t(3, 4), t(4)),
+    "gate_logits": lambda t: tt.gate_logits(t(3, 4), t(4, 5), t(4, 5), t(5)),
     "glu_expert": lambda t: tt.glu_expert(t(3, 4), t(4, 5), t(4, 5), t(5, 4)),
     "softmax": lambda t: tt.softmax(t(3, 4)),
     "topk_softmax": lambda t: tt.topk_softmax(t(3, 4), 2)[0],
@@ -42,9 +49,7 @@ OP_CALLS = {
     "combine": lambda t: tt.combine(
         [t(2, 4), t(1, 4)], [np.array([0, 2]), np.array([1])], [np.array([0, 1]), np.array([0])], t(3, 2)
     ),
-    "causal_attention": lambda t: tt.causal_attention(
-        t(6, 8), t(6, 8), t(6, 8), 2, np.cos(np.ones((3, 2))), np.sin(np.ones((3, 2)))
-    ),
+    "causal_attention": _attention_call,
     "cross_entropy": lambda t: tt.cross_entropy(t(3, 4), np.array([0, 3, 1])),
     "balance_penalty": lambda t: tt.balance_penalty(t(3, 4), np.full(4, 0.25), 0.5)[0],
 }
@@ -135,7 +140,7 @@ def _corrupted(out):
     "suite, op",
     [
         ("tensor_ops", "glu_expert"),
-        ("gate", "softplus"),
+        ("gate", "gate_logits"),
         ("moe_layer", "glu_expert"),
         ("balance_loss", "balance_penalty"),
         ("end_to_end", "glu_expert"),

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from modse.model import ModelConfig, init_weights, rope_tables, spec_hash, transformer_forward
+import modse.tensor as tt
+from modse.model import ModelConfig, attention_tables, init_weights, rope_tables, spec_hash, transformer_forward
 from modse.rng import stream_rng
 
 
@@ -141,6 +142,49 @@ class TestTransformerForward:
         assert logits.shape == (2 * cfg.seq_len, cfg.vocab_size)
         for go in gate_outs:
             assert go.topk_indices.shape == (2 * cfg.seq_len, cfg.top_k)
+
+    def test_records_one_matmul_node(self, monkeypatch):
+        # the attention sublayers and the gates are fused ops: only the output projection is a matmul
+        cfg = small_cfg()
+        real = tt.matmul
+        calls = []
+        monkeypatch.setattr(tt, "matmul", lambda a, b: calls.append(b) or real(a, b))
+        weights = init_weights(cfg)
+        transformer_forward(cfg, weights, np.zeros((2, cfg.seq_len), dtype=np.int64))
+        assert len(calls) == 1 and calls[0] is weights["lm_head"]
+
+
+def forward_tables(cfg, dtype):
+    """The AttentionTables each causal_attention call of one forward received."""
+    real = tt.causal_attention
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tt, "causal_attention", lambda *a, **kw: seen.append(a[6]) or real(*a, **kw))
+        transformer_forward(cfg, init_weights(cfg, dtype=dtype), np.zeros((2, cfg.seq_len), dtype=np.int64))
+    return seen
+
+
+class TestAttentionTables:
+    def test_cached_tables_are_read_only(self):
+        for t in attention_tables(8, 16, 2, np.dtype(np.float32)):
+            with pytest.raises(ValueError, match="read-only"):
+                t.reshape(-1)[0] = 0.0
+
+    def test_forwards_at_one_shape_share_the_arrays(self):
+        cfg = small_cfg()
+        first, second = (forward_tables(cfg, np.float32) for _ in range(2))
+        assert len(first) == cfg.n_layers
+        for tables in first[1:] + second:
+            assert all(a is b for a, b in zip(tables, first[0]))
+
+    def test_float32_and_float64_tables_are_separate_entries(self):
+        cfg = small_cfg()
+        t32, t64, t32_again = (forward_tables(cfg, dt)[0] for dt in (np.float32, np.float64, np.float32))
+        assert {t.dtype for t in t32} == {np.dtype(np.float32)} and {t.dtype for t in t64} == {np.dtype(np.float64)}
+        assert all(a is b for a, b in zip(t32, t32_again))
+        cos, sin = rope_tables(cfg.seq_len, cfg.dim // cfg.n_heads, np.float64)
+        expect = tt.build_attention_tables(cos, sin, cfg.n_heads)
+        assert all(np.array_equal(a, b) for a, b in zip(t64, expect))
 
 
 class TestModelConfig:

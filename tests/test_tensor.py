@@ -65,21 +65,18 @@ class TestMatmul:
 
 
 class TestSoftplus:
+    # the softplus inside `gate_logits`
     def test_at_zero_is_ln2(self):
-        out = tt.softplus(Tensor([0.0], dtype=np.float64))
-        assert out.values[0] == pytest.approx(LN2, abs=1e-15)
+        assert tt._softplus(np.array([0.0]))[0] == pytest.approx(LN2, abs=1e-15)
 
     def test_large_input_is_identity(self):
-        out = tt.softplus(Tensor([100.0], dtype=np.float64))
-        assert abs(out.values[0] - 100.0) < 1e-12
+        assert abs(tt._softplus(np.array([100.0]))[0] - 100.0) < 1e-12
 
     def test_negative_matches_extended_precision(self):
-        out = tt.softplus(Tensor([-3.0], dtype=np.float64))
-        assert out.values[0] == pytest.approx(SOFTPLUS_M3, abs=1e-15)
+        assert tt._softplus(np.array([-3.0]))[0] == pytest.approx(SOFTPLUS_M3, abs=1e-15)
 
     def test_no_overflow_far_negative(self):
-        out = tt.softplus(Tensor([-1000.0], dtype=np.float64))
-        assert out.values[0] == 0.0
+        assert tt._softplus(np.array([-1000.0]))[0] == 0.0
 
 
 class TestRmsnorm:
@@ -229,7 +226,7 @@ class TestBackward:
 
     def test_repeated_backward_accumulates(self):
         x = Tensor(np.arange(4.0), requires_grad=True, dtype=np.float64)
-        loss = _proj(tt.softplus(x), np.ones(4))
+        loss = _proj(tt.rmsnorm(x, Tensor(1.0, dtype=np.float64)), np.arange(4.0))
         tt.backward(loss)
         once = x.grad.copy()
         tt.backward(loss)
@@ -237,7 +234,7 @@ class TestBackward:
 
     def test_only_leaves_keep_grad(self):
         x = Tensor(np.arange(4.0), requires_grad=True, dtype=np.float64)
-        hidden = tt.softplus(x)
+        hidden = tt.rmsnorm(x, Tensor(1.0, dtype=np.float64))
         loss = _proj(hidden, np.ones(4))
         tt.backward(loss)
         assert x.grad is not None
@@ -271,9 +268,7 @@ class TestFiniteDiff:
         np.testing.assert_allclose(fd.values, [2.0, 4.0], atol=1e-6)
 
     def test_softplus_sum_at_zero(self):
-        fd = tt.finite_diff_grad(
-            lambda t: float(tt.softplus(t).values.sum()), Tensor([0.0], dtype=np.float64)
-        )
+        fd = tt.finite_diff_grad(lambda t: float(tt._softplus(t.values).sum()), Tensor([0.0], dtype=np.float64))
         np.testing.assert_allclose(fd.values, [0.5], atol=1e-6)
 
     def test_rejects_nonpositive_h(self):
@@ -468,15 +463,44 @@ def rope_angles(seq_len, hd, rng):
     return np.cos(theta), np.sin(theta)
 
 
-def attend(q, k, v, n_heads, cos, sin):
-    return tt.causal_attention(
-        Tensor(q, dtype=np.float64), Tensor(k, dtype=np.float64), Tensor(v, dtype=np.float64), n_heads, cos, sin
-    ).values
+def rmsnorm_chain(v, gamma, eps=1e-6):
+    """Output and 1/rms of the rmsnorm op before the fused ops took it over."""
+    r = 1.0 / np.sqrt(np.mean(np.square(v), axis=-1, keepdims=True) + v.dtype.type(eps))
+    return v * r * gamma, r
+
+
+def rmsnorm_chain_grads(g, v, r, gamma):
+    """The rmsnorm op's backward: the gradients of v and gamma."""
+    n = v.shape[-1]
+    xhat = v * r
+    gg = g * gamma
+    gx = (gg - xhat * (np.einsum("...i,...i->...", gg, xhat)[..., None] / n)) * r
+    ggamma = g * xhat
+    return gx, np.asarray(ggamma.sum(), dtype=v.dtype) if gamma.ndim == 0 else ggamma.reshape(-1, n).sum(axis=0)
+
+
+def sublayer_reference(h, gamma, w, n_heads, cos, sin):
+    """Plain-numpy pre-norm attention sublayer h + Attn(n Wq, n Wk, n Wv) Wo, n = rmsnorm(h, gamma)."""
+    wq, wk, wv, wo = w
+    n = rmsnorm_chain(h, gamma)[0]
+    return h + reference_attention(n @ wq, n @ wk, n @ wv, n_heads, cos, sin) @ wo
+
+
+def sublayer_inputs(rng, rows, d):
+    """h, a [d] gamma and the four [d, d] weights, in float64."""
+    return rng.normal(size=(rows, d)), rng.normal(size=d) + 1.5, [rng.normal(0.0, 0.5, (d, d)) for _ in range(4)]
+
+
+def attend(h, gamma, w, n_heads, cos, sin):
+    tables = tt.build_attention_tables(cos, sin, n_heads)
+    ts = [Tensor(a, dtype=np.float64) for a in (h, gamma, *w)]
+    return tt.causal_attention(*ts, tables).values
 
 
 def rotate(x, n_heads, cos, sin):
     """The op's rotation of [B*S, n_heads*hd] rows by the [S, hd/2] angle tables."""
-    return tt._rotate(x, *tt._rotary_tables(cos, sin, n_heads))
+    tables = tt.build_attention_tables(cos, sin, n_heads)
+    return tt._rotate(x, tables.cos_k, tables.sin_k)
 
 
 class TestRope:
@@ -504,10 +528,9 @@ class TestRope:
 
     def test_zero_angle_is_identity(self):
         rng = np.random.default_rng(7)
-        q, k, v = (rng.normal(size=(6, 8)) for _ in range(3))
-        out = attend(q, k, v, 2, np.ones((3, 2)), np.zeros((3, 2)))
-        plain = reference_attention(q, k, v, 2, np.ones((3, 2)), np.zeros((3, 2)))
-        np.testing.assert_allclose(out, plain, rtol=1e-12)
+        h, gamma, w = sublayer_inputs(rng, 6, 8)
+        cos, sin = np.ones((3, 2)), np.zeros((3, 2))
+        np.testing.assert_allclose(attend(h, gamma, w, 2, cos, sin), sublayer_reference(h, gamma, w, 2, cos, sin), rtol=1e-12)
 
 
 class TestCausalAttention:
@@ -515,74 +538,228 @@ class TestCausalAttention:
         # S = 130 spans three row blocks, the last one partial
         rng = np.random.default_rng(8)
         n_heads, hd, seq_len = 3, 6, 130
-        q, k, v = (rng.normal(size=(2 * seq_len, n_heads * hd)) for _ in range(3))
+        h, gamma, w = sublayer_inputs(rng, 2 * seq_len, n_heads * hd)
         cos, sin = rope_angles(seq_len, hd, rng)
         np.testing.assert_allclose(
-            attend(q, k, v, n_heads, cos, sin), reference_attention(q, k, v, n_heads, cos, sin), rtol=1e-10
+            attend(h, gamma, w, n_heads, cos, sin), sublayer_reference(h, gamma, w, n_heads, cos, sin), rtol=1e-10
         )
 
     def test_single_token_attends_to_itself(self):
+        # one position: the softmax weight is exactly 1, so the sublayer is h + (n Wv) Wo
         rng = np.random.default_rng(4)
-        q, k, v = (rng.normal(size=(1, 4)) for _ in range(3))
+        h, gamma, w = sublayer_inputs(rng, 1, 4)
         cos, sin = rope_angles(1, 2, rng)
-        np.testing.assert_allclose(attend(q, k, v, 2, cos, sin), v, rtol=1e-15)
+        n, _ = rmsnorm_chain(h, gamma)
+        expect = h + chain_matmul(chain_matmul(n, w[2]), w[3])
+        np.testing.assert_allclose(attend(h, gamma, w, 2, cos, sin), expect, rtol=1e-15)
 
     def test_future_values_do_not_leak(self):
         rng = np.random.default_rng(5)
-        q, k, v = (rng.normal(size=(6, 8)) for _ in range(3))
+        h, gamma, w = sublayer_inputs(rng, 6, 8)
         cos, sin = rope_angles(6, 4, rng)
-        base = attend(q, k, v, 2, cos, sin)
-        v2 = v.copy()
-        v2[4:] += 100.0  # positions 4,5 only
-        k2 = k.copy()
-        k2[4:] -= 3.0
-        out = attend(q, k2, v2, 2, cos, sin)
+        base = attend(h, gamma, w, 2, cos, sin)
+        h2 = h.copy()
+        h2[4:] += 100.0  # positions 4,5 only
+        out = attend(h2, gamma, w, 2, cos, sin)
         np.testing.assert_allclose(out[:4], base[:4], rtol=1e-15)
 
     def test_blocks_are_independent(self):
         rng = np.random.default_rng(6)
-        q, k, v = (rng.normal(size=(8, 8)) for _ in range(3))
+        h, gamma, w = sublayer_inputs(rng, 8, 8)
         cos, sin = rope_angles(4, 4, rng)
-        whole = attend(q, k, v, 2, cos, sin)
-        first = attend(q[:4], k[:4], v[:4], 2, cos, sin)
+        whole = attend(h, gamma, w, 2, cos, sin)
+        first = attend(h[:4], gamma, w, 2, cos, sin)
         np.testing.assert_allclose(whole[:4], first, rtol=1e-15)
 
     def test_gradients_across_blocks_match_central_differences(self):
-        # S = 130: three query blocks, the last one partial; every block gets sampled coordinates
+        # S = 130: three query blocks, the last one partial; every block of h gets sampled coordinates
         rng = np.random.default_rng(13)
-        n_heads, hd, seq_len, h = 2, 4, 130, 1e-6
-        arrays_ = {name: rng.normal(size=(seq_len, n_heads * hd)) for name in "qkv"}
-        cos, sin = rope_angles(seq_len, hd, rng)
-        proj = rng.normal(size=(seq_len, n_heads * hd))
+        n_heads, hd, seq_len, step = 2, 4, 130, 1e-6
+        d = n_heads * hd
+        h, gamma, w = sublayer_inputs(rng, seq_len, d)
+        arrays_ = dict(zip(("h", "gamma", "wq", "wk", "wv", "wo"), (h, gamma, *w)))
+        tables = tt.build_attention_tables(*rope_angles(seq_len, hd, rng), n_heads)
+        proj = rng.normal(size=(seq_len, d))
 
         def loss(values):
-            q, k, v = (values[name] for name in "qkv")
-            return _proj(tt.causal_attention(q, k, v, n_heads, cos, sin), proj)
+            return _proj(tt.causal_attention(*values.values(), tables), proj)
 
         leaves = {name: Tensor(a, requires_grad=True, dtype=np.float64) for name, a in arrays_.items()}
         tt.backward(loss(leaves))
         blocks = [(r0, min(r0 + tt.ATTN_BLOCK, seq_len)) for r0 in range(0, seq_len, tt.ATTN_BLOCK)]
         assert len(blocks) == 3 and blocks[-1] == (128, 130)
-        for name, leaf in leaves.items():
-            for r0, r1 in blocks:
-                cells = rng.choice((r1 - r0) * n_heads * hd, size=10, replace=False)
-                for row, col in zip(r0 + cells // (n_heads * hd), cells % (n_heads * hd)):
-                    probe = {}
-                    for sign in (1, -1):
-                        a = arrays_[name].copy()
-                        a[row, col] += sign * h
-                        values = {n: Tensor(a if n == name else arrays_[n], dtype=np.float64) for n in "qkv"}
-                        probe[sign] = loss(values).item()
-                    fd = (probe[1] - probe[-1]) / (2 * h)
-                    assert leaf.grad[row, col] == pytest.approx(fd, rel=1e-6, abs=1e-8), (name, row, col)
+        probes = [("h", (r0 * d + c,)) for r0, r1 in blocks for c in rng.choice((r1 - r0) * d, 10, replace=False)]
+        probes += [(name, (c,)) for name in ("gamma", "wq", "wk", "wv", "wo") for c in rng.choice(arrays_[name].size, 5)]
+        for name, (cell,) in probes:
+            fd = {}
+            for sign in (1, -1):
+                a = arrays_[name].copy()
+                a.reshape(-1)[cell] += sign * step
+                fd[sign] = loss({n: Tensor(a if n == name else arrays_[n], dtype=np.float64) for n in arrays_}).item()
+            grad = leaves[name].grad.reshape(-1)[cell]
+            assert grad == pytest.approx((fd[1] - fd[-1]) / (2 * step), rel=1e-6, abs=1e-8), (name, cell)
 
     def test_shape_errors(self):
-        x = Tensor(np.zeros((6, 8)), dtype=np.float64)
-        cos = np.ones((3, 2))
+        ones = np.ones((3, 2))
+        tables = tt.build_attention_tables(np.cos(ones), np.sin(ones), 2)
+        h, w = Tensor(np.zeros((6, 8)), dtype=np.float64), Tensor(np.ones((8, 8)), dtype=np.float64)
+        gamma = Tensor(np.ones(8), dtype=np.float64)
+        three_heads = tt.build_attention_tables(np.cos(ones), np.sin(ones), 3)  # 8 columns do not split into 3 heads
+        seq_4 = tt.build_attention_tables(np.ones((4, 2)), np.ones((4, 2)), 2)  # 6 rows, seq 4
+        for bad in (three_heads, seq_4):
+            with pytest.raises(ShapeError, match="causal_attention"):
+                tt.causal_attention(h, gamma, w, w, w, w, bad)
         with pytest.raises(ShapeError, match="causal_attention"):
-            tt.causal_attention(x, x, x, 3, cos, cos)  # 8 columns do not split into 3 heads
-        with pytest.raises(ShapeError, match="causal_attention"):
-            tt.causal_attention(x, x, x, 2, np.ones((4, 2)), np.ones((4, 2)))  # 6 rows, seq 4
+            tt.causal_attention(h, gamma, w, w, w, Tensor(np.ones((8, 4)), dtype=np.float64), tables)
+        with pytest.raises(ShapeError, match="gamma"):
+            tt.causal_attention(h, Tensor(np.ones(4), dtype=np.float64), w, w, w, w, tables)
+        with pytest.raises(ShapeError, match="mixed dtypes"):
+            tt.causal_attention(h, gamma, w, w, w, w, tt.build_attention_tables(*(ones.astype(np.float32),) * 2, 2))
+        with pytest.raises(ShapeError, match="attention tables"):
+            tt.build_attention_tables(ones, np.ones((3, 1)), 2)
+
+
+def chain_rotate(x, cos, sin, n_heads):
+    """The unfused attention op's rotation by [S, hd/2] tables; (cos, -sin) applies its transpose."""
+    shape = (cos.shape[0], n_heads, 2, cos.shape[1])
+    cos_t = np.broadcast_to(cos[:, None, None], shape).reshape(-1)
+    sin_t = np.broadcast_to(np.stack([-sin, sin], axis=1)[:, None], shape).reshape(-1)
+    seqs = (-1, cos_t.size)
+    swapped = x.reshape(-1, 2, cos.shape[1])[:, ::-1].reshape(seqs) * sin_t
+    return (x.reshape(seqs) * cos_t + swapped).reshape(x.shape)
+
+
+def attention_chain(q, k, v, n_heads, cos, sin):
+    """Output of the unfused attention op, and its backward: d(loss)/d(output) -> the q, k, v gradients."""
+    (rows, d), (seq_len, half), dt = q.shape, cos.shape, q.dtype
+    split = (rows // seq_len, seq_len, n_heads, d // n_heads)
+    inv = dt.type(1.0 / np.sqrt(d // n_heads))
+
+    def heads(x):
+        return x.reshape(split).transpose(0, 2, 1, 3)
+
+    qh = heads(chain_rotate(q, cos * inv, sin * inv, n_heads))
+    kh = heads(chain_rotate(k, cos, sin, n_heads))
+    vh = heads(v)
+    mask = np.tril(np.full((tt.ATTN_BLOCK, tt.ATTN_BLOCK), -np.inf, dtype=dt), k=-1)
+    out = np.empty(split, dt)
+    blocks = []
+    for r0 in range(0, seq_len, tt.ATTN_BLOCK):
+        r1 = min(r0 + tt.ATTN_BLOCK, seq_len)
+        p = kh[:, :, :r1] @ qh[:, :, r0:r1].swapaxes(-1, -2)
+        p[..., r0:, :] += mask[: r1 - r0, : r1 - r0]
+        p = np.exp(p - p.max(axis=-2, keepdims=True))
+        p = p / p.sum(axis=-2, keepdims=True)
+        out.transpose(0, 2, 1, 3)[:, :, r0:r1] = p.swapaxes(-1, -2) @ vh[:, :, :r1]
+        blocks.append((r0, r1, p))
+
+    def backward(g):
+        gq, gk, gv = (np.zeros(split, dt) for _ in range(3))
+        gh = heads(g)
+        row_term = np.einsum("bshk,bshk->bhs", g.reshape(split), out)[:, :, None, :]
+        gq_h, gk_h, gv_h = (x.transpose(0, 2, 1, 3) for x in (gq, gk, gv))
+        for r0, r1, p in blocks:
+            go = gh[:, :, r0:r1]
+            pv = p @ go
+            gv_h[:, :, :r0] += pv[:, :, :r0]
+            gv_h[:, :, r0:r1] = pv[:, :, r0:]
+            ds = (vh[:, :, :r1] @ go.swapaxes(-1, -2) - row_term[..., r0:r1]) * p
+            gq_h[:, :, r0:r1] = ds.swapaxes(-1, -2) @ kh[:, :, :r1]
+            dk = ds @ qh[:, :, r0:r1]
+            gk_h[:, :, :r0] += dk[:, :, :r0]
+            gk_h[:, :, r0:r1] = dk[:, :, r0:]
+        gq = chain_rotate(gq.reshape(rows, d), cos * inv, -(sin * inv), n_heads)
+        gk = chain_rotate(gk.reshape(rows, d), cos, -sin, n_heads)
+        return gq, gk, gv.reshape(rows, d)
+
+    return out.reshape(rows, d), backward
+
+
+def sublayer_chain(h, gamma, wq, wk, wv, wo, n_heads, cos, sin, g):
+    """Output and partial gradients of the rmsnorm, three matmuls, attention, matmul, add chain:
+    (out, g_residual, g_norm, g_gamma, g_wq, g_wk, g_wv, g_wo)."""
+    n, r = rmsnorm_chain(h, gamma)
+    q, k, v = (chain_matmul(n, w) for w in (wq, wk, wv))
+    att, attention_backward = attention_chain(q, k, v, n_heads, cos, sin)
+    out = h + chain_matmul(att, wo)
+    gq, gk, gv = attention_backward(g @ wo.T)
+    gn = gv @ wv.T + gk @ wk.T + gq @ wq.T  # the tape visits the v, k and q matmuls in that order
+    gx, ggamma = rmsnorm_chain_grads(gn, h, r, gamma)
+    return out, g, gx, ggamma, n.T @ gq, n.T @ gk, n.T @ gv, att.T @ g
+
+
+def gate_chain(x, w_gate, w_noise, gamma, g):
+    """Logits and partial gradients of the matmul, softplus, rmsnorm, matmul, add chain:
+    (logits, g_x via w_gate, g_x via w_noise, g_w_gate, g_w_noise, g_gamma)."""
+    a = chain_matmul(x, w_noise)
+    s = (np.maximum(a, 0) + np.log1p(np.exp(-np.abs(a)))).astype(x.dtype)
+    noise, r = rmsnorm_chain(s, gamma)
+    logits = chain_matmul(x, w_gate) + noise
+    gs, ggamma = rmsnorm_chain_grads(g, s, r, gamma)
+    ga = gs * (0.5 * (1.0 + np.tanh(0.5 * a)))
+    return logits, g @ w_gate.T, ga @ w_noise.T, x.T @ g, x.T @ ga, ggamma
+
+
+def accumulate(first, *partials):
+    """A tensor's gradient as the tape sums it: the partials of later nodes first, left to right."""
+    acc = first
+    for p in partials:
+        acc = acc + p
+    return acc
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shared", [False, True], ids=["once", "shared"])
+@pytest.mark.parametrize("batch,seq_len,n_heads,hd", [(2, 5, 2, 4), (2, 130, 3, 6)], ids=["einsum", "blas"])
+class TestAttentionSublayer:
+    def test_matches_op_chain_bit_for_bit(self, batch, seq_len, n_heads, hd, shared, dtype):
+        # `shared` feeds h to a later node too, so h's gradient pins the order of the op's two partials
+        rng = np.random.default_rng(15)
+        rows, d = batch * seq_len, n_heads * hd
+        h, gamma, w = sublayer_inputs(rng, rows, d)
+        arrays_ = [a.astype(dtype) for a in (h, gamma, *w)]
+        cos, sin = (t.astype(dtype) for t in rope_angles(seq_len, hd, rng))
+        g, p2 = (rng.normal(size=(rows, d)).astype(dtype) for _ in range(2))
+        ts = [Tensor(a, requires_grad=True, dtype=dtype) for a in arrays_]
+        y = tt.causal_attention(*ts, tt.build_attention_tables(cos, sin, n_heads))
+        expect = sublayer_chain(*arrays_, n_heads, cos, sin, g)
+        assert y.dtype == dtype and np.array_equal(y.values, expect[0])
+        tt.backward(tt.add(_proj(y, g), _proj(ts[0], p2)) if shared else _proj(y, g))
+        expect_h = accumulate(p2, *expect[1:3]) if shared else accumulate(*expect[1:3])
+        for t, eg in zip(ts, (expect_h, *expect[3:])):
+            assert t.grad.dtype == dtype and np.array_equal(t.grad, eg)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shared", [False, True], ids=["once", "shared"])
+@pytest.mark.parametrize("t,d,n", [(5, 6, 4), (40, 24, 8)], ids=["einsum", "blas"])
+class TestGateLogits:
+    def test_matches_op_chain_bit_for_bit(self, t, d, n, shared, dtype):
+        # `shared` feeds x to a later node too, so x's gradient pins the order of the op's two partials
+        rng = np.random.default_rng(16)
+        arrays_ = [rng.normal(size=s).astype(dtype) for s in ((t, d), (d, n), (d, n))]
+        arrays_.append(np.asarray(rng.normal() + 1.5, dtype=dtype))
+        g, p2 = rng.normal(size=(t, n)).astype(dtype), rng.normal(size=(t, d)).astype(dtype)
+        ts = [Tensor(a, requires_grad=True, dtype=dtype) for a in arrays_]
+        y = tt.gate_logits(*ts)
+        expect = gate_chain(*arrays_, g)
+        assert y.dtype == dtype and np.array_equal(y.values, expect[0])
+        tt.backward(tt.add(_proj(y, g), _proj(ts[0], p2)) if shared else _proj(y, g))
+        expect_x = accumulate(p2, *expect[1:3]) if shared else accumulate(*expect[1:3])
+        for tensor, eg in zip(ts, (expect_x, *expect[3:])):
+            assert tensor.grad.dtype == dtype and np.array_equal(tensor.grad, eg)
+
+    def test_shape_and_dtype_errors(self, t, d, n, shared, dtype):
+        x, w, gamma = (Tensor(np.ones(s), dtype=dtype) for s in ((t, d), (d, n), ()))
+        with pytest.raises(ShapeError, match="gate_logits"):
+            tt.gate_logits(x, w, Tensor(np.ones((d, n + 1)), dtype=dtype), gamma)
+        with pytest.raises(ShapeError, match="gate_logits"):
+            tt.gate_logits(Tensor(np.ones((t, d + 1)), dtype=dtype), w, w, gamma)
+        with pytest.raises(ShapeError, match="gamma"):
+            tt.gate_logits(x, w, w, Tensor(np.ones(n + 1), dtype=dtype))
+        other = np.float32 if dtype == np.float64 else np.float64
+        with pytest.raises(ShapeError, match="mixed dtypes"):
+            tt.gate_logits(x, w, w, Tensor(1.0, dtype=other))
 
 
 class TestCrossEntropy:

@@ -268,6 +268,35 @@ class TestValidation:
         with pytest.raises(TraceFormatError, match="3 expert sizes for n_experts=8"):
             TraceHeader.from_dict(d)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_experts", 2.9),
+            ("n_experts", 4.0),
+            ("n_experts", "4"),
+            ("n_layers", True),
+            ("n_layers", 0),
+            ("top_k", 0),
+            ("top_k", 5),
+            ("top_k", False),
+            ("expert_sizes", [12, 4, 0, 8]),
+            ("expert_sizes", [12, -3, 8, 8]),
+            ("expert_sizes", [12, 4, 8.0, 8]),
+            ("expert_sizes", [12, 4, True, 8]),
+            ("expert_sizes", "12488"),
+        ],
+    )
+    def test_header_counts_must_be_positive_json_integers(self, tmp_path, field, value):
+        # int() would cast 2.9 to 2 and true to 1; widths and counts below 1 describe no layer
+        d = header().to_dict()
+        d[field] = value
+        with pytest.raises(TraceFormatError, match=f"trace header .*{field}"):
+            TraceHeader.from_dict(d)
+        p = tmp_path / "t.jsonl"
+        p.write_text(json.dumps(d) + "\n" + GOOD_LINE + "\n")
+        with pytest.raises(TraceFormatError, match=field):
+            read_trace(p)
+
     @pytest.mark.parametrize("field", ["spec_hash", "n_experts", "n_layers", "top_k", "expert_sizes"])
     def test_missing_header_field_rejected(self, tmp_path, field):
         d = header().to_dict()

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,14 +55,24 @@ class TestTrain:
         for name in fresh:
             np.testing.assert_array_equal(weights[name].values, fresh[name].values)
 
-    def test_micro_step_records_31_nodes(self, corpus, monkeypatch):
-        # one tape node per op call, each expert, each gate's top-k softmax and each
-        # balance penalty fused into one: an op chain coming back raises the count
+    def test_micro_step_records_21_nodes(self, corpus, monkeypatch):
+        # one tape node per op call, each attention sublayer, gate logit chain, expert, gate
+        # top-k softmax and balance penalty fused into one: an op chain coming back raises the count
         real = tt._record
         nodes = []
         monkeypatch.setattr(tt, "_record", lambda *a: nodes.append(a) or real(*a))
         train(tiny_cfg(n_layers=1, batch_size=8, seed=3), tiny_opt(), corpus, steps=1)
-        assert len(nodes) == 31
+        assert len(nodes) == 21
+
+    def test_toy_step_records_54_nodes(self, corpus, monkeypatch):
+        # the toy config: two layers of eight experts, every one of them routed to
+        with open(Path(__file__).parents[1] / "configs" / "toy.json") as fh:
+            cfg = ModelConfig.from_dict(json.load(fh)["model"])
+        real = tt._record
+        nodes = []
+        monkeypatch.setattr(tt, "_record", lambda *a: nodes.append(a) or real(*a))
+        train(cfg, tiny_opt(), corpus, steps=1)
+        assert len(nodes) == 54
 
     def test_alpha_zero_same_step0_ce_then_diverges(self, corpus):
         cfg = tiny_cfg()
