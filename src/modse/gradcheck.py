@@ -123,21 +123,6 @@ def check_tensor_ops(n_seeds: int = 10) -> SuiteResult:
         ids = rng.integers(0, 6, size=5)
         p5 = rng.normal(size=(5, 4))
         run("embedding_lookup", lambda t: _proj(tt.embedding_lookup(t["x"], ids), p5), x=table)
-        run("gather_rows", lambda t: _proj(tt.gather_rows(t["x"], ids), p5), x=table)
-        rows = np.array([0, 2, 3, 5])  # strictly increasing: the backward assigns
-        run("gather_rows/unique", lambda t: _proj(tt.gather_rows(t["x"], rows), p5[:4]), x=table)
-
-        # two experts of a top-3 gate, the first at rank 2 of every row, the second at rank 0 of a subset
-        sets = (np.arange(4), np.array([1, 3]))
-        ranks = (np.full(4, 2), np.zeros(2, dtype=np.int64))
-        outs = [rng.normal(size=(len(r), 4)) for r in sets]
-        gw = rng.normal(size=(4, 3))
-        p4 = rng.normal(size=(4, 4))
-        run(
-            "combine",
-            lambda t: _proj(tt.combine([t["outputs0"], t["outputs1"]], sets, ranks, t["weights"]), p4),
-            outputs0=outs[0], outputs1=outs[1], weights=gw,
-        )
 
         # two heads, two sequences: the op's rope, head split and sequence split all show; its
         # weights are drawn at the end, and the two unused draws keep the later entries' inputs
@@ -149,14 +134,6 @@ def check_tensor_ops(n_seeds: int = 10) -> SuiteResult:
         lg = rng.normal(size=(6, 5))
         tg = rng.integers(0, 5, size=6)
         run("cross_entropy", lambda t: tt.cross_entropy(t["x"], tg), x=lg)
-
-        x, w_in, w_gate, w_out = (rng.normal(size=shape) for shape in ((3, 4), (4, 5), (4, 5), (5, 3)))
-        pg = rng.normal(size=(3, 3))
-        run(
-            "glu_expert",
-            lambda t: _proj(tt.glu_expert(t["x"], t["w_in"], t["w_gate"], t["w_out"]), pg),
-            x=x, w_in=w_in, w_gate=w_gate, w_out=w_out,
-        )
 
         probs = rng.random(size=(5, 4))
         f = rng.random(size=4)
@@ -178,6 +155,24 @@ def check_tensor_ops(n_seeds: int = 10) -> SuiteResult:
             lambda t: _proj(tt.gate_logits(t["x"], t["w_gate"], t["w_noise"], t["gamma"]), pl),
             x=x, w_gate=w_gate, w_noise=w_noise, gamma=np.asarray(rng.normal() + 1.5),
         )
+
+        # four tokens over four experts of unequal widths: no token chooses expert 2, and the
+        # ranks are not in expert order, so at k = 3 the per-token summation order shows
+        widths = (5, 3, 4, 2)
+        ex = {}
+        for i, h in enumerate(widths):
+            ex.update({f"w_in{i}": rng.normal(size=(4, h)), f"w_gate{i}": rng.normal(size=(4, h))})
+            ex[f"w_out{i}"] = rng.normal(size=(h, 3))
+        x, pr = rng.normal(size=(4, 4)), rng.normal(size=(4, 3))
+        route = np.array([[3, 0, 1], [1, 3, 0], [0, 1, 3], [0, 3, 1]])
+
+        def routed(t, k):
+            experts = [tuple(t[f"{w}{i}"] for w in ("w_in", "w_gate", "w_out")) for i in range(len(widths))]
+            return _proj(tt.routed_experts(t["x"], t["probs"], route[:, :k], experts), pr)
+
+        for k in (1, 2, 3):
+            probs = rng.random(size=(4, k))
+            run("routed_experts" if k == 2 else f"routed_experts/k={k}", lambda t: routed(t, k), x=x, probs=probs, **ex)
 
     return _suite("tensor_ops", worst, OPS_TOL)
 

@@ -3,8 +3,9 @@
 Commands write their primary outputs inside a `with RunOutputs(...)` block:
 files are produced under temporary names and renamed into place only when
 the whole block has succeeded, so a failed run leaves no partial outputs.
-The manifest (command line, config snapshot, seed, version, timestamps,
-sha256 digests of every emitted file) is written last.
+The manifest (command line, config snapshot, seed, version, the numpy and
+BLAS build with the BLAS thread variables and core count, timestamps, sha256
+digests of every emitted file) is written last.
 """
 
 from __future__ import annotations
@@ -12,14 +13,18 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 import subprocess
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 
 MANIFEST_NAME = "manifest.json"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def sha256_file(path: str | Path) -> str:
@@ -47,12 +52,28 @@ def version_string() -> str:
     return f"v{__version__}"
 
 
+@functools.cache
+def runtime_info() -> dict:
+    """What a run's bits depend on beyond its config and seed: the numpy version, the
+    BLAS library numpy was built against, the BLAS thread variables as this process
+    sees them (None when unset, in which case the BLAS picks its own count) and the
+    core count; computed once per process."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 @dataclass
 class RunManifest:
     command: list[str]
     config: dict
     seed: int | None
     version: str
+    runtime: dict
     started_at: str
     finished_at: str
     outputs: dict[str, str]  # filename -> sha256
@@ -95,6 +116,7 @@ class RunOutputs:
             config=self.config,
             seed=self.seed,
             version=version_string(),
+            runtime=runtime_info(),
             started_at=_iso(self._t0),
             finished_at=_iso(time.time()),
             outputs=digests,

@@ -7,7 +7,9 @@ gate scores each token against every expert and adds a deterministic
 softplus/rmsnorm term derived from the token itself, both in one
 `gate_logits` node, and with one `topk_softmax` keeps each token's top-k
 experts and softmaxes their logits into [T, k] combination weights, aligned
-with the [T, k] expert indices.
+with the [T, k] expert indices. The experts of a layer are one
+`routed_experts` node: one stable sort of the routed expert ids, each expert
+once on its contiguous slice of rows, one gate-weighted sum per token.
 """
 
 from __future__ import annotations
@@ -149,33 +151,31 @@ def gate_forward(params: GateParams, x: Tensor, k: int) -> GateOutput:
     return GateOutput(topk_indices=idx, full_probs=tt.softmax(logits), logits=logits, topk_probs=probs)
 
 
-def expert_forward(e: ExpertParams, x: Tensor) -> Tensor:
-    """Gated-linear feed-forward (silu(x W_in) * (x W_gateproj)) W_out, one `glu_expert` node."""
-    return tt.glu_expert(x, e.w_in, e.w_gateproj, e.w_out)
+def expert_forward(e: ExpertParams, rows: np.ndarray) -> tt.GluRows:
+    """Gated-linear feed-forward (silu(x W_in) * (x W_gateproj)) W_out of an expert's
+    routed rows [R, d_model], as plain numpy: the output and what its backward reads.
+    `moe_layer_forward` calls it once per expert that has rows."""
+    return tt._glu_forward(rows, e.w_in.values, e.w_gateproj.values, e.w_out.values)
 
 
 def moe_layer_forward(
     gate: GateParams, experts: list[ExpertParams], x: Tensor, k: int
 ) -> tuple[Tensor, GateOutput]:
-    """Route each token to its top-k experts and combine the outputs.
+    """Route each token to its top-k experts and combine the outputs, as one `routed_experts` node.
 
-    Each expert runs once, on the rows routed to it; one weighted `combine`
-    then adds every expert's gate-scaled rows in expert-index order, each
-    row weighted at the rank that chose the expert, which is identical to a
-    dense per-token sum over experts evaluated in the same order. Tokens
-    outside an expert's routing set contribute exactly zero to it and are
-    never evaluated.
+    Each expert runs once, through `expert_forward`, on the rows routed to
+    it; each token then sums its experts' gate-scaled rows in expert-index
+    order, which is identical to a dense per-token sum over experts in the
+    same order. Tokens outside an expert's routing set contribute exactly
+    zero to it and are never evaluated.
     """
     if not experts:
         raise ValueError("moe_layer_forward: experts list is empty")
+    if len(experts) != gate.n_experts:
+        raise ValueError(f"moe_layer_forward: {len(experts)} experts for a gate over {gate.n_experts}")
     out = gate_forward(gate, x, k)
-    outputs, rows, ranks = [], [], []
-    for e_idx, expert in enumerate(experts):
-        routed, rank = np.nonzero(out.topk_indices == e_idx)
-        if routed.size == 0:
-            continue
-        outputs.append(expert_forward(expert, tt.gather_rows(x, routed)))
-        rows.append(routed)
-        ranks.append(rank)
-    return tt.combine(outputs, rows, ranks, out.topk_probs), out
-
+    weights = [(e.w_in, e.w_gateproj, e.w_out) for e in experts]
+    y = tt.routed_experts(
+        x, out.topk_probs, out.topk_indices, weights, lambda i, rows: expert_forward(experts[i], rows)
+    )
+    return y, out

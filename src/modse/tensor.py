@@ -18,24 +18,23 @@ backward whose softmax row term comes from the output rows, so a
 transformer layer records one attention node instead of a chain of seven.
 
 A gate's logits, x W_gate + rmsnorm(softplus(x W_noise)), are one
-`gate_logits` op instead of a chain of five. Both fused ops give the bits
-of the chains they replace: each lists an input once per use and returns
-its partial gradients in the order the chain's tape accumulated them.
+`gate_logits` op instead of a chain of five. Every fused op gives the bits
+of the chain it replaces: it lists an input once per use and returns its
+partial gradients in the order the chain's tape accumulated them.
 
-A gated-linear expert is one `glu_expert` op and the auxiliary balance
-penalty one `balance_penalty` op, each with a hand-written backward, so an
-expert or a penalty records one node instead of a chain of five. Both give
-the chain's bits; `glu_expert` computes its pointwise terms in place.
+The auxiliary balance penalty is one `balance_penalty` op with a
+hand-written backward, where a chain of five would be, with the chain's bits.
 
 A gate's routing decision is one `topk_softmax` op: one stable sort picks
 each token's k largest logits, and their softmax is kept as [tokens, k]
-weights beside the [tokens, k] expert indices, in rank order. The expert
-outputs of a mixture layer are merged by one weighted `combine` op: it adds
-each expert's gate-scaled rows into a [tokens, d] matrix, the experts in
-index order, reading each row's weight at the rank that chose the expert,
-which is identical to the dense per-token sum over experts in that order.
-Its hand-written backward is a plain gather, since no token row repeats
-within one expert.
+weights beside the [tokens, k] expert indices, in rank order. A mixture
+layer's experts are one `routed_experts` node: one stable sort of the
+tokens*k expert ids makes each expert's routed rows a contiguous slice of
+one buffer, each gated-linear expert runs once on its slice, and each token
+sums its gate-weighted rows in ascending expert index, which is identical
+to the dense per-token sum over experts in that order. Its hand-written
+backward gathers the output gradient once into the same order and runs
+each expert's backward on its slice.
 """
 
 from __future__ import annotations
@@ -54,12 +53,10 @@ __all__ = [
     "add",
     "rmsnorm",
     "gate_logits",
-    "glu_expert",
     "softmax",
     "topk_softmax",
-    "gather_rows",
     "embedding_lookup",
-    "combine",
+    "routed_experts",
     "causal_attention",
     "cross_entropy",
     "balance_penalty",
@@ -206,40 +203,47 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(a.values + b.values, (a, b), lambda g: (g, g))
 
 
-def glu_expert(x: Tensor, w_in: Tensor, w_gate: Tensor, w_out: Tensor) -> Tensor:
-    """Gated-linear feed-forward (silu(x W_in) * (x W_gate)) W_out as one node.
+class GluRows(NamedTuple):
+    """A gated-linear expert's forward on its rows, from `_glu_forward`: the
+    output and the [R, h] arrays its backward reads."""
 
-    x is [R, d], w_in and w_gate are [d, h], w_out is [h, d_out]. The tape
-    keeps a = x W_in, its sigmoid s and b = x W_gate; the backward rebuilds
-    silu(a) = a*s and the hidden product from them, in the forward's order,
-    so every bit matches the unfused chain. The pointwise work runs in place
-    in one or two [R, h] buffers.
-    """
-    ok = x.values.ndim == w_in.values.ndim == w_out.values.ndim == 2
-    if not (ok and w_gate.shape == w_in.shape and x.shape[1] == w_in.shape[0] and w_in.shape[1] == w_out.shape[0]):
-        raise ShapeError(f"glu_expert: x {x.shape}, w_in {w_in.shape}, w_gate {w_gate.shape}, w_out {w_out.shape}")
-    for w in (w_in, w_gate, w_out):
-        _check_same_dtype(x, w, "glu_expert")
-    a = _mm(x.values, w_in.values)
+    out: np.ndarray  # (silu(a) * b) W_out, [R, d_out]
+    a: np.ndarray  # x W_in
+    s: np.ndarray  # sigmoid(a)
+    b: np.ndarray  # x W_gate
+
+
+def _glu_forward(x: np.ndarray, w_in: np.ndarray, w_gate: np.ndarray, w_out: np.ndarray) -> GluRows:
+    """(silu(x W_in) * (x W_gate)) W_out of [R, d] rows, w_in and w_gate [d, h],
+    w_out [h, d_out], with the bits of the matmul, silu, matmul, mul, matmul chain.
+    The hidden product is built in place in one [R, h] buffer."""
+    a = _mm(x, w_in)
     s = _sigmoid(a)
-    b = _mm(x.values, w_gate.values)
+    b = _mm(x, w_gate)
     hidden = np.multiply(a, s)
     hidden *= b
+    return GluRows(_mm(hidden, w_out), a, s, b)
 
-    def bw(g):
-        gh = g @ w_out.values.T
-        t = np.subtract(1.0, s)  # t = s * (1 + a*(1 - s)), silu's derivative
-        t *= a
-        t += 1.0
-        t *= s
-        ga = np.multiply(gh, b)
-        ga *= t
-        np.multiply(a, s, out=t)  # silu(a)
-        gh *= t  # the gradient of b
-        t *= b  # the hidden product
-        return gh @ w_gate.values.T + ga @ w_in.values.T, x.values.T @ ga, x.values.T @ gh, t.T @ g
 
-    return _record(_mm(hidden, w_out.values), (x, w_in, w_gate, w_out), bw)
+def _glu_backward(g, x, saved, weights, gx_out: np.ndarray):
+    """The weight gradients (w_in, w_gate, w_out) of `_glu_forward` given d(loss)/d(out) g,
+    its (a, s, b) as `saved` and its three weight arrays; x's gradient is written into
+    `gx_out`. silu(a) = a*s and the hidden product are rebuilt in the forward's order, so
+    every bit matches the chain."""
+    a, s, b = saved
+    w_in, w_gate, w_out = weights
+    gh = g @ w_out.T
+    t = np.subtract(1.0, s)  # t = s * (1 + a*(1 - s)), silu's derivative
+    t *= a
+    t += 1.0
+    t *= s
+    ga = np.multiply(gh, b)
+    ga *= t
+    np.multiply(a, s, out=t)  # silu(a)
+    gh *= t  # the gradient of b
+    t *= b  # the hidden product
+    np.add(gh @ w_gate.T, ga @ w_in.T, out=gx_out)
+    return x.T @ ga, x.T @ gh, t.T @ g
 
 
 # ---------------------------------------------------------------------------
@@ -383,21 +387,17 @@ def topk_softmax(logits: Tensor, k: int) -> tuple[Tensor, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# gather / combine
+# gather / routed experts
 
 
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Rows `x[idx]`; the backward assigns when `idx` is strictly increasing and
-    non-negative (so no row repeats), and scatter-adds otherwise."""
+    """Rows `x[idx]`, the node `embedding_lookup` records; the backward
+    scatter-adds, so repeated rows sum their gradients."""
     idx = np.asarray(idx, dtype=np.int64)
-    unique = idx.size < 2 or (idx[0] >= 0 and bool((idx[1:] > idx[:-1]).all()))
 
     def bw(g):
         gx = np.zeros_like(x.values)
-        if unique:
-            gx[idx] = g
-        else:
-            np.add.at(gx, idx, g)
+        np.add.at(gx, idx, g)
         return (gx,)
 
     return _record(x.values[idx], (x,), bw)
@@ -410,48 +410,88 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     return gather_rows(table, ids.reshape(-1))
 
 
-def combine(
-    outputs: Sequence[Tensor], rows: Sequence[np.ndarray], ranks: Sequence[np.ndarray], weights: Tensor
+def routed_experts(
+    x: Tensor,
+    probs: Tensor,
+    idx: np.ndarray,
+    experts: Sequence[tuple[Tensor, Tensor, Tensor]],
+    forward: Callable[[int, np.ndarray], GluRows] | None = None,
 ) -> Tensor:
-    """Gate-weighted merge of per-expert outputs into one [T, d] matrix.
+    """A mixture layer's expert FFN: y[t] = sum_r probs[t, r] * GLU_idx[t, r](x[t]), as one node.
 
-    `weights` is the gate's [T, k] matrix in rank order; `outputs[i]` holds
-    one expert's results for the distinct token rows `rows[i]`, which chose
-    that expert at ranks `ranks[i]`. Starting from zeros, output i is added
-    in list order as
+    x is [T, d]; probs and idx are the gate's [T, k] weights and expert
+    indices; expert i is the (w_in, w_gate, w_out) of a gated-linear expert,
+    [d, h_i], [d, h_i], [h_i, d_out]. One stable sort of the T*k expert ids
+    lays the routed rows out expert by expert, each expert's in token order;
+    one gather copies x into that [T*k, d] buffer, and each expert with rows
+    runs once on its contiguous slice as `forward(i, rows)`, by default
+    `_glu_forward` of its weights (a caller may pass a function that
+    computes the same, to instrument each expert's call). One pass scales
+    the outputs by their gate weights, and each token sums its k rows in
+    ascending expert index.
 
-        y[rows_i] += weights[rows_i, ranks_i][:, None] * outputs_i
-
-    so each token sums its experts in list order, exactly as a dense
-    per-token sum in that order does. No row repeats within one output, so
-    the backward is a plain gather: output i receives g[rows_i] * w_i and
-    `weights` receives sum(g[rows_i] * outputs_i, axis=1) at (rows_i, ranks_i).
+    The backward gathers g once into the sorted order, takes the gate
+    weights' gradient as one row sum, and runs each expert's backward on its
+    slice; an expert no row chose gets no gradient (None). x is listed k
+    times among the parents: partial j holds each token's row from its j-th
+    highest expert, the order in which a chain of per-expert gathers added
+    them, so the result has the bits of that chain (gather, expert, weighted
+    sum in index order) even when x feeds other nodes too.
     """
-    matrices = outputs and outputs[0].values.ndim == weights.values.ndim == 2
-    if not (matrices and len(outputs) == len(rows) == len(ranks)):
-        raise ShapeError(f"combine: {len(outputs)} outputs, {len(rows)} row sets, {len(ranks)} rank sets")
-    (t, k), d = weights.shape, outputs[0].shape[1]
-    rows = [np.asarray(r, dtype=np.int64) for r in rows]
-    ranks = [np.asarray(rk, dtype=np.int64) for rk in ranks]
-    for o, r, rk in zip(outputs, rows, ranks):
-        if o.shape != (len(r), d) or rk.shape != r.shape or rk.min(initial=0) < 0 or rk.max(initial=0) >= k:
-            raise ShapeError(f"combine: output {o.shape} for {len(r)} rows, ranks {rk.shape}, weights {weights.shape}")
-        _check_same_dtype(o, weights, "combine")
-    cols = [weights.values[r, rk][:, None] for r, rk in zip(rows, ranks)]
-    y = np.zeros((t, d), dtype=weights.dtype)
-    for o, r, w in zip(outputs, rows, cols):
-        y[r] += o.values * w
+    idx = np.asarray(idx)
+    n = len(experts)
+    ok = x.values.ndim == 2 and probs.values.ndim == 2 and idx.shape == probs.shape and idx.shape[0] == x.shape[0]
+    if not (ok and n and all(len(e) == 3 for e in experts)):
+        raise ShapeError(f"routed_experts: x {x.shape}, probs {probs.shape}, idx {idx.shape}, {n} experts")
+    (t, d), k = x.shape, idx.shape[1]
+    d_out = experts[0][2].shape[-1]
+    for i, (w_in, w_gate, w_out) in enumerate(experts):
+        h = w_in.shape[-1]
+        if not (w_in.shape == w_gate.shape == (d, h) and w_out.shape == (h, d_out)):
+            raise ShapeError(
+                f"routed_experts: expert {i} w_in {w_in.shape}, w_gate {w_gate.shape}, w_out {w_out.shape} for x {x.shape}"
+            )
+    weights = tuple(w for e in experts for w in e)
+    dtypes = {w.dtype for w in (probs, *weights)}
+    if dtypes != {x.dtype}:
+        raise ShapeError(f"routed_experts: mixed dtypes {x.dtype} and {(dtypes - {x.dtype}).pop()}")
+    if not np.issubdtype(idx.dtype, np.integer) or (idx.size and (idx.min() < 0 or idx.max() >= n)):
+        raise ValueError(f"routed_experts: expert index outside 0..{n - 1}")
+    if forward is None:
+        def forward(i, rows):
+            return _glu_forward(rows, *(w.values for w in experts[i]))
+
+    order = np.argsort(idx.reshape(-1), kind="stable")
+    tok = order // k
+    bounds = np.cumsum(np.bincount(idx.reshape(-1), minlength=n)).tolist()
+    spans = [(i, lo, hi) for i, (lo, hi) in enumerate(zip([0, *bounds], bounds)) if hi > lo]
+    xs = x.values[tok]
+    fwd = [forward(i, xs[lo:hi]) for i, lo, hi in spans]
+    ys = np.concatenate([f.out for f in fwd]) if fwd else np.empty((0, d_out), x.dtype)
+    saved = [f[1:] for f in fwd]  # (a, s, b); the outputs live on in ys alone
+    ws = probs.values.reshape(-1, 1)[order]
+    weighted = ys * ws
+    # each token's sorted rows, in ascending expert index
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
+    pos = np.sort(pos.reshape(t, k), axis=1)
+    y = weighted[pos[:, 0]]
+    for j in range(1, k):
+        y += weighted[pos[:, j]]
 
     def bw(g):
-        gw = np.zeros_like(weights.values)
-        grads = []
-        for o, r, rk, w in zip(outputs, rows, ranks, cols):
-            gr = g[r]
-            grads.append(gr * w)
-            gw[r, rk] += np.sum(gr * o.values, axis=1)
-        return (*grads, gw)
+        gs = g[tok]
+        gw = np.empty(t * k, g.dtype)
+        gw[order] = np.sum(gs * ys, axis=1)
+        gs *= ws  # the experts' output gradient
+        gxs = np.empty_like(xs)
+        grads: list[np.ndarray | None] = [None] * (3 * n)
+        for (i, lo, hi), a_s_b in zip(reversed(spans), reversed(saved)):
+            w_values = [w.values for w in experts[i]]
+            grads[3 * i : 3 * i + 3] = _glu_backward(gs[lo:hi], xs[lo:hi], a_s_b, w_values, gxs[lo:hi])
+        return (*(gxs[pos[:, j]] for j in reversed(range(k))), gw.reshape(t, k), *grads)
 
-    return _record(y, (*outputs, weights), bw)
+    return _record(y, (x,) * k + (probs, *weights), bw)
 
 
 # ---------------------------------------------------------------------------

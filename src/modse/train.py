@@ -1,8 +1,10 @@
 """Training loop: next-token cross entropy plus the per-layer balance penalties.
 
-Single-threaded and bitwise deterministic for a fixed config and seed. Each
-step logs a TrainStepRecord; optionally every routing decision (which expert
-each token chose at each layer and rank) goes to a trace file.
+Bitwise deterministic for a fixed config and seed on one numpy/BLAS build
+and BLAS thread count: the thread count changes low-order bits, and the run
+manifest records all three. Each step logs a TrainStepRecord; optionally
+every routing decision (which expert each token chose at each layer and
+rank) goes to a trace file.
 """
 
 from __future__ import annotations

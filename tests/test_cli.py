@@ -83,6 +83,7 @@ class TestTrainCommand:
         assert (out / "checkpoint.bin").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == TINY_MODEL["seed"]
+        assert manifest["runtime"]["numpy"] == np.__version__
         for name, digest in manifest["outputs"].items():
             assert sha(out / name) == digest
         summary = json.loads(r.stdout.strip().splitlines()[-1])
@@ -604,3 +605,33 @@ class TestRunOutputs:
         assert len(calls) == 1
         for tag in ("a", "b"):
             assert json.loads((tmp_path / tag / "manifest.json").read_text())["version"] == "v-described"
+
+    def test_runtime_is_recorded_once_per_process(self, tmp_path, monkeypatch):
+        # bits depend on the numpy/BLAS build and the BLAS thread count, so the manifest names them
+        import os
+
+        from modse import manifest
+
+        threads = {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "1"}
+        for var, value in threads.items():
+            if value is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, value)
+        manifest.runtime_info.cache_clear()
+        try:
+            for tag in ("a", "b"):
+                with manifest.RunOutputs(tmp_path / tag, ["modse"], {}, None) as run:
+                    run.stage("x.txt").write_text(tag)
+                monkeypatch.setenv("OPENBLAS_NUM_THREADS", "5")  # read once: "b" still records 3
+        finally:
+            manifest.runtime_info.cache_clear()
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        expect = {
+            "numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']}",
+            "blas_threads": threads,
+            "cpu_count": os.cpu_count(),
+        }
+        for tag in ("a", "b"):
+            assert json.loads((tmp_path / tag / "manifest.json").read_text())["runtime"] == expect

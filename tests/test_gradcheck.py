@@ -41,13 +41,11 @@ OP_CALLS = {
     "add": lambda t: tt.add(t(3, 4), t(3, 4)),
     "rmsnorm": lambda t: tt.rmsnorm(t(3, 4), t(4)),
     "gate_logits": lambda t: tt.gate_logits(t(3, 4), t(4, 5), t(4, 5), t(5)),
-    "glu_expert": lambda t: tt.glu_expert(t(3, 4), t(4, 5), t(4, 5), t(5, 4)),
     "softmax": lambda t: tt.softmax(t(3, 4)),
     "topk_softmax": lambda t: tt.topk_softmax(t(3, 4), 2)[0],
-    "gather_rows": lambda t: tt.gather_rows(t(5, 4), np.array([0, 2, 2])),
     "embedding_lookup": lambda t: tt.embedding_lookup(t(5, 4), np.array([4, 1, 1])),
-    "combine": lambda t: tt.combine(
-        [t(2, 4), t(1, 4)], [np.array([0, 2]), np.array([1])], [np.array([0, 1]), np.array([0])], t(3, 2)
+    "routed_experts": lambda t: tt.routed_experts(
+        t(3, 4), t(3, 2), np.array([[0, 2], [1, 0], [2, 0]]), [(t(4, h), t(4, h), t(h, 4)) for h in (5, 3, 2, 4)]
     ),
     "causal_attention": _attention_call,
     "cross_entropy": lambda t: tt.cross_entropy(t(3, 4), np.array([0, 3, 1])),
@@ -139,11 +137,11 @@ def _corrupted(out):
 @pytest.mark.parametrize(
     "suite, op",
     [
-        ("tensor_ops", "glu_expert"),
+        ("tensor_ops", "routed_experts"),
         ("gate", "gate_logits"),
-        ("moe_layer", "glu_expert"),
+        ("moe_layer", "routed_experts"),
         ("balance_loss", "balance_penalty"),
-        ("end_to_end", "glu_expert"),
+        ("end_to_end", "routed_experts"),
     ],
 )
 def test_corrupted_gradient_is_detected(monkeypatch, suite, op):

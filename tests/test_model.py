@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import modse.moe
 import modse.tensor as tt
 from modse.model import ModelConfig, attention_tables, init_weights, rope_tables, spec_hash, transformer_forward
 from modse.rng import stream_rng
@@ -152,6 +153,30 @@ class TestTransformerForward:
         weights = init_weights(cfg)
         transformer_forward(cfg, weights, np.zeros((2, cfg.seq_len), dtype=np.int64))
         assert len(calls) == 1 and calls[0] is weights["lm_head"]
+
+    def test_expert_forward_called_once_per_routed_expert(self, monkeypatch):
+        # the benchmark's per-expert metrics wrap modse.moe.expert_forward(e, rows) and read
+        # rows.shape[0] and e.hidden_size: every routed row must pass through that name
+        cfg = small_cfg(batch_size=3)
+        weights = init_weights(cfg)
+        real = modse.moe.expert_forward
+        calls = []
+
+        def wrapped(e, rows):
+            calls.append((e.w_in, e.hidden_size, rows.shape[0]))
+            return real(e, rows)
+
+        monkeypatch.setattr(modse.moe, "expert_forward", wrapped)
+        tokens = stream_rng(4, "model-test").integers(0, cfg.vocab_size, size=(3, cfg.seq_len))
+        _, gate_outs = transformer_forward(cfg, weights, tokens)
+        for layer, go in enumerate(gate_outs):
+            used, rows = np.unique(go.topk_indices, return_counts=True)
+            layer_calls, calls = calls[: len(used)], calls[len(used) :]
+            w_in = [weights[f"layers.{layer}.experts.{j}.w_in"] for j in used]
+            assert [w for w, _, _ in layer_calls] == w_in  # Tensors compare by identity
+            assert [(h, r) for _, h, r in layer_calls] == [(w.shape[1], r) for w, r in zip(w_in, rows)]
+            assert sum(r for _, _, r in layer_calls) == go.topk_indices.size
+        assert calls == []
 
 
 def forward_tables(cfg, dtype):

@@ -196,14 +196,14 @@ class TestExpertForward:
         e = ExpertParams(
             w_in=Tensor(np.zeros((4, 6))), w_gateproj=Tensor(np.zeros((4, 6))), w_out=Tensor(np.zeros((6, 4)))
         )
-        out = expert_forward(e, Tensor(np.ones((2, 4))))
-        assert np.array_equal(out.values, np.zeros((2, 4)))
+        out = expert_forward(e, np.ones((2, 4), dtype=np.float32))
+        assert np.array_equal(out.out, np.zeros((2, 4)))
 
     def test_zero_input_gives_zero(self):
         spec = build_paired_spec(4, 6, [(2.0, 1.0)])
         e = _seeded_experts(spec)[0]
-        out = expert_forward(e, Tensor(np.zeros((3, 4)), dtype=np.float64))
-        assert np.array_equal(out.values, np.zeros((3, 4)))
+        out = expert_forward(e, np.zeros((3, 4)))
+        assert np.array_equal(out.out, np.zeros((3, 4)))
 
     def test_scalar_loop_oracle(self):
         t, d, h = 2, 4, 6
@@ -214,7 +214,7 @@ class TestExpertForward:
             w_gateproj=Tensor(rng.normal(size=(d, h)), dtype=np.float64),
             w_out=Tensor(rng.normal(size=(h, d)), dtype=np.float64),
         )
-        got = expert_forward(e, Tensor(x, dtype=np.float64)).values
+        got = expert_forward(e, x).out
         for ti in range(t):
             hidden = []
             for j in range(h):
@@ -243,7 +243,7 @@ class TestMoeLayerForward:
         x = Tensor(np.abs(stream_rng(7, "t").normal(size=(3, d))) + 0.1, dtype=np.float64)
         y, out = moe_layer_forward(gate, experts, x, 1)
         assert (out.topk_indices[:, 0] == forced).all()
-        assert np.array_equal(y.values, expert_forward(experts[forced], x).values)
+        assert np.array_equal(y.values, expert_forward(experts[forced], x.values).out)
 
     def test_two_identical_experts_k2(self):
         d = 4
@@ -253,7 +253,7 @@ class TestMoeLayerForward:
         gate = _seeded_gate(d, 2, seed=8)
         x = Tensor(stream_rng(8, "t").normal(size=(5, d)), dtype=np.float64)
         y, _ = moe_layer_forward(gate, experts, x, 2)
-        np.testing.assert_allclose(y.values, expert_forward(e, x).values, rtol=1e-12)
+        np.testing.assert_allclose(y.values, expert_forward(e, x.values).out, rtol=1e-12)
 
     def test_matches_dense_evaluation_oracle(self):
         d, n, k, t = 8, 4, 2, 9
@@ -266,7 +266,7 @@ class TestMoeLayerForward:
         for i, e in enumerate(experts):
             # expert i's weight per token: its top-k weight, or zero when not chosen
             w = np.where(out.topk_indices == i, out.topk_probs.values, 0.0).sum(axis=1, keepdims=True)
-            dense += w * expert_forward(e, x).values
+            dense += w * expert_forward(e, x.values).out
         np.testing.assert_allclose(y.values, dense, rtol=1e-12, atol=1e-15)
 
     def test_unrouted_experts_contribute_exact_zero(self):
@@ -305,3 +305,12 @@ class TestMoeLayerForward:
         gate = _seeded_gate(4, 4)
         with pytest.raises(ValueError, match="empty"):
             moe_layer_forward(gate, [], Tensor(np.zeros((1, 4)), dtype=np.float64), 1)
+
+    @pytest.mark.parametrize("n_given", [3, 5])
+    def test_expert_count_must_match_gate(self, n_given):
+        # every token-rank routed past the end of a short list would be dropped silently
+        spec = homogeneous_spec(4, 6, 6)
+        experts = _seeded_experts(spec)[:n_given]
+        gate = _seeded_gate(4, 4)
+        with pytest.raises(ValueError, match=f"{n_given} experts for a gate over 4"):
+            moe_layer_forward(gate, experts, Tensor(np.ones((2, 4)), dtype=np.float64), 2)

@@ -303,53 +303,60 @@ class TestStructuralOps:
             tt.embedding_lookup(Tensor(np.zeros((4, 2))), np.array([4]))
 
 
+def routing(rng, t, k, n, unused):
+    """[T, k] expert indices, each row k distinct experts other than `unused`, in random rank order."""
+    experts = np.array([i for i in range(n) if i != unused])
+    return np.stack([rng.permutation(experts)[:k] for _ in range(t)])
+
+
+def expert_weights(rng, d, widths, dtype):
+    return [[rng.normal(0.0, 0.5, s).astype(dtype) for s in ((d, h), (d, h), (h, d))] for h in widths]
+
+
 class TestCombine:
     def test_matches_numpy_loop(self):
-        # float64, three experts of a top-3 gate, two on subsets of the rows, each row's
-        # experts at distinct ranks: forward and both gradients equal a plain loop bit for bit
+        # float64, a top-3 gate over four experts: the gate-weighted merge and the gate
+        # weights' gradient equal a plain per-row loop over experts in index order, bit for bit
         rng = np.random.default_rng(5)
         t, d, k = 6, 4, 3
+        idx = routing(rng, t, k, 4, unused=-1)
         w = rng.random((t, k))
-        rows = [np.arange(t), np.array([1, 4, 5]), np.array([0, 2])]
-        ranks = [np.array([0, 1, 2, 0, 1, 0]), np.array([0, 2, 2]), np.array([2, 0])]
-        outs = [rng.normal(size=(len(r), d)) for r in rows]
-        g = rng.normal(size=(t, d))
+        experts = expert_weights(rng, d, (5, 3, 6, 2), np.float64)
+        x, g = rng.normal(size=(t, d)), rng.normal(size=(t, d))
 
         expect = np.zeros((t, d))
-        expect_go = []
         expect_gw = np.zeros((t, k))
-        for o, r, rk in zip(outs, rows, ranks):
-            for j, (i, c) in enumerate(zip(r, rk)):
+        for e, ws in enumerate(experts):
+            rows, ranks = np.nonzero(idx == e)
+            o = tt._glu_forward(x[rows], *ws).out
+            for j, (i, c) in enumerate(zip(rows, ranks)):
                 expect[i] = expect[i] + o[j] * w[i, c]
                 expect_gw[i, c] = np.sum(g[i] * o[j])
-            expect_go.append(g[r] * w[r, rk][:, None])
 
-        out_t = [Tensor(o, requires_grad=True, dtype=np.float64) for o in outs]
         w_t = Tensor(w, requires_grad=True, dtype=np.float64)
-        y = tt.combine(out_t, rows, ranks, w_t)
+        ts = [tuple(Tensor(a, dtype=np.float64) for a in ws) for ws in experts]
+        y = tt.routed_experts(Tensor(x, dtype=np.float64), w_t, idx, ts)
         assert np.array_equal(y.values, expect)
         tt.backward(_proj(y, g))
-        for o, eg in zip(out_t, expect_go):
-            assert np.array_equal(o.grad, eg)
         assert np.array_equal(w_t.grad, expect_gw)
 
     def test_shape_errors(self):
-        w = Tensor(np.ones((3, 2)))
-        o = Tensor(np.ones((2, 4)))
-        r = np.array([0, 1])
+        x, w = Tensor(np.ones((3, 4))), Tensor(np.ones((3, 2)))
+        experts = [tuple(Tensor(np.ones(s)) for s in ((4, 5), (4, 5), (5, 4)))] * 3
+        idx = np.array([[0, 1], [1, 2], [2, 0]])
         with pytest.raises(ShapeError):
-            tt.combine([], [], [], w)
+            tt.routed_experts(x, w, idx, [])
         with pytest.raises(ShapeError):
-            tt.combine([o], [np.array([0, 1, 2])], [np.zeros(3)], w)
+            tt.routed_experts(x, w, idx[:, :1], experts)
         with pytest.raises(ShapeError):
-            tt.combine([o], [r], [np.array([0])], w)
-        for bad_rank in (2, -1):
-            with pytest.raises(ShapeError):
-                tt.combine([o], [r], [np.array([0, bad_rank])], w)
-        with pytest.raises(ShapeError):
-            tt.combine([o], [r], [r, r], w)
-        with pytest.raises(ShapeError):
-            tt.combine([o], [r], [r], Tensor(np.ones((3, 2)), dtype=np.float32))
+            tt.routed_experts(x, Tensor(np.ones((2, 2))), idx[:2], experts)
+        for bad in (3, -1):
+            with pytest.raises(ValueError, match="expert index"):
+                tt.routed_experts(x, w, np.array([[0, 1], [1, 2], [2, bad]]), experts)
+        with pytest.raises(ValueError, match="expert index"):
+            tt.routed_experts(x, w, idx.astype(np.float64), experts)
+        with pytest.raises(ShapeError, match="mixed dtypes"):
+            tt.routed_experts(x, Tensor(np.ones((3, 2)), dtype=np.float32), idx, experts)
 
 
 def chain_matmul(a, b):
@@ -387,28 +394,85 @@ def penalty_chain(probs, f, c):
 @pytest.mark.parametrize("rows,d,h", [(5, 6, 7), (40, 24, 30)], ids=["einsum", "blas"])
 class TestGluExpert:
     def test_matches_op_chain_bit_for_bit(self, dtype, rows, d, h):
+        # the expert kernels of routed_experts: forward and backward equal the five-op chain
         rng = np.random.default_rng(11)
-        arrays_ = [rng.normal(size=s).astype(dtype) for s in ((rows, d), (d, h), (d, h), (h, d))]
+        x, w_in, w_gate, w_out = (rng.normal(size=s).astype(dtype) for s in ((rows, d), (d, h), (d, h), (h, d)))
         g = rng.normal(size=(rows, d)).astype(dtype)
-        ts = [Tensor(a, requires_grad=True, dtype=dtype) for a in arrays_]
-        y = tt.glu_expert(*ts)
-        expect = glu_chain(*arrays_, g)
-        assert y.dtype == dtype and np.array_equal(y.values, expect[0])
-        tt.backward(_proj(y, g))
-        for t, eg in zip(ts, expect[1:]):
-            assert t.grad.dtype == dtype and np.array_equal(t.grad, eg)
+        fwd = tt._glu_forward(x, w_in, w_gate, w_out)
+        gx = np.empty_like(x)
+        grads = tt._glu_backward(g, x, fwd[1:], (w_in, w_gate, w_out), gx)
+        expect = glu_chain(x, w_in, w_gate, w_out, g)
+        assert fwd.out.dtype == dtype and np.array_equal(fwd.out, expect[0])
+        for got, eg in zip((gx, *grads), expect[1:]):
+            assert got.dtype == dtype and np.array_equal(got, eg)
 
     def test_shape_and_dtype_errors(self, dtype, rows, d, h):
         x = Tensor(np.ones((rows, d)), dtype=dtype)
+        probs = Tensor(np.ones((rows, 1)), dtype=dtype)
+        idx = np.zeros((rows, 1), dtype=np.int64)
         w = Tensor(np.ones((d, h)), dtype=dtype)
         w_out = Tensor(np.ones((h, d)), dtype=dtype)
-        with pytest.raises(ShapeError, match="glu_expert"):
-            tt.glu_expert(x, w, w, w)
-        with pytest.raises(ShapeError, match="glu_expert"):
-            tt.glu_expert(x, w, w_out, w_out)
+        with pytest.raises(ShapeError, match="routed_experts: expert 0"):
+            tt.routed_experts(x, probs, idx, [(w, w, w)])
+        with pytest.raises(ShapeError, match="routed_experts: expert 1"):
+            tt.routed_experts(x, probs, idx, [(w, w, w_out), (w, w_out, w_out)])
         other = np.float32 if dtype == np.float64 else np.float64
         with pytest.raises(ShapeError, match="mixed dtypes"):
-            tt.glu_expert(x, w, w, Tensor(np.ones((h, d)), dtype=other))
+            tt.routed_experts(x, probs, idx, [(w, w, Tensor(np.ones((h, d)), dtype=other))])
+
+
+def routed_chain(x, probs, idx, experts, g):
+    """The per-expert chain routed_experts replaces, given d(loss)/d(output) g: each expert in
+    index order gathers its rows, runs the five-op GLU chain, and one combine adds the
+    gate-scaled outputs. Returns (output, x's partials in the order the tape added them,
+    the gate weights' gradient, per expert its three weight gradients or None)."""
+    y = np.zeros((x.shape[0], experts[0][2].shape[1]), x.dtype)
+    g_probs = np.zeros_like(probs)
+    x_parts, w_grads = [], []
+    for e, ws in enumerate(experts):
+        rows, ranks = np.nonzero(idx == e)
+        if rows.size == 0:
+            w_grads.append(None)
+            continue
+        w = probs[rows, ranks][:, None]
+        out, gx, *gws = glu_chain(x[rows], *ws, g[rows] * w)
+        y[rows] += out * w
+        g_probs[rows, ranks] += np.sum(g[rows] * out, axis=1)
+        full = np.zeros_like(x)
+        full[rows] = gx
+        x_parts.append(full)
+        w_grads.append(gws)
+    return y, x_parts[::-1], g_probs, w_grads
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shared", [False, True], ids=["once", "shared"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("t,d,widths", [(8, 6, (7, 5, 9, 6, 3)), (40, 24, (30, 18, 40, 12, 8))], ids=["einsum", "blas"])
+class TestRoutedExperts:
+    def test_matches_expert_chain_bit_for_bit(self, t, d, widths, k, shared, dtype):
+        # expert 3 gets no rows; `shared` feeds x to a later node too, so x's gradient
+        # pins the order of the op's k partials
+        rng = np.random.default_rng(17)
+        idx = routing(rng, t, k, len(widths), unused=3)
+        x, g, p2 = (rng.normal(size=(t, d)).astype(dtype) for _ in range(3))
+        probs = rng.random((t, k)).astype(dtype)
+        experts = expert_weights(rng, d, widths, dtype)
+        x_t, probs_t = (Tensor(a, requires_grad=True, dtype=dtype) for a in (x, probs))
+        ts = [tuple(Tensor(a, requires_grad=True, dtype=dtype) for a in ws) for ws in experts]
+        y = tt.routed_experts(x_t, probs_t, idx, ts)
+        expect_y, x_parts, expect_probs, expect_w = routed_chain(x, probs, idx, experts, g)
+        assert y.dtype == dtype and np.array_equal(y.values, expect_y)
+        tt.backward(tt.add(_proj(y, g), _proj(x_t, p2)) if shared else _proj(y, g))
+        expect_x = accumulate(p2, *x_parts) if shared else accumulate(*x_parts)
+        assert x_t.grad.dtype == dtype and np.array_equal(x_t.grad, expect_x)
+        assert np.array_equal(probs_t.grad, expect_probs)
+        for tensors, eg in zip(ts, expect_w):
+            if eg is None:
+                assert all(w.grad is None for w in tensors)
+            else:
+                for w, e in zip(tensors, eg):
+                    assert w.grad.dtype == dtype and np.array_equal(w.grad, e)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

@@ -55,24 +55,25 @@ class TestTrain:
         for name in fresh:
             np.testing.assert_array_equal(weights[name].values, fresh[name].values)
 
-    def test_micro_step_records_21_nodes(self, corpus, monkeypatch):
-        # one tape node per op call, each attention sublayer, gate logit chain, expert, gate
-        # top-k softmax and balance penalty fused into one: an op chain coming back raises the count
+    def test_micro_step_records_13_nodes(self, corpus, monkeypatch):
+        # one tape node per op call, each attention sublayer, gate logit chain, layer's routed
+        # experts, gate top-k softmax and balance penalty fused into one: an op chain coming
+        # back raises the count
         real = tt._record
         nodes = []
         monkeypatch.setattr(tt, "_record", lambda *a: nodes.append(a) or real(*a))
         train(tiny_cfg(n_layers=1, batch_size=8, seed=3), tiny_opt(), corpus, steps=1)
-        assert len(nodes) == 21
+        assert len(nodes) == 13
 
-    def test_toy_step_records_54_nodes(self, corpus, monkeypatch):
-        # the toy config: two layers of eight experts, every one of them routed to
+    def test_toy_step_records_22_nodes(self, corpus, monkeypatch):
+        # the toy config: two layers of eight experts, each layer's experts one node
         with open(Path(__file__).parents[1] / "configs" / "toy.json") as fh:
             cfg = ModelConfig.from_dict(json.load(fh)["model"])
         real = tt._record
         nodes = []
         monkeypatch.setattr(tt, "_record", lambda *a: nodes.append(a) or real(*a))
         train(cfg, tiny_opt(), corpus, steps=1)
-        assert len(nodes) == 54
+        assert len(nodes) == 22
 
     def test_alpha_zero_same_step0_ce_then_diverges(self, corpus):
         cfg = tiny_cfg()
