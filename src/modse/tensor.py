@@ -461,9 +461,10 @@ def routed_experts(
         def forward(i, rows):
             return _glu_forward(rows, *(w.values for w in experts[i]))
 
-    order = np.argsort(idx.reshape(-1), kind="stable")
+    ids = idx.reshape(-1)
+    order = np.argsort(ids, kind="stable")
     tok = order // k
-    bounds = np.cumsum(np.bincount(idx.reshape(-1), minlength=n)).tolist()
+    bounds = np.cumsum(np.bincount(ids, minlength=n)).tolist()
     spans = [(i, lo, hi) for i, (lo, hi) in enumerate(zip([0, *bounds], bounds)) if hi > lo]
     xs = x.values[tok]
     fwd = [forward(i, xs[lo:hi]) for i, lo, hi in spans]
