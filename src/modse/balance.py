@@ -30,8 +30,6 @@ class BalanceStats:
     f: np.ndarray  # [N] fraction of tokens argmax-routed to each expert
     P: np.ndarray  # [N] mean router probability per expert
     loss: Tensor  # scalar, differentiable through P
-    alpha: float
-    token_count: int
 
 
 def balance_loss(gate_out: GateOutput, alpha: float = DEFAULT_ALPHA) -> BalanceStats:
@@ -49,4 +47,4 @@ def balance_loss(gate_out: GateOutput, alpha: float = DEFAULT_ALPHA) -> BalanceS
     f = np.bincount(am, minlength=n).astype(np.float64) / t
 
     loss, p = tt.balance_penalty(probs, f, alpha * n)
-    return BalanceStats(f=f, P=p.astype(np.float64), loss=loss, alpha=alpha, token_count=t)
+    return BalanceStats(f=f, P=p.astype(np.float64), loss=loss)

@@ -6,9 +6,10 @@ gradient is compared with central differences taken while the others are
 held at their values. A suite reports the worst normwise relative error per
 entry. Inputs are drawn from fixed named streams; where a loss goes through a
 discrete selection (top-k, argmax) the inputs are regenerated until the
-selection has a safe margin, so the h=1e-5 probes cannot flip it. The
-end-to-end suite differentiates `train.objective`, the loss training
-minimises.
+selection has a safe margin, so the h=1e-5 probes cannot flip it, and, for
+the gate-level suites, until every expert is chosen by some token, so no
+expert's weights go unchecked. The end-to-end suite differentiates
+`train.objective`, the loss training minimises.
 """
 
 from __future__ import annotations
@@ -178,15 +179,17 @@ def check_tensor_ops(n_seeds: int = 10) -> SuiteResult:
 
 
 def _stable_gate_inputs(seed_name: str, t: int, d: int, n: int, k: int) -> dict[str, np.ndarray]:
-    """x and the gate params, by name, whose top-k and argmax margins survive FD probes."""
+    """x and the gate params, by name, whose top-k and argmax margins survive FD probes
+    and whose top-k selections choose every expert, so each expert's weights get a gradient."""
     for attempt in range(50):
         rng = stream_rng(attempt, seed_name)
         arrays = {"x": rng.normal(size=(t, d))}
         arrays.update((name, rng.normal(0.0, 0.5, (d, n))) for name in ("w_gate", "w_noise"))
         arrays["gamma"] = np.asarray(1.0)
         w = {name: Tensor(a, dtype=np.float64) for name, a in arrays.items()}
-        lv = gate_forward(_gate(w), w["x"], k).logits.values
-        if min(_topk_margin(lv, k), _topk_margin(lv, 1)) > 1e-2:
+        out = gate_forward(_gate(w), w["x"], k)
+        lv = out.logits.values
+        if min(_topk_margin(lv, k), _topk_margin(lv, 1)) > 1e-2 and np.unique(out.topk_indices).size == n:
             return arrays
     raise RuntimeError("could not find margin-stable gate inputs")
 

@@ -8,27 +8,23 @@ expert, all integers. Two on-disk formats carry it and load identically:
 * Binary: magic ``MDSTRC02``, a u32 little-endian header length, the same
   header JSON in UTF-8, then fixed-width 20-byte little-endian records.
 
-Version-1 traces still load: their JSONL lines also carry ``weight`` and
-``ce`` keys, which both parsers ignore, and ``MDSTRC01`` files hold 28-byte
-records whose trailing float32 gate weight and loss are skipped.
+The readers accept only what ``TraceWriter`` writes. A version-1 trace
+(magic ``MDSTRC01``, or a header with ``"version": 1``) is refused with an
+error naming its version.
 
 JSONL is written and read a block of ``BLOCK_LINES`` records at a time, so
-memory stays bounded by the block. The writer formats each block with one
-fixed template and writes the same bytes that ``json.dumps`` of each
-record's dict writes. The reader checks a block against the grammar of that
-template, each ``%d`` a JSON non-negative integer (a version-1 line may add
-its ``weight``/``ce`` tail), with one regular-expression match; a block that
-matches has its keys stripped and is parsed with one ``np.loadtxt`` into the
-record dtype, which refuses a value beyond its field's range. Any other
-block, valid JSON in another layout included, is read line by line with
-``json.loads``. There every field must be a JSON integer: a float or a
-boolean is a bad record, not a value to round, and the first bad record is
+memory stays bounded by the block. The writer formats each line with one
+fixed template, the bytes ``json.dumps`` of the record's dict writes. The
+reader matches a block against that template's grammar, each ``%d`` a JSON
+non-negative integer, with one regular expression, and parses the matched
+lines with one ``np.loadtxt`` into the record dtype. The first line outside
+the grammar, or with a value beyond its field's range, is a bad record
 named by its file-wide offset.
 """
 
 from __future__ import annotations
 
-import io
+import functools
 import itertools
 import json
 import re
@@ -38,28 +34,12 @@ from pathlib import Path
 import numpy as np
 
 MAGIC = b"MDSTRC02"
+VERSION = 2
 
 # JSONL records formatted or parsed in one go; bounds the transient memory of both.
 BLOCK_LINES = 512
 
-RECORD_DTYPE = np.dtype(
-    [
-        ("epoch", "<u4"),
-        ("layer", "<u4"),
-        ("token", "<u8"),
-        ("rank", "<u2"),
-        ("expert", "<u2"),
-    ]
-)
-
-# Record layout of each binary magic: version 1 followed the five fields with
-# a float32 gate weight and per-token loss, which reading skips.
-_BINARY_DTYPES = {
-    MAGIC: RECORD_DTYPE,
-    b"MDSTRC01": np.dtype(
-        {"names": RECORD_DTYPE.names, "formats": [RECORD_DTYPE[n] for n in RECORD_DTYPE.names], "itemsize": 28}
-    ),
-}
+RECORD_DTYPE = np.dtype([("epoch", "<u4"), ("layer", "<u4"), ("token", "<u8"), ("rank", "<u2"), ("expert", "<u2")])
 
 
 class TraceFormatError(ValueError):
@@ -77,13 +57,15 @@ class TraceHeader:
     def to_dict(self) -> dict:
         d = asdict(self)
         d["expert_sizes"] = list(self.expert_sizes)
-        return {"format": "modse-trace", "version": 2, **d}
+        return {"format": "modse-trace", "version": VERSION, **d}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TraceHeader":
         if not isinstance(d, dict) or d.get("format") != "modse-trace":
             found = d.get("format") if isinstance(d, dict) else d
             raise TraceFormatError(f"not a trace header: {found!r}")
+        if type(d.get("version")) is not int or d["version"] != VERSION:
+            raise TraceFormatError(f"unsupported trace version {d.get('version')!r}: only version {VERSION} is read")
         missing = [name for name in ("spec_hash", "n_experts", "n_layers", "top_k", "expert_sizes") if name not in d]
         if missing:
             raise TraceFormatError(f"trace header lacks field {missing[0]!r}")
@@ -98,9 +80,7 @@ class TraceHeader:
         if not isinstance(sizes, list) or not all(type(w) is int and w >= 1 for w in sizes):
             raise TraceFormatError(f"trace header expert_sizes must be a list of integers >= 1, got {sizes!r}")
         if len(sizes) != counts["n_experts"]:
-            raise TraceFormatError(
-                f"trace header lists {len(sizes)} expert sizes for n_experts={counts['n_experts']}"
-            )
+            raise TraceFormatError(f"trace header lists {len(sizes)} expert sizes for n_experts={counts['n_experts']}")
         return cls(spec_hash=d["spec_hash"], expert_sizes=tuple(sizes), **counts)
 
 
@@ -185,45 +165,40 @@ def write_trace(path: str | Path, trace: RoutingTrace, binary: bool = False) -> 
 
 
 def read_trace(path: str | Path) -> RoutingTrace:
-    """Load a trace file, sniffing JSONL vs binary, and the binary version, by the magic prefix."""
+    """Load a trace file, sniffing JSONL vs binary by the magic prefix."""
     path = Path(path)
     with open(path, "rb") as fh:
-        dtype = _BINARY_DTYPES.get(fh.read(len(MAGIC)))
-        if dtype is not None:
+        magic = fh.read(len(MAGIC))
+        if magic == MAGIC:
             raw = fh.read()
             hlen = int.from_bytes(raw[:4], "little")
+            if len(raw) < 4 + hlen:
+                raise TraceFormatError(f"{path}: truncated binary header")
             try:
                 header = TraceHeader.from_dict(json.loads(raw[4 : 4 + hlen]))
             except (ValueError, RecursionError) as e:  # JSON, UTF-8 or header-field errors
                 raise TraceFormatError(f"{path}: bad binary header: {e}") from e
             body = raw[4 + hlen :]
-            if len(body) % dtype.itemsize != 0:
+            if len(body) % RECORD_DTYPE.itemsize != 0:
                 raise TraceFormatError(f"{path}: truncated binary record block")
-            return RoutingTrace(header, np.frombuffer(body, dtype=dtype).astype(RECORD_DTYPE))
+            return RoutingTrace(header, np.frombuffer(body, dtype=RECORD_DTYPE))
+        if magic[:-2] == MAGIC[:-2]:
+            version = magic[-2:].decode("latin-1")
+            raise TraceFormatError(f"{path}: unsupported binary trace version {version}: only {MAGIC.decode()} is read")
 
-    try:
-        with open(path, encoding="utf-8") as fh:
+    try:  # lines end at "\n" alone: a "\r" stays in its line, where the grammar refuses it
+        with open(path, encoding="utf-8", newline="\n") as fh:
             return _read_jsonl(path, fh)
     except UnicodeDecodeError as e:
         raise TraceFormatError(f"{path}: not UTF-8 text: {e}") from e
 
 
-# Errors a record line can raise while it is parsed or converted.
-_RECORD_ERRORS = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
-
-# A block of lines exactly as TraceWriter writes them: _LINE with each %d a
-# JSON non-negative integer, optionally followed by a version-1 writer's
-# "weight" and "ce" members, which reading drops.
+# A run of lines exactly as TraceWriter writes them: _LINE with each %d a JSON non-negative integer.
 _JSON_INT = "(?:0|[1-9][0-9]*)"
-_JSON_FLOAT = f"(?:-?{_JSON_INT}(?:\\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|NaN|-?Infinity)"
-_V1_TAIL = f', "weight": {_JSON_FLOAT}(?:, "ce": {_JSON_FLOAT})?'
-_HEAD, _CLOSE = _LINE.rsplit("}", 1)
-_CANONICAL_BLOCK = re.compile(
-    "(?:%s(?:%s)?\\}%s)*" % (_JSON_INT.join(map(re.escape, _HEAD.split("%d"))), _V1_TAIL, re.escape(_CLOSE))
-)
-_V1_MEMBERS = re.compile(', "weight": [^}]*')
+_RECORD_LINES = re.compile("(?:%s)*" % _JSON_INT.join(map(re.escape, _LINE.split("%d"))))
 # Deletes the keys and punctuation of _LINE, leaving "epoch,layer,token,rank,expert\n".
 _KEYS = str.maketrans("", "", "".join(set(_LINE.replace("%d", "")) - set(",\n")))
+_load_rows = functools.partial(np.loadtxt, dtype=RECORD_DTYPE, delimiter=",", comments=None, ndmin=1)
 
 
 def _read_jsonl(path: Path, fh) -> RoutingTrace:
@@ -236,41 +211,30 @@ def _read_jsonl(path: Path, fh) -> RoutingTrace:
         raise TraceFormatError(f"{path}: bad header line: {e}") from e
     blocks, offset = [], 0
     while lines := list(itertools.islice(fh, BLOCK_LINES)):
-        block = _parse_canonical("".join(lines))
-        blocks.append(block if block is not None else _parse_lines(path, lines, offset))
+        blocks.append(_parse_block(path, lines, offset))
         offset += len(lines)
     records = np.concatenate(blocks) if blocks else np.zeros(0, dtype=RECORD_DTYPE)
     return RoutingTrace(header, records)
 
 
-def _parse_canonical(text: str) -> np.ndarray | None:
-    """Records of a block in the writer's exact layout, or None for any other text.
+def _parse_block(path: Path, lines: list[str], offset: int) -> np.ndarray:
+    """Records of a block of lines; the first bad one raises with its file-wide offset.
 
-    The grammar admits only digit runs where the template has %d, so after
-    the keys are deleted every line is five comma-separated integers;
-    loadtxt raises for one beyond its field's range, which the per-line
-    reader then reports with its offset.
+    The grammar admits only digit runs where the template has %d, so each
+    matched line, its keys deleted, is five comma-separated integers;
+    loadtxt raises for one beyond its field's range, and only then are the
+    rows parsed one by one to find it.
     """
-    if not _CANONICAL_BLOCK.fullmatch(text):
-        return None
-    if '"weight"' in text:
-        text = _V1_MEMBERS.sub("", text)
-    body = io.StringIO(text.translate(_KEYS))
+    rows = _RECORD_LINES.match("".join(lines)).group().translate(_KEYS).splitlines()
     try:
-        return np.loadtxt(body, dtype=RECORD_DTYPE, delimiter=",", comments=None, ndmin=1)
+        records = _load_rows(rows) if rows else None  # loadtxt warns on no rows
     except ValueError:
-        return None
-
-
-def _parse_lines(path: Path, lines: list[str], offset: int) -> np.ndarray:
-    """Parse record lines one by one; a bad one raises with its file-wide offset."""
-    records = np.zeros(len(lines), dtype=RECORD_DTYPE)
-    for i, line in enumerate(lines):
-        try:
-            obj = json.loads(line)
-            records[i] = row = tuple(obj[name] for name in RECORD_DTYPE.names)
-            if set(map(type, row)) != {int}:
-                raise ValueError(f"fields {row} are not all integers")
-        except _RECORD_ERRORS as e:  # ValueError covers bad JSON
-            raise TraceFormatError(f"{path}: bad record at offset {offset + i}: {e}") from e
+        for i, row in enumerate(rows):
+            try:
+                _load_rows([row])
+            except ValueError:
+                raise TraceFormatError(f"{path}: bad record at offset {offset + i}: field out of range") from None
+        raise
+    if len(rows) < len(lines):
+        raise TraceFormatError(f"{path}: bad record at offset {offset + len(rows)}: not in the writer's layout")
     return records

@@ -10,7 +10,7 @@ rank) goes to a trace file.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -147,7 +147,7 @@ def train(
             )
             records.append(rec)
             if metrics_fh is not None:
-                metrics_fh.write(json.dumps(asdict(rec)) + "\n")
+                metrics_fh.write(json.dumps(vars(rec)) + "\n")
 
             if writer is not None:
                 _trace_step(writer, gate_outs, epoch, token_base)

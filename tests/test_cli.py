@@ -399,13 +399,27 @@ class TestAnalyzeCommand:
         assert "trace header" in r.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("binary", [False, True], ids=["jsonl", "binary"])
+    def test_version_1_trace_exits_one_no_output_dir(self, tmp_path, binary):
+        head = json.dumps({**TraceHeader("t", 4, 1, 2, (8, 8, 8, 8)).to_dict(), "version": 1})
+        tp = tmp_path / "t.trace"
+        if binary:  # one 28-byte record: the five fields, then a float32 gate weight and loss
+            tp.write_bytes(b"MDSTRC01" + len(head).to_bytes(4, "little") + head.encode() + bytes(28))
+        else:
+            tp.write_text(head + '\n{"epoch": 0, "layer": 0, "token": 0, "rank": 0, "expert": 1, "weight": 0.5}\n')
+        out = tmp_path / "analysis"
+        r = run_cli("analyze", tp, "--out", out)
+        assert r.returncode == 1, r.stderr
+        assert re.search(r"unsupported (binary )?trace version 0?1\b", r.stderr), r.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("with_losses", [False, True], ids=["counts", "losses"])
     def test_out_of_range_layer_exits_one(self, tmp_path, with_losses):
         tp = tmp_path / "t.jsonl"
         tp.write_text(
             json.dumps(TraceHeader("t", 4, 1, 2, (8, 8, 8, 8)).to_dict())
-            + '\n{"epoch":0,"layer":0,"token":0,"rank":0,"expert":1,"weight":0.5}'
-            + '\n{"epoch":0,"layer":5,"token":1,"rank":0,"expert":1,"weight":0.5}\n'
+            + '\n{"epoch": 0, "layer": 0, "token": 0, "rank": 0, "expert": 1}'
+            + '\n{"epoch": 0, "layer": 5, "token": 1, "rank": 0, "expert": 1}\n'
         )
         losses = []
         if with_losses:

@@ -2,9 +2,11 @@
 
 Flipped, deleted or inserted bytes in a valid file must either load or raise
 the reader's typed error (`TraceFormatError`, `CheckpointError`,
-`ConfigError`, `AlignmentError`), never another exception. An edited JSONL
-trace or loss CSV must load exactly as the per-line reader below does, or
-raise where that reader rejects it.
+`ConfigError`, `AlignmentError`), never another exception. An edited loss
+CSV must load exactly as the per-line reader below does, or raise where
+that reader rejects it. An edited JSONL trace must load if and only if the
+per-line reader below loads it and every record line is the line the
+writer writes for that record, and then to the same records.
 """
 
 import json
@@ -59,8 +61,9 @@ def apply_edits(data: bytes, edits) -> bytes:
 
 def reference_read_jsonl(path):
     """The per-line reader: one json.loads per line, every record field a JSON integer."""
-    # a text file iterates by "\n" alone; str.splitlines would also break at U+0085 or U+2028 inside a string
-    lines = path.read_text(encoding="utf-8").removesuffix("\n").split("\n")
+    # lines end at "\n" alone: str.splitlines would also break at U+0085 or U+2028 inside a string,
+    # and Path.read_text would turn a "\r" into a line break
+    lines = path.read_bytes().decode("utf-8").removesuffix("\n").split("\n")
     header = TraceHeader.from_dict(json.loads(lines[0]))
     records = np.zeros(len(lines) - 1, dtype=RECORD_DTYPE)
     for i, line in enumerate(lines[1:]):
@@ -71,16 +74,26 @@ def reference_read_jsonl(path):
     return RoutingTrace(header, records)
 
 
+def writer_lines(records) -> bytes:
+    """The record lines a writer emits: one json.dumps of each record's dict."""
+    return "".join(json.dumps(dict(zip(RECORD_DTYPE.names, r))) + "\n" for r in records.tolist()).encode()
+
+
 def assert_jsonl_reads_as_reference(p):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trace, "BLOCK_LINES", 4)  # 12 records in three blocks
         try:
             loaded = read_trace(p)
         except TraceFormatError:
-            with pytest.raises(Exception):
-                reference_read_jsonl(p)
-            return
-    expected = reference_read_jsonl(p)
+            loaded = None
+    try:
+        expected = reference_read_jsonl(p)
+    except Exception:
+        expected = None
+    if expected is None or p.read_bytes().partition(b"\n")[2] != writer_lines(expected.records):
+        assert loaded is None
+        return
+    assert loaded is not None
     assert loaded.header == expected.header
     assert loaded.records.tobytes() == expected.records.tobytes()
 
@@ -125,15 +138,19 @@ def test_jsonl_trace_loads_as_the_per_line_reader_or_raises(tmp_path_factory, ed
         (b'"expert": 1}', b'"expert": 1.0}'),
         (b'"abc"', '"a\u0085bc"'.encode()),
         (b'"abc"', '"a\u2028bc"'.encode()),
+        (b'"expert": 1}', b'"expert":1}'),
+        (b'"expert": 1}\n', b'"expert": 1}\r\n'),
+        (b'"format"', b'\r"format"'),
     ],
-    ids=["exponent", "fraction", "nel-in-header", "line-separator-in-header"],
+    ids=["exponent", "fraction", "nel-in-header", "line-separator-in-header", "no-space", "crlf", "cr-in-header"],
 )
 def test_jsonl_trace_edge_edits_read_as_reference(tmp_path, old, new):
-    # edits the random ones rarely reach: a float record field, and a header string holding a character
-    # that str.splitlines breaks at but a text file's line iteration does not
+    # edits the random ones rarely reach: a float record field, a header string holding a character that
+    # str.splitlines breaks at but a line ending in "\n" alone does not, and valid JSON in another layout
     write_trace(tmp_path / "base.jsonl", sample_trace())
     p = tmp_path / "edited.jsonl"
     p.write_bytes((tmp_path / "base.jsonl").read_bytes().replace(old, new, 1))
+    assert p.read_bytes() != (tmp_path / "base.jsonl").read_bytes()
     assert_jsonl_reads_as_reference(p)
 
 

@@ -115,6 +115,23 @@ def test_moe_layer_suite():
     assert r.passed, r.per_item
 
 
+def test_moe_layer_suite_checks_every_expert(monkeypatch):
+    # an expert no token chooses gets no gradient, and its entries would read 0.0 against a zero difference
+    seen = {}
+
+    def capture(loss, arrays):
+        seen.update(loss=loss, arrays=arrays)
+        return dict.fromkeys(arrays, 0.0)
+
+    monkeypatch.setattr(gc, "_fd_each", capture)
+    gc.check_moe_layer()
+    leaves = {name: Tensor(a, requires_grad=True, dtype=np.float64) for name, a in seen["arrays"].items()}
+    tt.backward(seen["loss"](leaves))
+    experts = [name for name in leaves if name.startswith("expert")]
+    assert len(experts) == 12
+    assert [name for name in experts if leaves[name].grad is None] == []
+
+
 def test_balance_loss_suite():
     r = gc.check_balance_loss()
     assert r.passed, r.per_item

@@ -62,7 +62,8 @@ def write_v1_trace(path, header, records, weight, ce, binary=False):
     path.write_text("\n".join(lines) + "\n")
 
 
-GOOD_LINE = '{"epoch":0,"layer":0,"token":0,"rank":0,"expert":1}'
+# the line TraceWriter writes for make_records(0, 0, [0], 0, 1)
+CANONICAL_LINE = trace._LINE.rstrip("\n") % (0, 0, 0, 0, 1)
 
 
 def jsonl_with_body(path, body_lines):
@@ -152,18 +153,16 @@ class TestBlockWriter:
         assert p.read_text().splitlines()[1:] == reference_jsonl_lines(rec)
 
 
-CANONICAL_LINE = trace._LINE.rstrip("\n") % (0, 0, 0, 0, 1)
-
-
-def count_per_line_parses(monkeypatch):
+def count_loadtxt_calls(monkeypatch):
+    """The row count of each loadtxt parse the reader makes, in order."""
     calls = []
 
-    def counted(path, lines, offset):
-        calls.append(len(lines))
-        return parse_lines(path, lines, offset)
+    def counted(rows):
+        calls.append(len(rows))
+        return load_rows(rows)
 
-    parse_lines = trace._parse_lines
-    monkeypatch.setattr(trace, "_parse_lines", counted)
+    load_rows = trace._load_rows
+    monkeypatch.setattr(trace, "_load_rows", counted)
     return calls
 
 
@@ -175,25 +174,26 @@ class TestBlockReader:
         return rec
 
     def test_writer_output_never_reaches_the_per_line_parser(self, tmp_path, monkeypatch):
+        # one loadtxt per block, never the row-by-row search for an out-of-range field
         rec = self.extreme_records()
         p = tmp_path / "t.jsonl"
         with TraceWriter(p, header()) as w:
             w.write(rec[:5])
             w.write(rec[5:])
-        calls = count_per_line_parses(monkeypatch)
+        calls = count_loadtxt_calls(monkeypatch)
         assert read_trace(p).records.tobytes() == rec.tobytes()
-        assert calls == []
+        assert calls == [BLOCK_LINES, BLOCK_LINES, 37]
 
     def test_version_1_writer_output_never_reaches_the_per_line_parser(self, tmp_path, monkeypatch):
+        # a version-1 trace is refused at its header, before any record is parsed
         rec = self.extreme_records()
         ce = np.random.default_rng(6).standard_normal(len(rec)).astype(np.float32) * 1e3
         ce[::3] = np.nan  # line without "ce"
-        ce[1], ce[2], ce[4] = np.inf, -np.inf, 1e-40  # Infinity, -Infinity, a subnormal's exponent form
         p = tmp_path / "v1.jsonl"
         write_v1_trace(p, header(), rec, -0.0, ce)
-        assert '"ce": Infinity' in p.read_text() and "e-" in p.read_text()
-        calls = count_per_line_parses(monkeypatch)
-        assert read_trace(p).records.tobytes() == rec.tobytes()
+        calls = count_loadtxt_calls(monkeypatch)
+        with pytest.raises(TraceFormatError, match=f"{p}: bad header line: unsupported trace version 1:"):
+            read_trace(p)
         assert calls == []
 
     @pytest.mark.parametrize(
@@ -205,17 +205,32 @@ class TestBlockReader:
             '{"expert": 1, "rank": 0, "token": 0, "layer": 0, "epoch": 0}',
             '{"epoch":0,"layer":0,"token":0,"rank":0,"expert":1,"weight":0.5,"ce":1.25}',
             CANONICAL_LINE[:-1] + ', "ce": 1.25, "weight": 0.5}',
+            "  " + CANONICAL_LINE,
+            CANONICAL_LINE[:-1] + ', "x": [1, 2]}',
+            CANONICAL_LINE + "\r",
         ],
-        ids=["no-spaces", "extra-spaces", "trailing-space", "reordered", "v1-compact", "v1-reordered"],
+        ids=["no-spaces", "extra-spaces", "trailing-space", "reordered", "v1-compact", "v1-reordered",
+             "leading-spaces", "extra-key", "crlf"],
     )
-    def test_other_layouts_load_through_the_per_line_parser(self, tmp_path, monkeypatch, line):
-        lines = [CANONICAL_LINE] * 3 + [line] + [CANONICAL_LINE] * 5
-        p = jsonl_with_body(tmp_path / "t.jsonl", lines)
-        calls = count_per_line_parses(monkeypatch)
+    def test_other_layouts_are_rejected(self, tmp_path, monkeypatch, line):
+        # valid JSON holding the same record, in a layout TraceWriter does not write
+        assert {name: json.loads(line)[name] for name in RECORD_DTYPE.names} == json.loads(CANONICAL_LINE)
+        p = jsonl_with_body(tmp_path / "t.jsonl", [CANONICAL_LINE] * 3 + [line] + [CANONICAL_LINE] * 5)
         monkeypatch.setattr(trace, "BLOCK_LINES", 3)
-        loaded = read_trace(p)
-        assert loaded.records.tobytes() == np.repeat(make_records(0, 0, [0], 0, 1), len(lines)).tobytes()
-        assert calls == [3]  # only the block holding the odd line
+        with pytest.raises(TraceFormatError, match=f"{p}: bad record at offset 3"):
+            read_trace(p)
+
+    def test_last_line_without_newline_rejected(self, tmp_path):
+        p = jsonl_with_body(tmp_path / "t.jsonl", [CANONICAL_LINE] * 3)
+        p.write_text(p.read_text().removesuffix("\n"))
+        with pytest.raises(TraceFormatError, match=f"{p}: bad record at offset 2"):
+            read_trace(p)
+
+    def test_out_of_range_field_before_a_layout_error_is_named_first(self, tmp_path):
+        out_of_range = CANONICAL_LINE.replace('"rank": 0', '"rank": 65536')
+        p = jsonl_with_body(tmp_path / "t.jsonl", [CANONICAL_LINE, out_of_range, CANONICAL_LINE, "{broken"])
+        with pytest.raises(TraceFormatError, match=f"{p}: bad record at offset 1: field out of range"):
+            read_trace(p)
 
     @pytest.mark.parametrize(
         "bad",
@@ -293,7 +308,7 @@ class TestValidation:
         with pytest.raises(TraceFormatError, match=f"trace header .*{field}"):
             TraceHeader.from_dict(d)
         p = tmp_path / "t.jsonl"
-        p.write_text(json.dumps(d) + "\n" + GOOD_LINE + "\n")
+        p.write_text(json.dumps(d) + "\n" + CANONICAL_LINE + "\n")
         with pytest.raises(TraceFormatError, match=field):
             read_trace(p)
 
@@ -313,7 +328,7 @@ class TestValidation:
         p = tmp_path / "bad.jsonl"
         p.write_text(
             '{"format":"modse-trace","version":2,"spec_hash":"x","n_experts":4,"n_layers":1,"top_k":2,"expert_sizes":[1,1,1,1]}\n'
-            + GOOD_LINE
+            + CANONICAL_LINE
             + "\n{broken\n"
         )
         with pytest.raises(TraceFormatError, match="offset 1"):
@@ -322,23 +337,24 @@ class TestValidation:
     @pytest.mark.parametrize(
         "bad",
         [
-            GOOD_LINE.replace('"epoch":0', '"epoch":"x"'),
-            GOOD_LINE.replace('"epoch":0', '"epoch":-1'),
-            GOOD_LINE + "," + GOOD_LINE,
+            CANONICAL_LINE.replace('"epoch": 0', '"epoch": "x"'),
+            CANONICAL_LINE.replace('"epoch": 0', '"epoch": -1'),
+            CANONICAL_LINE + ", " + CANONICAL_LINE,
             "",
-            "[" + GOOD_LINE + "]",
-            GOOD_LINE.replace('"rank":0,', ""),
-            GOOD_LINE.replace('"expert":1', '"expert":1.7'),
-            GOOD_LINE.replace('"epoch":0', '"epoch":-0.5'),
-            GOOD_LINE.replace('"token":0', '"token":true'),
-            GOOD_LINE.replace('"token":0', '"token":1e3'),
+            "[" + CANONICAL_LINE + "]",
+            CANONICAL_LINE.replace('"rank": 0, ', ""),
+            CANONICAL_LINE.replace('"expert": 1', '"expert": 1.7'),
+            CANONICAL_LINE.replace('"epoch": 0', '"epoch": -0.5'),
+            CANONICAL_LINE.replace('"token": 0', '"token": true'),
+            CANONICAL_LINE.replace('"token": 0', '"token": 1e3'),
         ],
         ids=["not-a-number", "negative", "two-objects", "blank", "list", "missing-key",
              "float", "negative-float", "bool", "exponent"],
     )
     def test_bad_record_field_reports_offset(self, tmp_path, bad):
         # the bad record sits in the third block, after two blocks that parse
-        p = jsonl_with_body(tmp_path / "bad.jsonl", [GOOD_LINE] * 1300 + [bad, GOOD_LINE])
+        assert bad != CANONICAL_LINE
+        p = jsonl_with_body(tmp_path / "bad.jsonl", [CANONICAL_LINE] * 1300 + [bad, CANONICAL_LINE])
         assert 1300 > 2 * BLOCK_LINES
         with pytest.raises(TraceFormatError, match=f"{p}: bad record at offset 1300"):
             read_trace(p)
@@ -346,29 +362,33 @@ class TestValidation:
     @pytest.mark.parametrize(
         "split",
         [
-            (GOOD_LINE[:-1] + ',"x":[1', "2]}"),
-            (GOOD_LINE[:-1] + ',"x":[1', GOOD_LINE + "]}"),
-            ('{"epoch":0,"layer":0', '"token":0,"rank":0,"expert":1}'),
+            (CANONICAL_LINE[:-1] + ', "x": [1', "2]}"),
+            (CANONICAL_LINE[:-1] + ', "x": [1', CANONICAL_LINE + "]}"),
+            ('{"epoch": 0, "layer": 0', '"token": 0, "rank": 0, "expert": 1}'),
         ],
         ids=["array-tail", "array-of-record", "object-members"],
     )
     def test_record_split_over_two_lines_rejected(self, tmp_path, split):
         # a line holding two records keeps the block's value count equal to its line count
-        p = jsonl_with_body(tmp_path / "bad.jsonl", [GOOD_LINE, *split, GOOD_LINE + "," + GOOD_LINE])
+        p = jsonl_with_body(tmp_path / "bad.jsonl", [CANONICAL_LINE, *split, CANONICAL_LINE + ", " + CANONICAL_LINE])
         with pytest.raises(TraceFormatError, match="bad record at offset 1"):
             read_trace(p)
 
-    def test_lines_the_block_parse_declines_still_load(self, tmp_path):
-        lines = [GOOD_LINE, "  " + GOOD_LINE, GOOD_LINE[:-1] + ',"x":[1, 2]}', GOOD_LINE]
-        p = jsonl_with_body(tmp_path / "t.jsonl", lines)
-        expected = np.repeat(make_records(0, 0, [0], 0, 1), len(lines))
-        assert read_trace(p).records.tobytes() == expected.tobytes()
-
     def test_invalid_utf8_rejected_with_path(self, tmp_path):
-        p = jsonl_with_body(tmp_path / "t.jsonl", [GOOD_LINE, GOOD_LINE])
+        p = jsonl_with_body(tmp_path / "t.jsonl", [CANONICAL_LINE, CANONICAL_LINE])
         p.write_bytes(p.read_bytes().replace(b'"layer"', b'"lay\xffer"', 1))
         with pytest.raises(TraceFormatError, match=f"{p}: not UTF-8"):
             read_trace(p)
+
+    def test_truncated_binary_header_rejected(self, tmp_path):
+        # a header length past the end of the file; the shorter blob left may still parse as a header
+        blob = json.dumps(header().to_dict()).encode()
+        whole = MAGIC + len(blob).to_bytes(4, "little") + blob
+        p = tmp_path / "t.bin"
+        for data in (whole[:-1], whole[: len(MAGIC) + 2], MAGIC + (len(blob) + 20).to_bytes(4, "little") + blob):
+            p.write_bytes(data)
+            with pytest.raises(TraceFormatError, match=f"{p}: truncated binary header"):
+                read_trace(p)
 
     def test_truncated_binary_rejected(self, tmp_path):
         trace = RoutingTrace(header(), sample_records(4))
@@ -395,24 +415,39 @@ class TestFormatVersions:
         assert len(data) == 12 + blob_len + 20 * len(trace)
         assert json.loads(q.read_text().splitlines()[0])["version"] == 2
 
-    @pytest.mark.parametrize("binary", [False, True], ids=["jsonl", "binary"])
-    def test_version_1_file_loads_to_the_same_five_fields(self, tmp_path, binary):
+    @pytest.mark.parametrize(
+        "binary, message",
+        [(False, "bad header line: unsupported trace version 1:"), (True, "unsupported binary trace version 01:")],
+        ids=["jsonl", "binary"],
+    )
+    def test_version_1_file_is_rejected_naming_its_version(self, tmp_path, binary, message):
         rec = sample_records(count=BLOCK_LINES + 9, seed=8)
-        rec["token"][:2] = [2**53 + 1, 2**64 - 1]
-        rec["epoch"][-1] = 2**32 - 1
         ce = np.random.default_rng(8).random(len(rec)).astype(np.float32)
-        ce[::3] = np.nan  # left out of JSONL lines
-        ce[1] = np.inf  # "Infinity" in JSONL
         p = tmp_path / ("v1.bin" if binary else "v1.jsonl")
         write_v1_trace(p, header(), rec, 0.25, ce, binary=binary)
-        loaded = read_trace(p)
-        assert loaded.header == header()
-        assert loaded.records.dtype == RECORD_DTYPE
-        assert loaded.records.tobytes() == rec.tobytes()
+        with pytest.raises(TraceFormatError, match=f"{p}: {message}"):
+            read_trace(p)
 
     def test_truncated_version_1_binary_rejected(self, tmp_path):
         p = tmp_path / "v1.bin"
         write_v1_trace(p, header(), sample_records(4), 0.5, np.zeros(4), binary=True)
-        p.write_bytes(p.read_bytes()[:-12])  # 100 record bytes: five 20-byte records, not whole 28-byte ones
-        with pytest.raises(TraceFormatError, match="truncated"):
+        # 100 record bytes, which would parse as five 20-byte records: the magic alone refuses the file
+        p.write_bytes(p.read_bytes()[:-12])
+        with pytest.raises(TraceFormatError, match="unsupported binary trace version 01"):
+            read_trace(p)
+
+    @pytest.mark.parametrize("version", [1, 3, 2.0, True, "2", None], ids=["1", "3", "float", "bool", "string", "missing"])
+    @pytest.mark.parametrize("binary", [False, True], ids=["jsonl", "binary"])
+    def test_header_version_must_be_the_integer_2(self, tmp_path, binary, version):
+        d = header().to_dict()
+        if version is None:
+            del d["version"]
+        else:
+            d["version"] = version
+        with pytest.raises(TraceFormatError, match=f"unsupported trace version {version!r}"):
+            TraceHeader.from_dict(d)
+        blob = json.dumps(d).encode()
+        p = tmp_path / "t.trace"
+        p.write_bytes(MAGIC + len(blob).to_bytes(4, "little") + blob if binary else blob + b"\n")
+        with pytest.raises(TraceFormatError, match=f"{p}: bad (binary )?header.*unsupported trace version"):
             read_trace(p)
