@@ -5,8 +5,10 @@ routing events once, into `counts[epoch, layer, rank, expert]` from one
 `np.bincount`; the max/min evenness table, the hard-token expert-width
 distribution, the analyze heatmap and `placement.evaluate_workload`'s
 workload are slices or sums of it. The rest are loss-threshold tables and a
-CSV/SVG heatmap emitter. Ratios are kept at full precision in the
-dataclasses and rounded to two decimals only when rendered.
+CSV/SVG heatmap emitter. Expert widths, always the trace header's, label
+the count columns, order the heatmap widest-first and split the experts at
+the mean width into two boolean masks. Ratios keep full precision until
+`format_ratio` renders them with two decimals.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class CountRow:
 
 @dataclass
 class CountTable:
-    n_experts: int
+    counts: np.ndarray  # [E, L, K, N] from routing_counts; each row's counts is a view into it
     rows: list[CountRow]
 
 
@@ -75,19 +77,18 @@ def count_routing(trace: RoutingTrace) -> CountTable:
     epochs, counts = routing_counts(trace.records, trace.header.n_layers, trace.header.n_experts)
     groups = np.argwhere(counts.sum(axis=3) > 0).tolist()
     rows = [CountRow(int(epochs[e]), layer, rank, counts=counts[e, layer, rank]) for e, layer, rank in groups]
-    return CountTable(n_experts=trace.header.n_experts, rows=rows)
+    return CountTable(counts, rows)
 
 
-def counts_csv(table: CountTable, expert_sizes: list[int] | None = None) -> str:
-    sizes = expert_sizes or ["?"] * table.n_experts
-    lines = ["epoch,layer,rank," + ",".join(str(s) for s in sizes) + ",max,min,max/min"]
+def format_ratio(ratio: float) -> str:
+    return "inf" if math.isinf(ratio) else f"{ratio:.2f}"
+
+
+def counts_csv(table: CountTable, expert_sizes: list[int]) -> str:
+    lines = ["epoch,layer,rank," + ",".join(map(str, expert_sizes)) + ",max,min,max/min"]
     for r in table.rows:
-        ratio = "inf" if math.isinf(r.ratio) else f"{r.ratio:.2f}"
-        lines.append(
-            f"{r.epoch},{r.layer},{r.rank},"
-            + ",".join(str(int(c)) for c in r.counts)
-            + f",{r.max},{r.min},{ratio}"
-        )
+        counts = ",".join(str(int(c)) for c in r.counts)
+        lines.append(f"{r.epoch},{r.layer},{r.rank},{counts},{r.max},{r.min},{format_ratio(r.ratio)}")
     return "\n".join(lines) + "\n"
 
 
@@ -150,44 +151,43 @@ def difficult_token_expert_distribution(trace: RoutingTrace, difficult_token_ids
 
     Per-index widths come from the trace header, which fixes the expert
     numbering; the classes are `default_size_classes` of those widths, so
-    exactly-average experts are excluded from both sums.
+    exactly-average experts are excluded from both sums. AlignmentError
+    names the first difficult token the trace never routes.
     """
     sizes = list(trace.header.expert_sizes)
     large, small = default_size_classes(sizes)
     ids = np.asarray(difficult_token_ids, dtype=np.uint64)  # token's dtype: isin would compare int64 as float64
     difficult = trace.records[np.isin(trace.records["token"], ids)]
+    routed = np.isin(ids, difficult["token"])
+    if not routed.all():
+        raise AlignmentError(f"the trace never routes difficult token {ids[~routed][0]}")
     _, counts = routing_counts(difficult, trace.header.n_layers, trace.header.n_experts)
     by_rank = counts.sum(axis=0)  # [layers, K, N]
     grid = by_rank[:, :1].sum(axis=1)  # rank-0 events per (layer, expert)
     top1 = grid.sum(axis=0)
     top12 = by_rank[:, :2].sum(axis=(0, 1))
-
-    def class_sum(counts: np.ndarray, cls: set[int]) -> int:
-        return int(sum(int(c) for c, h in zip(counts, sizes) if h in cls))
-
     return DifficultTokenReport(
-        expert_sizes=list(sizes),
+        expert_sizes=sizes,
         per_expert_top1=top1,
         per_expert_top12=top12,
-        sum_large_top1=class_sum(top1, large),
-        sum_small_top1=class_sum(top1, small),
-        sum_large_top12=class_sum(top12, large),
-        sum_small_top12=class_sum(top12, small),
+        sum_large_top1=int(top1[large].sum()),
+        sum_small_top1=int(top1[small].sum()),
+        sum_large_top12=int(top12[large].sum()),
+        sum_small_top12=int(top12[small].sum()),
         per_layer_top1=grid,
     )
 
 
-def default_size_classes(expert_sizes: list[int]) -> tuple[set[int], set[int]]:
-    """Wider-than-average vs narrower-than-average widths; exactly-average excluded.
+def default_size_classes(expert_sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean masks over the experts: wider than the mean width, and narrower; exactly-average in neither.
 
     Compared in integers: w is large when w*N > sum(sizes) and small when
     w*N < sum(sizes). Paired widths sum to 2*h_base per pair, so their mean,
     and the dividing line, is h_base.
     """
-    n, total = len(expert_sizes), sum(expert_sizes)
-    large = {h for h in expert_sizes if h * n > total}
-    small = {h for h in expert_sizes if h * n < total}
-    return large, small
+    scaled = np.asarray(expert_sizes, dtype=np.int64) * len(expert_sizes)
+    total = sum(expert_sizes)
+    return scaled > total, scaled < total
 
 
 def distribution_csv(report: DifficultTokenReport) -> str:
@@ -203,37 +203,25 @@ def distribution_csv(report: DifficultTokenReport) -> str:
 # heatmap
 
 
-def _fmt_cell(v) -> str:
-    f = float(v)
-    return str(int(f)) if f.is_integer() else repr(f)
+def emit_heatmap(counts, csv_path: str | Path, svg_path: str | Path, expert_sizes: list[int]) -> None:
+    """Write a CSV and a self-contained SVG of a layer x expert grid of counts.
 
-
-def emit_heatmap(
-    counts, csv_path: str | Path, svg_path: str | Path, expert_sizes: list[int] | None = None
-) -> None:
-    """Write a CSV and a self-contained SVG of a layer x expert grid.
-
-    When expert widths are given, columns are reordered widest-first (stable,
-    so equal widths keep their relative order) in both outputs.
+    Columns are reordered widest-first (stable, so equal widths keep their
+    relative order) in both outputs, and the SVG labels them by width.
     """
-    grid = np.asarray(counts, dtype=np.float64)
+    grid = np.asarray(counts, dtype=np.int64)
     if grid.ndim != 2:
         raise ValueError(f"heatmap needs a rectangular grid, got shape {grid.shape}")
-    order = list(range(grid.shape[1]))
-    sizes = expert_sizes
-    if sizes is not None:
-        if len(sizes) != grid.shape[1]:
-            raise ValueError("expert_sizes length does not match grid columns")
-        order = sorted(order, key=lambda j: -sizes[j])
-        grid = grid[:, order]
-        sizes = [sizes[j] for j in order]
-
-    csv_text = "\n".join(",".join(_fmt_cell(v) for v in row) for row in grid) + "\n"
+    if len(expert_sizes) != grid.shape[1]:
+        raise ValueError("expert_sizes length does not match grid columns")
+    order = sorted(range(grid.shape[1]), key=lambda j: -expert_sizes[j])
+    grid = grid[:, order]
+    csv_text = "\n".join(",".join(map(str, row)) for row in grid.tolist()) + "\n"
     Path(csv_path).write_text(csv_text, encoding="utf-8")
-    Path(svg_path).write_text(_heatmap_svg(grid, sizes), encoding="utf-8")
+    Path(svg_path).write_text(_heatmap_svg(grid, [expert_sizes[j] for j in order]), encoding="utf-8")
 
 
-def _heatmap_svg(grid: np.ndarray, sizes: list[int] | None) -> str:
+def _heatmap_svg(grid: np.ndarray, sizes: list[int]) -> str:
     rows, cols = grid.shape
     cell, pad_left, pad_top = 42, 64, 28
     width = pad_left + cols * cell + 8
@@ -244,8 +232,7 @@ def _heatmap_svg(grid: np.ndarray, sizes: list[int] | None) -> str:
         f'viewBox="0 0 {width} {height}" font-family="monospace" font-size="11">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    for j in range(cols):
-        label = str(sizes[j]) if sizes else str(j)
+    for j, label in enumerate(sizes):
         parts.append(
             f'<text x="{pad_left + j * cell + cell / 2:.0f}" y="{pad_top - 8}" text-anchor="middle">{label}</text>'
         )
@@ -262,7 +249,7 @@ def _heatmap_svg(grid: np.ndarray, sizes: list[int] | None) -> str:
             x, y = pad_left + j * cell, pad_top + i * cell
             parts.append(f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" fill="rgb({r},{g},{b})" stroke="#999"/>')
             parts.append(
-                f'<text x="{x + cell / 2:.0f}" y="{y + cell / 2 + 4:.0f}" text-anchor="middle">{_fmt_cell(grid[i, j])}</text>'
+                f'<text x="{x + cell / 2:.0f}" y="{y + cell / 2 + 4:.0f}" text-anchor="middle">{grid[i, j]}</text>'
             )
     parts.append("</svg>")
     return "\n".join(parts)

@@ -59,6 +59,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], dict]:
             shape = tuple(shape)
             if not isinstance(name, str):
                 raise CheckpointError(f"{path}: tensor entry {i} has a non-string name {name!r}")
+            if name in weights:
+                raise CheckpointError(f"{path}: tensor entry {i} repeats the name {name!r}")
             if min(shape, default=0) < 0:
                 raise CheckpointError(f"{path}: tensor entry {i} has a negative shape {shape}")
             nbytes = 4 * math.prod(shape)

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import logging
 import math
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -31,7 +29,7 @@ from .analytics import (
     difficult_token_table,
     distribution_csv,
     emit_heatmap,
-    routing_counts,
+    format_ratio,
     thresholds_csv,
 )
 from .data import load_text_corpus, synthetic_corpus, synthetic_docs
@@ -152,59 +150,51 @@ def cmd_plan(args, argv: list[str]) -> int:
     return EXIT_OK
 
 
-_LOSS_HEADER = "token_index,loss\n"
+# Every byte a loss row may hold, and the row end: decimal digits, the field comma, signs, points and exponents.
+_ROW_BYTES = b"0123456789,+-.eE\n"
 _LOSS_DTYPE = np.dtype([("token_index", np.int64), ("loss", np.float64)])
-# Rows of plain decimal numbers: no whitespace or other character that
-# str.splitlines breaks a line at, and loadtxt would strip inside a field.
-_DECIMAL_ROWS = re.compile(r"[0-9,.eE+\-\n]*")
 
 
 def _read_loss_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Token ids and losses of a `token_index,loss` CSV, or AlignmentError naming the path and line.
+    """Token ids and losses of a loss CSV, or AlignmentError naming the path and line.
 
-    A file that starts with the header and holds only decimal rows, at least
-    one, is parsed with one loadtxt; its result stands only when every id is
-    non-negative and every loss finite. Anything else, a bad row included,
-    goes through `_parse_loss_lines`, which accepts what Python's int and
-    float accept, names the first bad line, and refuses a file of no rows.
+    The one form read is what `np.savetxt(fmt=["%d", "%.6f"])` writes under
+    the header line `token_index,loss`: one or more rows of `_ROW_BYTES`,
+    split at "\\n" (the last may lack it). One loadtxt parses them; only a
+    file it or the id and loss checks refuse is read row by row, to name
+    its first bad line.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as e:
         raise AlignmentError(f"{path}: not UTF-8 text: {e}") from e
-    body = text[len(_LOSS_HEADER) :]
-    if text.startswith(_LOSS_HEADER) and _DECIMAL_ROWS.fullmatch(body) and body.strip("\n"):
+    header, _, body = text.partition("\n")
+    if not body:
+        raise AlignmentError(f"{path}: no loss rows")
+    if header != "token_index,loss":
+        raise AlignmentError(f"{path}:1: header {header!r} is not 'token_index,loss'")
+    rows = body.removesuffix("\n").split("\n")
+    if "" not in rows and not body.encode().translate(None, _ROW_BYTES):  # loadtxt would skip a blank row
         try:
-            table = np.loadtxt(io.StringIO(body), dtype=_LOSS_DTYPE, delimiter=",", comments=None, ndmin=1)
+            ids, losses = np.loadtxt(rows, dtype=_LOSS_DTYPE, delimiter=",", comments=None, ndmin=1, unpack=True)
         except ValueError:
             pass
         else:
-            ids, losses = table["token_index"], table["loss"]
             if (ids >= 0).all() and np.isfinite(losses).all():
                 return ids.copy(), losses.copy()  # contiguous, not views into the two-field table
-    return _parse_loss_lines(path, text)
-
-
-def _parse_loss_lines(path: str, text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Parse loss rows one by one; the first bad one raises with its path and line."""
-    ids, losses = [], []
-    for i, line in enumerate(text.splitlines()):
-        line = line.strip()
-        if not line or (i == 0 and line.lower().startswith("token_index")):
-            continue
+    for line, row in enumerate(rows, start=2):
         try:
-            tok, loss = line.split(",")
-            ids.append(int(tok))
-            losses.append(float(loss))
-        except ValueError as e:
-            raise AlignmentError(f"{path}:{i + 1}: bad loss row {line!r}") from e
-        if not 0 <= ids[-1] < 2**63:
-            raise AlignmentError(f"{path}:{i + 1}: token index {ids[-1]} out of range")
-        if not math.isfinite(losses[-1]):
-            raise AlignmentError(f"{path}:{i + 1}: non-finite loss {losses[-1]}")
-    if not ids:
-        raise AlignmentError(f"{path}: no loss rows")
-    return np.asarray(ids, dtype=np.int64), np.asarray(losses, dtype=np.float64)
+            tok, loss = row.split(",")
+            tok, loss = int(tok), float(loss)
+        except ValueError:
+            raise AlignmentError(f"{path}:{line}: bad loss row {row!r}") from None
+        if not 0 <= tok < 2**63:
+            raise AlignmentError(f"{path}:{line}: token index {tok} out of range")
+        if not math.isfinite(loss):
+            raise AlignmentError(f"{path}:{line}: non-finite loss {loss}")
+        if row.encode().translate(None, _ROW_BYTES):
+            raise AlignmentError(f"{path}:{line}: bad loss row {row!r}")
+    raise AlignmentError(f"{path}: rows loadtxt refuses")
 
 
 def cmd_analyze(args, argv: list[str]) -> int:
@@ -219,8 +209,7 @@ def cmd_analyze(args, argv: list[str]) -> int:
     with RunOutputs(args.out, argv, {"trace": str(args.trace)}, None) as run:
         run.stage("counts.csv").write_text(counts_csv(table, sizes), encoding="utf-8")
         for r in table.rows:
-            ratio = "inf" if r.min == 0 else f"{r.ratio:.2f}"
-            print(f"epoch {r.epoch} layer {r.layer} rank {r.rank} max/min: {ratio}")
+            print(f"epoch {r.epoch} layer {r.layer} rank {r.rank} max/min: {format_ratio(r.ratio)}")
 
         if args.losses_baseline:
             base_ids, base = _read_loss_csv(args.losses_baseline)
@@ -237,10 +226,9 @@ def cmd_analyze(args, argv: list[str]) -> int:
             grid = report.per_layer_top1
         else:
             # routing heatmap: rank-0 counts per (layer, expert), summed over epochs
-            _, counts = routing_counts(trace.records, trace.header.n_layers, trace.header.n_experts)
-            grid = counts[:, :, 0].sum(axis=0)
+            grid = table.counts[:, :, 0].sum(axis=0)
 
-        emit_heatmap(grid, run.stage("heatmap.csv"), run.stage("heatmap.svg"), expert_sizes=sizes)
+        emit_heatmap(grid, run.stage("heatmap.csv"), run.stage("heatmap.svg"), sizes)
     return EXIT_OK
 
 

@@ -100,48 +100,59 @@ def check_tensor_ops(n_seeds: int = 10) -> SuiteResult:
             worst[key] = max(worst.get(key, 0.0), err)
 
     for seed in range(n_seeds):
-        rng = stream_rng(seed, "gradcheck-ops")
+        # each entry draws from its own stream, so removing one leaves every other entry's inputs as they were
+        rng = stream_rng(seed, "gradcheck-ops/matmul")
         a, b, pm = rng.normal(size=(4, 5)), rng.normal(size=(5, 3)), rng.normal(size=(4, 3))
         run("matmul", lambda t: _proj(tt.matmul(t["a"], t["b"]), pm), a=a, b=b)
 
+        rng = stream_rng(seed, "gradcheck-ops/add")
         u, v, pu = (rng.normal(size=(3, 4)) for _ in range(3))
         run("add", lambda t: _proj(tt.add(t["x"], Tensor(v, dtype=np.float64)), pu), x=u)
 
-        gamma_v = rng.normal(size=(4,)) + 1.5
-        gamma_s = np.asarray(rng.normal() + 1.5)
-        run("rmsnorm", lambda t: _proj(tt.rmsnorm(t["x"], t["gamma_vec"]), pu), x=u, gamma_vec=gamma_v)
-        run("rmsnorm/gamma_scalar", lambda t: _proj(tt.rmsnorm(Tensor(u, dtype=np.float64), t["x"]), pu), x=gamma_s)
+        rng = stream_rng(seed, "gradcheck-ops/rmsnorm")
+        u, pu, gamma = rng.normal(size=(3, 4)), rng.normal(size=(3, 4)), rng.normal(size=(4,)) + 1.5
+        run("rmsnorm", lambda t: _proj(tt.rmsnorm(t["x"], t["gamma_vec"]), pu), x=u, gamma_vec=gamma)
+
+        rng = stream_rng(seed, "gradcheck-ops/rmsnorm/gamma_scalar")
+        u, pu, gamma = rng.normal(size=(3, 4)), rng.normal(size=(3, 4)), np.asarray(rng.normal() + 1.5)
+        run("rmsnorm/gamma_scalar", lambda t: _proj(tt.rmsnorm(Tensor(u, dtype=np.float64), t["x"]), pu), x=gamma)
+
+        rng = stream_rng(seed, "gradcheck-ops/softmax")
+        u, pu = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
         run("softmax", lambda t: _proj(tt.softmax(t["x"]), pu), x=u)
 
-        # spaced logits keep the top-k selection stable under the FD probes
-        logits = rng.permuted(np.arange(12, dtype=np.float64).reshape(3, 4) * 0.5, axis=1)
-        logits += rng.normal(size=logits.shape) * 0.05
-        assert _topk_margin(logits, 2) > 1e-2
-        run("topk_softmax", lambda t: _proj(tt.topk_softmax(t["x"], 2)[0], pu[:, :2]), x=logits)
-        run("topk_softmax/k=n", lambda t: _proj(tt.topk_softmax(t["x"], 4)[0], pu), x=logits)
+        for op, k in (("topk_softmax", 2), ("topk_softmax/k=n", 4)):
+            rng = stream_rng(seed, f"gradcheck-ops/{op}")
+            # spaced logits keep the top-k selection stable under the FD probes
+            logits = rng.permuted(np.arange(12, dtype=np.float64).reshape(3, 4) * 0.5, axis=1)
+            logits += rng.normal(size=logits.shape) * 0.05
+            assert _topk_margin(logits, k) > 1e-2
+            pk = rng.normal(size=(3, k))
+            run(op, lambda t: _proj(tt.topk_softmax(t["x"], k)[0], pk), x=logits)
 
+        rng = stream_rng(seed, "gradcheck-ops/embedding_lookup")
         table = rng.normal(size=(6, 4))
         ids = rng.integers(0, 6, size=5)
         p5 = rng.normal(size=(5, 4))
         run("embedding_lookup", lambda t: _proj(tt.embedding_lookup(t["x"], ids), p5), x=table)
 
-        # two heads, two sequences: the op's rope, head split and sequence split all show; its
-        # weights are drawn at the end, and the two unused draws keep the later entries' inputs
-        seq, n_heads, hd = 5, 2, 4
-        h, _, _, pa = (rng.normal(size=(2 * seq, n_heads * hd)) for _ in range(4))
-        theta = rng.normal(size=(seq, hd // 2))
-        tables = tt.build_attention_tables(np.cos(theta), np.sin(theta), n_heads)
-
+        rng = stream_rng(seed, "gradcheck-ops/cross_entropy")
         lg = rng.normal(size=(6, 5))
         tg = rng.integers(0, 5, size=6)
         run("cross_entropy", lambda t: tt.cross_entropy(t["x"], tg), x=lg)
 
+        rng = stream_rng(seed, "gradcheck-ops/balance_penalty")
         probs = rng.random(size=(5, 4))
         f = rng.random(size=4)
         run("balance_penalty", lambda t: tt.balance_penalty(t["x"], f, 0.04)[0], x=probs)
 
-        # the fused ops' remaining inputs, drawn after every other entry's
+        # two heads, two sequences: the op's rope, head split and sequence split all show
+        rng = stream_rng(seed, "gradcheck-ops/causal_attention")
+        seq, n_heads, hd = 5, 2, 4
         d = n_heads * hd
+        h, pa = rng.normal(size=(2 * seq, d)), rng.normal(size=(2 * seq, d))
+        theta = rng.normal(size=(seq, hd // 2))
+        tables = tt.build_attention_tables(np.cos(theta), np.sin(theta), n_heads)
         attn = {"gamma": rng.normal(size=(d,)) + 1.5}
         attn.update((name, rng.normal(0.0, 0.5, (d, d))) for name in ("wq", "wk", "wv", "wo"))
         run(
@@ -150,6 +161,7 @@ def check_tensor_ops(n_seeds: int = 10) -> SuiteResult:
             h=h, **attn,
         )
 
+        rng = stream_rng(seed, "gradcheck-ops/gate_logits")
         x, w_gate, w_noise, pl = (rng.normal(size=shape) for shape in ((5, 6), (6, 4), (6, 4), (5, 4)))
         run(
             "gate_logits",
@@ -160,11 +172,6 @@ def check_tensor_ops(n_seeds: int = 10) -> SuiteResult:
         # four tokens over four experts of unequal widths: no token chooses expert 2, and the
         # ranks are not in expert order, so at k = 3 the per-token summation order shows
         widths = (5, 3, 4, 2)
-        ex = {}
-        for i, h in enumerate(widths):
-            ex.update({f"w_in{i}": rng.normal(size=(4, h)), f"w_gate{i}": rng.normal(size=(4, h))})
-            ex[f"w_out{i}"] = rng.normal(size=(h, 3))
-        x, pr = rng.normal(size=(4, 4)), rng.normal(size=(4, 3))
         route = np.array([[3, 0, 1], [1, 3, 0], [0, 1, 3], [0, 3, 1]])
 
         def routed(t, k):
@@ -172,8 +179,14 @@ def check_tensor_ops(n_seeds: int = 10) -> SuiteResult:
             return _proj(tt.routed_experts(t["x"], t["probs"], route[:, :k], experts), pr)
 
         for k in (1, 2, 3):
-            probs = rng.random(size=(4, k))
-            run("routed_experts" if k == 2 else f"routed_experts/k={k}", lambda t: routed(t, k), x=x, probs=probs, **ex)
+            op = "routed_experts" if k == 2 else f"routed_experts/k={k}"
+            rng = stream_rng(seed, f"gradcheck-ops/{op}")
+            ex = {}
+            for i, h in enumerate(widths):
+                ex.update({f"w_in{i}": rng.normal(size=(4, h)), f"w_gate{i}": rng.normal(size=(4, h))})
+                ex[f"w_out{i}"] = rng.normal(size=(h, 3))
+            x, pr, probs = rng.normal(size=(4, 4)), rng.normal(size=(4, 3)), rng.random(size=(4, k))
+            run(op, lambda t: routed(t, k), x=x, probs=probs, **ex)
 
     return _suite("tensor_ops", worst, OPS_TOL)
 

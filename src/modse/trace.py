@@ -69,6 +69,8 @@ class TraceHeader:
         missing = [name for name in ("spec_hash", "n_experts", "n_layers", "top_k", "expert_sizes") if name not in d]
         if missing:
             raise TraceFormatError(f"trace header lacks field {missing[0]!r}")
+        if type(d["spec_hash"]) is not str:  # a list or dict would leave the frozen header unhashable
+            raise TraceFormatError(f"trace header field 'spec_hash' must be a string, got {d['spec_hash']!r}")
         # JSON integers only: `type(v) is int` turns away floats and bools, which int() would cast
         counts = {name: d[name] for name in ("n_experts", "n_layers", "top_k")}
         for name, v in counts.items():

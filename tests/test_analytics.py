@@ -90,8 +90,10 @@ class TestCountRouting:
 
     def test_counts_csv_rounds_ratio_to_two_decimals(self):
         fix = load_routing_epoch7()
-        rows = [CountRow(7, layer, rank, c) for layer, rank, c in zip(fix.layers, fix.ranks, fix.counts)]
-        text = counts_csv(CountTable(len(fix.expert_sizes), rows), list(fix.expert_sizes))
+        counts = np.zeros((1, max(fix.layers) + 1, max(fix.ranks) + 1, len(fix.expert_sizes)), dtype=np.int64)
+        counts[0, fix.layers, fix.ranks] = fix.counts
+        rows = [CountRow(7, layer, rank, counts[0, layer, rank]) for layer, rank in zip(fix.layers, fix.ranks)]
+        text = counts_csv(CountTable(counts, rows), list(fix.expert_sizes))
         line0 = text.splitlines()[1]
         assert line0.endswith("40200720,15442565,2.60")
 
@@ -117,7 +119,7 @@ ORACLE_SPEC = build_paired_spec(4, 8, [(3.5, 0.5), (2.0, 2.0), (3.0, 1.0)])
 
 @st.composite
 def oracle_cases(draw):
-    """A valid trace over sparse epochs, with layers and ranks left empty at random, and a token subset."""
+    """A valid trace over sparse epochs, with layers and ranks left empty at random, and a routed-token subset."""
     layers = draw(st.integers(1, 4))
     top_k = draw(st.integers(1, 3))
     n = ORACLE_SPEC.n_experts
@@ -136,7 +138,7 @@ def oracle_cases(draw):
     epoch, layer, token, rank, expert = (list(col) for col in zip(*events)) if events else ([],) * 5
     header = TraceHeader("oracle", n, layers, top_k, tuple(ORACLE_SPEC.expert_sizes))
     trace = RoutingTrace(header, make_records(epoch, layer, token, rank, expert))
-    difficult = draw(st.sets(st.integers(0, 15)))
+    difficult = draw(st.sets(st.sampled_from(sorted(set(token))))) if token else set()
     return trace, events, difficult
 
 
@@ -165,7 +167,7 @@ class TestRoutingCountsOracle:
         for row in table.rows:
             assert row.counts.tolist() == [oracle[(row.epoch, row.layer, row.rank, x)] for x in range(n)]
         # one header line plus a row per group with events, none for empty groups
-        assert len(counts_csv(table).splitlines()) == 1 + len(groups)
+        assert len(counts_csv(table, list(sizes)).splitlines()) == 1 + len(groups)
 
         hard = Counter((layer, r, x) for _, layer, tok, r, x in events if tok in difficult)
         large, _ = default_size_classes(sizes)
@@ -175,7 +177,7 @@ class TestRoutingCountsOracle:
         assert report.per_expert_top1.tolist() == [sum(col) for col in zip(*grid)]
         top12 = [sum(hard[(layer, r, x)] for layer in range(layers) for r in (0, 1)) for x in range(n)]
         assert report.per_expert_top12.tolist() == top12
-        assert report.sum_large_top12 == sum(c for c, h in zip(top12, sizes) if h in large)
+        assert report.sum_large_top12 == sum(c for c, is_large in zip(top12, large) if is_large)
 
         plans = [plan_pairwise(ORACLE_SPEC, layers, DeviceModel(3))] + [
             plan_baselines(ORACLE_SPEC, layers, DeviceModel(3), s) for s in ("naive_contiguous", "size_sorted")
@@ -254,9 +256,10 @@ class TestDifficultTokenTable:
 class TestDifficultTokenDistribution:
     def test_published_sums_reproduced_exactly(self):
         trace, difficult = difficult_fixture_trace()
-        large, small = default_size_classes(list(trace.header.expert_sizes))
-        assert large == {6912, 6144, 4608}
-        assert small == {3072, 1536, 768}
+        sizes = np.array(trace.header.expert_sizes)
+        large, small = default_size_classes(list(sizes))
+        assert set(sizes[large]) == {6912, 6144, 4608}
+        assert set(sizes[small]) == {3072, 1536, 768}
         report = difficult_token_expert_distribution(trace, difficult)
         assert report.per_expert_top12.tolist() == TOP12_PER_EXPERT
         assert report.per_expert_top1.tolist() == TOP1_PER_EXPERT
@@ -283,6 +286,13 @@ class TestDifficultTokenDistribution:
         assert report.per_expert_top1.sum() == 0
         assert report.per_expert_top12.sum() == 0
         assert report.sum_large_top12 == 0
+
+    def test_unrouted_difficult_token_rejected(self):
+        # loss ids offset from the trace's token ids select no record; the first unrouted id is named
+        trace, _ = difficult_fixture_trace()
+        ids = np.array([5, 10**6 + 3, 10**6 + 1])
+        with pytest.raises(AlignmentError, match="never routes difficult token 1000003$"):
+            difficult_token_expert_distribution(trace, ids)
 
     def test_mass_conservation_on_per_layer_complete_trace(self):
         # each difficult token routed once per (layer, rank)
@@ -317,19 +327,19 @@ class TestDefaultSizeClasses:
             ratios.append((h_base / d + delta, h_base / d - delta))
         for spec in (build_paired_spec(d, h_base, ratios), homogeneous_spec(d, h_base, 2 * len(fracs))):
             large, small = default_size_classes(spec.expert_sizes)
-            assert large == {h for h in spec.expert_sizes if h > h_base}
-            assert small == {h for h in spec.expert_sizes if h < h_base}
+            assert large.tolist() == [h > h_base for h in spec.expert_sizes]
+            assert small.tolist() == [h < h_base for h in spec.expert_sizes]
 
 
 class TestHeatmap:
     def test_csv_exact_two_by_two(self, tmp_path):
-        emit_heatmap(np.array([[1, 0], [0, 1]]), tmp_path / "h.csv", tmp_path / "h.svg")
+        emit_heatmap(np.array([[1, 0], [0, 1]]), tmp_path / "h.csv", tmp_path / "h.svg", [8, 8])
         assert (tmp_path / "h.csv").read_text() == "1,0\n0,1\n"
 
     def test_fixture_grid_row_sums(self, tmp_path):
         fix = load_difficult_tokens()
         grid = np.stack([fix.row(layer, 0) for layer in range(fix.n_layers)])
-        emit_heatmap(grid, tmp_path / "h.csv", tmp_path / "h.svg", expert_sizes=list(fix.expert_sizes))
+        emit_heatmap(grid, tmp_path / "h.csv", tmp_path / "h.svg", list(fix.expert_sizes))
         rows = [
             [int(v) for v in line.split(",")]
             for line in (tmp_path / "h.csv").read_text().splitlines()
@@ -339,11 +349,14 @@ class TestHeatmap:
 
     def test_columns_reordered_widest_first(self, tmp_path):
         grid = np.array([[1, 2, 3]])
-        emit_heatmap(grid, tmp_path / "h.csv", tmp_path / "h.svg", expert_sizes=[10, 30, 20])
+        emit_heatmap(grid, tmp_path / "h.csv", tmp_path / "h.svg", [10, 30, 20])
         assert (tmp_path / "h.csv").read_text() == "2,3,1\n"
+        svg = (tmp_path / "h.svg").read_text()
+        labels = [svg.index(f">{w}</text>") for w in (30, 20, 10)]
+        assert labels == sorted(labels)
 
     def test_equal_counts_single_fill(self, tmp_path):
-        emit_heatmap(np.full((2, 3), 7), tmp_path / "h.csv", tmp_path / "h.svg")
+        emit_heatmap(np.full((2, 3), 7), tmp_path / "h.csv", tmp_path / "h.svg", [8, 8, 8])
         svg = (tmp_path / "h.svg").read_text()
         fills = {part.split('"')[0] for part in svg.split('fill="rgb(')[1:]}
         assert len(fills) == 1
@@ -352,4 +365,4 @@ class TestHeatmap:
 
     def test_non_rectangular_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="rectangular"):
-            emit_heatmap(np.zeros(3), tmp_path / "h.csv", tmp_path / "h.svg")
+            emit_heatmap(np.zeros(3), tmp_path / "h.csv", tmp_path / "h.svg", [8, 8, 8])

@@ -100,6 +100,16 @@ def test_bad_tensor_entry_rejected(tmp_path, entry):
         load_checkpoint(p)
 
 
+def test_repeated_tensor_name_rejected(tmp_path):
+    # enough bytes for both: without the check the second "a" would replace the first
+    p = tmp_path / "ck.bin"
+    entries = [{"name": "a", "shape": [2]}, {"name": "a", "shape": [3]}]
+    header = {"format": "modse-ckpt", "version": 1, "meta": {}, "tensors": entries}
+    p.write_bytes(json.dumps(header).encode() + b"\n" + b"\0" * 20)
+    with pytest.raises(CheckpointError, match="tensor entry 1 repeats the name 'a'"):
+        load_checkpoint(p)
+
+
 @pytest.mark.parametrize("shape", [[4 * 10**12, 4 * 10**12], [2**62, 4], [10**20]])
 def test_shape_larger_than_the_file_rejected(tmp_path, shape):
     p = tmp_path / "ck.bin"

@@ -440,7 +440,7 @@ class TestAnalyzeCommand:
             (b"token_index,loss\n0,1.0\n1,\xff\n", "base.csv: not UTF-8 text"),
             (b"token_index,loss\n", "base.csv: no loss rows"),
             (b"", "base.csv: no loss rows"),
-            (b"\n\n", "base.csv: no loss rows"),
+            (b"\n\n", "base.csv:1: header '' is not 'token_index,loss'"),
         ],
         ids=["nan", "inf", "negative-token", "bad-utf8", "header-only", "empty", "blank-lines"],
     )
@@ -457,6 +457,23 @@ class TestAnalyzeCommand:
         assert message in r.stderr
         assert not out.exists()
 
+    def test_loss_ids_the_trace_never_routes_exit_one(self, tmp_path):
+        # ids offset by 10**6 select no trace record: without the check every count would read 0
+        tp = tmp_path / "t.jsonl"
+        n_tokens = uniform_trace_file(tp)
+        ids = np.arange(n_tokens) + 10**6
+        losses = np.where(ids % 3 == 0, 3.0, 0.5)  # ids 1000002, 1000005, ... are difficult
+        np.savetxt(tmp_path / "base.csv", np.column_stack([ids, losses]), fmt=["%d", "%.6f"], delimiter=",",
+                   header="token_index,loss", comments="")
+        out = tmp_path / "analysis"
+        r = run_cli(
+            "analyze", tp, "--losses-baseline", tmp_path / "base.csv",
+            "--losses-modse", tmp_path / "base.csv", "--out", out,
+        )
+        assert r.returncode == 1, r.stderr
+        assert "the trace never routes difficult token 1000002" in r.stderr
+        assert not out.exists()
+
     def test_missing_trace_exits_two(self, tmp_path):
         r = run_cli("analyze", tmp_path / "nope.jsonl", "--out", tmp_path / "x")
         assert r.returncode == 2
@@ -464,17 +481,19 @@ class TestAnalyzeCommand:
 
 class TestReadLossCsv:
     def test_written_form_never_reaches_the_per_line_parser(self, tmp_path, monkeypatch):
+        # a file the one loadtxt refuses is examined row by row and always raises, so a
+        # file that loads went through that loadtxt alone
         ids = np.arange(3000, dtype=np.int64)
         losses = np.random.default_rng(4).lognormal(0.5, 0.6, len(ids))
         p = tmp_path / "losses.csv"
         np.savetxt(p, np.column_stack([ids, losses]), fmt=["%d", "%.6f"], delimiter=",",
                    header="token_index,loss", comments="")
 
-        def refuse(*args):
-            raise AssertionError("file left the loadtxt path")
-
-        monkeypatch.setattr(cli, "_parse_loss_lines", refuse)
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(cli.np, "loadtxt", lambda *a, **kw: calls.append(1) or loadtxt(*a, **kw))
         got_ids, got_losses = cli._read_loss_csv(str(p))
+        assert calls == [1]
         assert got_ids.dtype == np.int64 and got_ids.tobytes() == ids.tobytes()
         expected = np.array([float(f"{v:.6f}") for v in losses])
         assert got_losses.dtype == np.float64 and got_losses.tobytes() == expected.tobytes()
@@ -491,6 +510,28 @@ class TestReadLossCsv:
     def test_rows_loadtxt_declines_are_named_by_line(self, tmp_path, body, message):
         p = tmp_path / "losses.csv"
         p.write_text("token_index,loss\n" + body)
+        with pytest.raises(AlignmentError, match=re.escape(message)):
+            cli._read_loss_csv(str(p))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("token_index,loss\n0,1.0\n\n1,2.0\n", "losses.csv:3: bad loss row ''"),
+            ("token_index,loss\n0,1.0\n1,2.0\n\n", "losses.csv:4: bad loss row ''"),
+            ("token_index,loss\r\n0,1.0\r\n", "losses.csv:1: header 'token_index,loss\\r' is not"),
+            ("token_index,loss\n0,1.0\r\n1,2.0\r\n", "losses.csv:2: bad loss row '0,1.0\\r'"),
+            ("token_index,loss\n0,1.0\n 1, 2.0\n", "losses.csv:3: bad loss row ' 1, 2.0'"),
+            ("token_index,loss\n1_0,1.0\n", "losses.csv:2: bad loss row '1_0,1.0'"),
+            ("0,1.0\n1,2.0\n", "losses.csv:1: header '0,1.0' is not"),
+            ("Token_Index,Loss\n0,1.0\n", "losses.csv:1: header 'Token_Index,Loss' is not"),
+        ],
+        ids=["blank-row", "trailing-blank-row", "crlf-header", "crlf-rows", "spaces", "underscore",
+             "no-header", "header-case"],
+    )
+    def test_rows_outside_the_one_form_are_named_by_line(self, tmp_path, text, message):
+        # each loaded before through a per-line fallback; the one form refuses them at their line
+        p = tmp_path / "losses.csv"
+        p.write_bytes(text.encode())
         with pytest.raises(AlignmentError, match=re.escape(message)):
             cli._read_loss_csv(str(p))
 

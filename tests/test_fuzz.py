@@ -3,14 +3,16 @@
 Flipped, deleted or inserted bytes in a valid file must either load or raise
 the reader's typed error (`TraceFormatError`, `CheckpointError`,
 `ConfigError`, `AlignmentError`), never another exception. An edited loss
-CSV must load exactly as the per-line reader below does, or raise where
-that reader rejects it. An edited JSONL trace must load if and only if the
-per-line reader below loads it and every record line is the line the
-writer writes for that record, and then to the same records.
+CSV must load exactly as the per-line reader of its one form below does, or
+raise naming the line where that reader first rejects it. An edited JSONL
+trace must load if and only if the per-line reader below loads it and every
+record line is the line the writer writes for that record, and then to the
+same records.
 """
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -208,31 +210,50 @@ def test_config_loads_or_raises(tmp_path_factory, edits):
         pass
 
 
+# a row of the one form holds only these characters
+LOSS_ROW = re.compile(r"[0-9,.eE+\-]*")
+
+
 def reference_read_loss_csv(path):
-    """The per-line loss CSV reader the loadtxt path sits in front of; raises ValueError where it rejects."""
+    """The one loss CSV form, read line by line: (ids, losses), or the number of the first line outside it.
+
+    The header line is `token_index,loss`, then one or more rows of LOSS_ROW
+    characters, lines split at "\\n" alone and the last one perhaps without
+    it; every row holds a Python int in [0, 2**63) and a finite Python float.
+    Line 0 stands for the whole file: not UTF-8, or no row after the header.
+    """
+    try:
+        lines = path.read_bytes().decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        return 0
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) < 2:
+        return 0
+    if lines[0] != "token_index,loss":
+        return 1
     ids, losses = [], []
-    for i, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
-        line = line.strip()
-        if not line or (i == 0 and line.lower().startswith("token_index")):
-            continue
-        tok, loss = line.split(",")
-        ids.append(int(tok))
-        losses.append(float(loss))
-        if not (0 <= ids[-1] < 2**63 and math.isfinite(losses[-1])):
-            raise ValueError(f"line {i + 1} out of range")
-    if not ids:
-        raise ValueError("no rows")
+    for i, row in enumerate(lines[1:], start=2):
+        try:
+            tok, loss = row.split(",")
+            ids.append(int(tok))
+            losses.append(float(loss))
+        except ValueError:
+            return i
+        if not (LOSS_ROW.fullmatch(row) and 0 <= ids[-1] < 2**63 and math.isfinite(losses[-1])):
+            return i
     return np.asarray(ids, dtype=np.int64), np.asarray(losses, dtype=np.float64)
 
 
 def assert_loss_csv_reads_as_reference(p):
-    try:
-        ids, losses = _read_loss_csv(str(p))
-    except AlignmentError:
-        with pytest.raises(ValueError):
-            reference_read_loss_csv(p)
+    expected = reference_read_loss_csv(p)
+    if isinstance(expected, int):
+        with pytest.raises(AlignmentError) as refused:
+            _read_loss_csv(str(p))
+        assert str(refused.value).startswith(f"{p}:{expected}: " if expected else f"{p}: "), str(refused.value)
         return
-    expected_ids, expected_losses = reference_read_loss_csv(p)
+    ids, losses = _read_loss_csv(str(p))
+    expected_ids, expected_losses = expected
     assert ids.dtype == expected_ids.dtype and ids.tobytes() == expected_ids.tobytes()
     assert losses.dtype == expected_losses.dtype and losses.tobytes() == expected_losses.tobytes()
 
@@ -272,10 +293,14 @@ def test_loss_csv_loads_or_raises(tmp_path_factory, edits):
         "1\x85,2\n",
         "1,2\u20283,4\n",
         "1\xa0,2\n",
+        "1,2\r\n3,4\r\n",
+        "1,2\n3,4",
+        "+5,1e+5\n",
+        "1,1.e5\n",
     ],
 )
 def test_loss_csv_edge_rows_read_as_reference(tmp_path, body):
-    # rows the loadtxt path must decline, or parse to the same bits, that random edits rarely reach
+    # rows the one loadtxt must refuse, or parse to the same bits, that random edits rarely reach
     p = tmp_path / "losses.csv"
     p.write_text("token_index,loss\n" + body, encoding="utf-8", newline="")
     assert_loss_csv_reads_as_reference(p)

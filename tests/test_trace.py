@@ -299,10 +299,13 @@ class TestValidation:
             ("expert_sizes", [12, 4, 8.0, 8]),
             ("expert_sizes", [12, 4, True, 8]),
             ("expert_sizes", "12488"),
+            ("spec_hash", ["abc"]),
+            ("spec_hash", 7),
         ],
     )
     def test_header_counts_must_be_positive_json_integers(self, tmp_path, field, value):
-        # int() would cast 2.9 to 2 and true to 1; widths and counts below 1 describe no layer
+        # int() would cast 2.9 to 2 and true to 1; widths and counts below 1 describe no layer; a
+        # spec_hash that is not a string would load, and leave the frozen header unhashable
         d = header().to_dict()
         d[field] = value
         with pytest.raises(TraceFormatError, match=f"trace header .*{field}"):
