@@ -160,9 +160,9 @@ def _read_loss_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
 
     The one form read is what `np.savetxt(fmt=["%d", "%.6f"])` writes under
     the header line `token_index,loss`: one or more rows of `_ROW_BYTES`,
-    split at "\\n" (the last may lack it). One loadtxt parses them; only a
-    file it or the id and loss checks refuse is read row by row, to name
-    its first bad line.
+    split at "\\n" (the last may lack it), each token id once. One loadtxt
+    parses them; only a file it or the id and loss checks refuse is read
+    row by row, to name its first bad line.
     """
     try:
         text = Path(path).read_bytes().decode("utf-8")
@@ -181,6 +181,7 @@ def _read_loss_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
             pass
         else:
             if (ids >= 0).all() and np.isfinite(losses).all():
+                _refuse_repeated_ids(path, ids)
                 return ids.copy(), losses.copy()  # contiguous, not views into the two-field table
     for line, row in enumerate(rows, start=2):
         try:
@@ -195,6 +196,16 @@ def _read_loss_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
         if row.encode().translate(None, _ROW_BYTES):
             raise AlignmentError(f"{path}:{line}: bad loss row {row!r}")
     raise AlignmentError(f"{path}: rows loadtxt refuses")
+
+
+def _refuse_repeated_ids(path: str, ids: np.ndarray) -> None:
+    """AlignmentError naming the first row whose token id an earlier row already holds."""
+    order = np.argsort(ids, kind="stable")
+    repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
+    if repeats.size:
+        i = int(repeats.min())
+        first = int(np.argmax(ids == ids[i]))
+        raise AlignmentError(f"{path}:{i + 2}: token index {ids[i]} repeats line {first + 2}")
 
 
 def cmd_analyze(args, argv: list[str]) -> int:

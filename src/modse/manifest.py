@@ -4,8 +4,9 @@ Commands write their primary outputs inside a `with RunOutputs(...)` block:
 files are produced under temporary names and renamed into place only when
 the whole block has succeeded, so a failed run leaves no partial outputs.
 The manifest (command line, config snapshot, seed, version, the numpy and
-BLAS build with the BLAS thread variables and core count, timestamps, sha256
-digests of every emitted file) is written last.
+BLAS build with the BLAS thread variables and core count, the allocator
+thresholds training set, timestamps, sha256 digests of every emitted file)
+is written last.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .train import heap_policy
 
 MANIFEST_NAME = "manifest.json"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -116,7 +118,7 @@ class RunOutputs:
             config=self.config,
             seed=self.seed,
             version=version_string(),
-            runtime=runtime_info(),
+            runtime={**runtime_info(), "heap": heap_policy()},  # not cached: a training run may set it later
             started_at=_iso(self._t0),
             finished_at=_iso(time.time()),
             outputs=digests,

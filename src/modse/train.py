@@ -5,10 +5,17 @@ and BLAS thread count: the thread count changes low-order bits, and the run
 manifest records all three. Each step logs a TrainStepRecord; optionally
 every routing decision (which expert each token chose at each layer and
 rank) goes to a trace file.
+
+Each step frees its whole graph before the next forward. When one
+`[batch*seq_len, dim]` activation is at least glibc's default mmap
+threshold (128 KiB), the first such run in a process asks glibc to keep
+freed memory in the heap (see `_keep_heap`), so the next step reuses it
+instead of faulting it back in; `heap_policy()` says what is in force.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +31,39 @@ from .moe import GateOutput
 from .optim import AdamState, OptimizerConfig, adam_step, clip_global_norm, lr_at
 from .tensor import Tensor, per_token_cross_entropy
 from .trace import TraceHeader, TraceWriter, make_records
+
+
+# mallopt's parameter numbers in glibc's malloc.h, and glibc's default mmap threshold
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_DEFAULT_MMAP_THRESHOLD = 128 << 10
+_TRIM_THRESHOLD, _MMAP_THRESHOLD = 1 << 30, 32 << 20  # 32 MiB: the largest mmap threshold 64-bit glibc takes
+_heap_kept = False  # the allocator is per process, and so is this record of what was set
+
+
+def heap_policy() -> dict | None:
+    """The allocator thresholds `_keep_heap` set in this process, or None if it set none."""
+    return {"trim_threshold": _TRIM_THRESHOLD, "mmap_threshold": _MMAP_THRESHOLD} if _heap_kept else None
+
+
+def _keep_heap(activation_bytes: int) -> None:
+    """Keep freed step memory in the heap for the rest of the process.
+
+    Without this, glibc serves each large activation with its own mmap and
+    trims the heap top once a step's graph is freed, so every step faults
+    tens of MB back in. Below glibc's default mmap threshold the steps
+    already reuse heap memory, and the allocator is left alone. Where libc
+    has no `mallopt`, or it refuses a value, nothing is recorded.
+    """
+    global _heap_kept
+    if _heap_kept or activation_bytes < _DEFAULT_MMAP_THRESHOLD:
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    _heap_kept = mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1 and mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
 
 
 class NonFiniteLossError(RuntimeError):
@@ -100,6 +140,7 @@ def train(
     weights = init_weights(cfg)
     params = named_params(weights)
     state = AdamState(params)
+    _keep_heap(cfg.batch_size * cfg.seq_len * cfg.dim * state.flat.itemsize)
     batcher = Batcher(corpus, cfg.seq_len, cfg.batch_size, cfg.seed)
     spec = cfg.expert_spec()
 

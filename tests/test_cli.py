@@ -1,5 +1,6 @@
 import hashlib
 import json
+import platform
 import re
 import subprocess
 import sys
@@ -88,6 +89,20 @@ class TestTrainCommand:
             assert sha(out / name) == digest
         summary = json.loads(r.stdout.strip().splitlines()[-1])
         assert summary["steps"] == 10
+
+    @pytest.mark.parametrize("shape", ["toy-B16-S32", "micro"])
+    def test_manifest_records_the_heap_policy(self, tmp_path, shape):
+        # training sets glibc's thresholds when one [B*S, dim] float32 activation reaches
+        # 128 KiB (16*32*64*4 bytes exactly); the micro model's 2 KiB leaves them alone
+        toy = json.loads((Path(__file__).parents[1] / "configs" / "toy.json").read_text())["model"]
+        toy = {**toy, "batch_size": 16, "seq_len": 32}
+        cfg = write_config(tmp_path, toy if shape != "micro" else TINY_MODEL, TINY_OPT)
+        out = tmp_path / "run"
+        r = run_cli("train", "--config", cfg, "--steps", 1, "--out", out)
+        assert r.returncode == 0, r.stderr
+        applied = shape != "micro" and platform.libc_ver()[0] == "glibc"
+        expect = {"trim_threshold": 1 << 30, "mmap_threshold": 32 << 20} if applied else None
+        assert json.loads((out / "manifest.json").read_text())["runtime"]["heap"] == expect
 
     def test_non_finite_loss_exits_two_no_output_dir(self, tmp_path):
         cfg = write_config(tmp_path, TINY_MODEL, {**TINY_OPT, "warmup_steps": 0, "lr_peak": 1e30})
@@ -474,6 +489,21 @@ class TestAnalyzeCommand:
         assert "the trace never routes difficult token 1000002" in r.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--losses-baseline", "--losses-modse"])
+    def test_repeated_loss_id_exits_one_naming_line(self, tmp_path, flag):
+        # a repeat would count once in distribution.csv but weigh twice in every thresholds.csv row
+        tp = tmp_path / "t.jsonl"
+        n_tokens = uniform_trace_file(tp)
+        rows = [f"{i},{1.0 + i % 3}" for i in range(n_tokens)]
+        (tmp_path / "good.csv").write_text("\n".join(["token_index,loss", *rows]) + "\n")
+        (tmp_path / "bad.csv").write_text("\n".join(["token_index,loss", *rows[:5], "3,2.5", *rows[5:]]) + "\n")
+        losses = {"--losses-baseline": "good.csv", "--losses-modse": "good.csv", flag: "bad.csv"}
+        out = tmp_path / "analysis"
+        r = run_cli("analyze", tp, *[a for f, name in losses.items() for a in (f, tmp_path / name)], "--out", out)
+        assert r.returncode == 1, r.stderr
+        assert "bad.csv:7: token index 3 repeats line 5" in r.stderr
+        assert not out.exists()
+
     def test_missing_trace_exits_two(self, tmp_path):
         r = run_cli("analyze", tmp_path / "nope.jsonl", "--out", tmp_path / "x")
         assert r.returncode == 2
@@ -666,6 +696,7 @@ class TestRunOutputs:
         import os
 
         from modse import manifest
+        from modse.train import heap_policy
 
         threads = {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "1"}
         for var, value in threads.items():
@@ -687,6 +718,7 @@ class TestRunOutputs:
             "blas": f"{blas['name']} {blas['version']}",
             "blas_threads": threads,
             "cpu_count": os.cpu_count(),
+            "heap": heap_policy(),
         }
         for tag in ("a", "b"):
             assert json.loads((tmp_path / tag / "manifest.json").read_text())["runtime"] == expect

@@ -219,7 +219,8 @@ def reference_read_loss_csv(path):
 
     The header line is `token_index,loss`, then one or more rows of LOSS_ROW
     characters, lines split at "\\n" alone and the last one perhaps without
-    it; every row holds a Python int in [0, 2**63) and a finite Python float.
+    it; every row holds a Python int in [0, 2**63) and a finite Python float,
+    and no id twice (the first repeat is the line named once every row is valid).
     Line 0 stands for the whole file: not UTF-8, or no row after the header.
     """
     try:
@@ -242,6 +243,11 @@ def reference_read_loss_csv(path):
             return i
         if not (LOSS_ROW.fullmatch(row) and 0 <= ids[-1] < 2**63 and math.isfinite(losses[-1])):
             return i
+    seen = set()
+    for i, tok in enumerate(ids, start=2):
+        if tok in seen:
+            return i
+        seen.add(tok)
     return np.asarray(ids, dtype=np.int64), np.asarray(losses, dtype=np.float64)
 
 
@@ -297,6 +303,8 @@ def test_loss_csv_loads_or_raises(tmp_path_factory, edits):
         "1,2\n3,4",
         "+5,1e+5\n",
         "1,1.e5\n",
+        "7,1\n3,2\n+07,3\n3,4\n",
+        "7,1\n7,1\nx\n",
     ],
 )
 def test_loss_csv_edge_rows_read_as_reference(tmp_path, body):

@@ -1,6 +1,9 @@
 import gc
 import json
 import math
+import platform
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -239,6 +242,75 @@ class TestTrain:
         assert len(bases) == 1
         flat = next(iter(weights.values())).values.base
         assert flat.size == sum(t.size for t in weights.values())
+
+
+# Minor page faults of each steady-state step of a B32/S64 toy run, measured
+# by the training process itself at the start of every step's forward.
+FAULTS_PER_STEP = """
+import json, resource
+import numpy as np
+import modse.train as mt
+from modse.data import synthetic_corpus
+from modse.model import ModelConfig
+from modse.optim import OptimizerConfig
+
+cfg = ModelConfig(dim=64, n_layers=2, n_heads=4, n_experts=8, top_k=2, vocab_size=258, h_base=160,
+                  expert_ratios=((4.5, 0.5), (4.0, 1.0), (3.0, 2.0), (2.5, 2.5)),
+                  seq_len=64, batch_size=32, seed=0)
+marks = []
+objective = mt.objective
+def counting_objective(*args):
+    marks.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return objective(*args)
+mt.objective = counting_objective
+mt.train(cfg, OptimizerConfig(), synthetic_corpus(0, n_docs=400), steps=8)
+print(json.dumps(np.diff(marks)[2:].tolist()))
+"""
+
+
+class TestHeapPolicy:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the trim and mmap thresholds are glibc's")
+    def test_toy_steps_reuse_the_heap(self):
+        # glibc's defaults mmap each large activation and trim the heap top once a
+        # step's graph is freed, so every step faulted 8-12k pages back in
+        r = subprocess.run([sys.executable, "-c", FAULTS_PER_STEP], capture_output=True, text=True, check=True)
+        faults = json.loads(r.stdout)
+        assert np.median(faults) < 500, faults
+
+    class FakeLibc:
+        """A libc whose `mallopt` records its calls and answers `ok`."""
+
+        def __init__(self, ok=1):
+            self.calls = []
+            self.mallopt = lambda param, value: self.calls.append((param, value)) or ok
+
+    @pytest.fixture
+    def libc(self, monkeypatch):
+        fake = self.FakeLibc()
+        monkeypatch.setattr(modse.train, "_heap_kept", False)
+        monkeypatch.setattr(modse.train.ctypes, "CDLL", lambda _: fake)
+        return fake
+
+    def test_allocator_left_alone_below_the_gate(self, corpus, libc):
+        # this config's [B*S, dim] activation is 4 KiB: its steps reuse heap memory without help
+        train(tiny_cfg(), tiny_opt(), corpus, steps=1)
+        modse.train._keep_heap((128 << 10) - 1)
+        assert libc.calls == []
+        assert modse.train.heap_policy() is None
+
+    def test_set_once_at_the_gate(self, libc):
+        modse.train._keep_heap(128 << 10)
+        modse.train._keep_heap(1 << 30)
+        assert libc.calls == [(-1, 1 << 30), (-3, 32 << 20)]
+        assert modse.train.heap_policy() == {"trim_threshold": 1 << 30, "mmap_threshold": 32 << 20}
+
+    @pytest.mark.parametrize("cdll", [lambda _: object(), lambda _: TestHeapPolicy.FakeLibc(ok=0)],
+                             ids=["no-mallopt", "mallopt-refuses"])
+    def test_nothing_recorded_without_a_working_mallopt(self, monkeypatch, cdll):
+        monkeypatch.setattr(modse.train, "_heap_kept", False)
+        monkeypatch.setattr(modse.train.ctypes, "CDLL", cdll)
+        modse.train._keep_heap(1 << 20)
+        assert modse.train.heap_policy() is None
 
 
 class TestEvalLoss:
