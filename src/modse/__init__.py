@@ -1,6 +1,14 @@
 """Desk-scale mixture-of-diverse-size-experts laboratory."""
 
+import os
+
 __version__ = "0.1.0"
+
+# a run's bits depend on the BLAS thread count, so it defaults to one thread, not to
+# whatever the machine offers; set before numpy loads its BLAS, and an explicit setting wins
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
 
 from .tensor import Tensor  # noqa: E402,F401
 from .model import ModelConfig  # noqa: E402,F401

@@ -5,7 +5,8 @@ tokens whose single most probable expert is i and P_i is the mean router
 probability assigned to i. It is minimized (value alpha) by a uniform
 routing distribution and maximized (alpha * N) by total collapse onto one
 expert. Gradient flows through P only; f is a discrete count held constant.
-The penalty and P come from one `tensor.balance_penalty` node.
+The router probabilities, f, P and the penalty come from one
+`tensor.balance_penalty` node on the gate's logits.
 """
 
 from __future__ import annotations
@@ -35,16 +36,12 @@ class BalanceStats:
 def balance_loss(gate_out: GateOutput, alpha: float = DEFAULT_ALPHA) -> BalanceStats:
     """Compute f, P and the balance penalty for one batch of gate outputs.
 
-    f uses the argmax of the full (unmasked) probabilities, ties resolved to
-    the lowest expert index, regardless of how many experts routing actually
-    selects per token.
+    f uses the argmax of the full (unmasked) softmax of the logits, ties
+    resolved to the lowest expert index, regardless of how many experts
+    routing actually selects per token.
     """
-    probs = gate_out.full_probs
-    t, n = probs.shape
+    t, n = gate_out.logits.shape
     if t == 0:
         raise EmptyBatchError("balance_loss: empty batch")
-    am = np.argmax(probs.values, axis=1)
-    f = np.bincount(am, minlength=n).astype(np.float64) / t
-
-    loss, p = tt.balance_penalty(probs, f, alpha * n)
+    loss, p, f = tt.balance_penalty(gate_out.logits, alpha * n)
     return BalanceStats(f=f, P=p.astype(np.float64), loss=loss)

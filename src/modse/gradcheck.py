@@ -23,7 +23,7 @@ import numpy as np
 from . import tensor as tt
 from .balance import balance_loss
 from .model import ModelConfig, init_weights, transformer_forward
-from .moe import ExpertParams, GateOutput, GateParams, build_paired_spec, gate_forward, moe_layer_forward
+from .moe import ExpertParams, GateParams, build_paired_spec, gate_forward, moe_layer_forward
 from .rng import stream_rng
 from .tensor import Tensor
 from .train import objective
@@ -117,19 +117,6 @@ def check_tensor_ops(n_seeds: int = 10) -> SuiteResult:
         u, pu, gamma = rng.normal(size=(3, 4)), rng.normal(size=(3, 4)), np.asarray(rng.normal() + 1.5)
         run("rmsnorm/gamma_scalar", lambda t: _proj(tt.rmsnorm(Tensor(u, dtype=np.float64), t["x"]), pu), x=gamma)
 
-        rng = stream_rng(seed, "gradcheck-ops/softmax")
-        u, pu = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        run("softmax", lambda t: _proj(tt.softmax(t["x"]), pu), x=u)
-
-        for op, k in (("topk_softmax", 2), ("topk_softmax/k=n", 4)):
-            rng = stream_rng(seed, f"gradcheck-ops/{op}")
-            # spaced logits keep the top-k selection stable under the FD probes
-            logits = rng.permuted(np.arange(12, dtype=np.float64).reshape(3, 4) * 0.5, axis=1)
-            logits += rng.normal(size=logits.shape) * 0.05
-            assert _topk_margin(logits, k) > 1e-2
-            pk = rng.normal(size=(3, k))
-            run(op, lambda t: _proj(tt.topk_softmax(t["x"], k)[0], pk), x=logits)
-
         rng = stream_rng(seed, "gradcheck-ops/embedding_lookup")
         table = rng.normal(size=(6, 4))
         ids = rng.integers(0, 6, size=5)
@@ -142,9 +129,11 @@ def check_tensor_ops(n_seeds: int = 10) -> SuiteResult:
         run("cross_entropy", lambda t: tt.cross_entropy(t["x"], tg), x=lg)
 
         rng = stream_rng(seed, "gradcheck-ops/balance_penalty")
-        probs = rng.random(size=(5, 4))
-        f = rng.random(size=4)
-        run("balance_penalty", lambda t: tt.balance_penalty(t["x"], f, 0.04)[0], x=probs)
+        # spaced logits keep each row's argmax stable under the FD probes
+        logits = rng.permuted(np.arange(20, dtype=np.float64).reshape(5, 4) * 0.5, axis=1)
+        logits += rng.normal(size=logits.shape) * 0.05
+        assert _topk_margin(logits, 1) > 1e-2
+        run("balance_penalty", lambda t: tt.balance_penalty(t["logits"], 0.04)[0], logits=logits)
 
         # two heads, two sequences: the op's rope, head split and sequence split all show
         rng = stream_rng(seed, "gradcheck-ops/causal_attention")
@@ -169,24 +158,24 @@ def check_tensor_ops(n_seeds: int = 10) -> SuiteResult:
             x=x, w_gate=w_gate, w_noise=w_noise, gamma=np.asarray(rng.normal() + 1.5),
         )
 
-        # four tokens over four experts of unequal widths: no token chooses expert 2, and the
-        # ranks are not in expert order, so at k = 3 the per-token summation order shows
+        # four tokens over four experts of unequal widths: below k = 4 no token chooses expert 2,
+        # and the ranks are not in expert order, so at k = 3 the per-token summation order shows
         widths = (5, 3, 4, 2)
-        route = np.array([[3, 0, 1], [1, 3, 0], [0, 1, 3], [0, 3, 1]])
+        route = np.array([[3, 0, 1, 2], [1, 3, 0, 2], [0, 1, 3, 2], [0, 3, 1, 2]])
 
         def routed(t, k):
             experts = [tuple(t[f"{w}{i}"] for w in ("w_in", "w_gate", "w_out")) for i in range(len(widths))]
-            return _proj(tt.routed_experts(t["x"], t["probs"], route[:, :k], experts), pr)
+            return _proj(tt.routed_experts(t["x"], t["logits"], route[:, :k], experts), pr)
 
-        for k in (1, 2, 3):
+        for k in (1, 2, 3, 4):
             op = "routed_experts" if k == 2 else f"routed_experts/k={k}"
             rng = stream_rng(seed, f"gradcheck-ops/{op}")
             ex = {}
             for i, h in enumerate(widths):
                 ex.update({f"w_in{i}": rng.normal(size=(4, h)), f"w_gate{i}": rng.normal(size=(4, h))})
                 ex[f"w_out{i}"] = rng.normal(size=(h, 3))
-            x, pr, probs = rng.normal(size=(4, 4)), rng.normal(size=(4, 3)), rng.random(size=(4, k))
-            run(op, lambda t: routed(t, k), x=x, probs=probs, **ex)
+            x, pr, logits = rng.normal(size=(4, 4)), rng.normal(size=(4, 3)), rng.normal(size=(4, 4))
+            run(op, lambda t: routed(t, k), x=x, logits=logits, **ex)
 
     return _suite("tensor_ops", worst, OPS_TOL)
 
@@ -211,24 +200,14 @@ def _gate(w: dict[str, Tensor]) -> GateParams:
     return GateParams(w["w_gate"], w["w_noise"], w["gamma"])
 
 
-def _dense_weights(out: GateOutput) -> Tensor:
-    """The [T, N] combination weights, zero off each row's top-k, as one tape node."""
-    idx = out.topk_indices
-    dense = np.zeros(out.full_probs.shape)
-    np.put_along_axis(dense, idx, out.topk_probs.values, axis=1)
-    return tt._record(dense, (out.topk_probs,), lambda g: (np.take_along_axis(g, idx, axis=1),))
-
-
 def check_gate(t: int = 5, d: int = 6, n: int = 4, k: int = 2) -> SuiteResult:
-    """Gate logits/probabilities against central differences, per weight matrix."""
+    """Gate logits plus their fused balance penalty against central differences, per weight matrix."""
     arrays = _stable_gate_inputs("gradcheck-gate", t, d, n, k)
-    rng = stream_rng(99, "gradcheck-gate-proj")
-    pa = rng.normal(size=(t, n))
-    pb = rng.normal(size=(t, n))
+    pa = stream_rng(99, "gradcheck-gate-proj").normal(size=(t, n))
 
     def loss(w: dict[str, Tensor]) -> Tensor:
         out = gate_forward(_gate(w), w["x"], k)
-        return tt.add(_proj(_dense_weights(out), pa), _proj(out.full_probs, pb))
+        return tt.add(_proj(out.logits, pa), tt.balance_penalty(out.logits, float(n))[0])
 
     return _suite("gate", _fd_each(loss, arrays), OPS_TOL)
 

@@ -22,11 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import BLAS_THREAD_VARS, __version__
 from .train import heap_policy
 
 MANIFEST_NAME = "manifest.json"
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def sha256_file(path: str | Path) -> str:
@@ -58,7 +57,8 @@ def version_string() -> str:
 def runtime_info() -> dict:
     """What a run's bits depend on beyond its config and seed: the numpy version, the
     BLAS library numpy was built against, the BLAS thread variables as this process
-    sees them (None when unset, in which case the BLAS picks its own count) and the
+    sees them (importing the package sets each unset one to "1"; a process that
+    loaded numpy before the package keeps the BLAS count it started with) and the
     core count; computed once per process."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
@@ -102,7 +102,16 @@ class RunOutputs:
         self._t0 = time.time()
 
     def stage(self, name: str) -> Path:
-        """Temporary path for output file `name`; renamed into place on commit."""
+        """Temporary path for output file `name`; renamed into place on commit.
+
+        `name` must be a bare file name inside `out_dir`, neither the
+        manifest's nor one already staged, so no output lands elsewhere or
+        silently replaces another.
+        """
+        if name in ("", ".", "..") or Path(name).name != name:
+            raise ValueError(f"output name {name!r}: must be a bare file name inside {self.out_dir}")
+        if name == MANIFEST_NAME or name in self._staged:
+            raise ValueError(f"output name {name!r}: already an output of this command")
         tmp = self.out_dir / f".{name}.tmp"
         self._staged[name] = tmp
         return tmp

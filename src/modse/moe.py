@@ -5,11 +5,12 @@ in pairs whose widths sum to twice the reference width h_base, so the layer's
 parameter count always equals that of N uniform experts of width h_base. The
 gate scores each token against every expert and adds a deterministic
 softplus/rmsnorm term derived from the token itself, both in one
-`gate_logits` node, and with one `topk_softmax` keeps each token's top-k
-experts and softmaxes their logits into [T, k] combination weights, aligned
-with the [T, k] expert indices. The experts of a layer are one
-`routed_experts` node: one stable sort of the routed expert ids, each expert
-once on its contiguous slice of rows, one gate-weighted sum per token.
+`gate_logits` node, and one stable sort, outside the tape, keeps each
+token's top-k experts as [T, k] expert indices in rank order. The experts
+of a layer are one `routed_experts` node on the logits and those indices:
+each token's k chosen logits softmaxed into its combination weights, one
+stable sort of the routed expert ids, each expert once on its contiguous
+slice of rows, one gate-weighted sum per token.
 """
 
 from __future__ import annotations
@@ -114,17 +115,12 @@ def homogeneous_spec(d_model: int, h_base: int, n_experts: int) -> PairedExpertS
 
 @dataclass
 class GateOutput:
-    """Routing decision for a batch of tokens.
-
-    `topk_probs[t, r]` is the combination weight of expert
-    `topk_indices[t, r]` for token t. `full_probs` is the unmasked softmax
-    of the logits, the input to the balance loss.
-    """
+    """Routing decision for a batch of tokens: each token's k chosen experts
+    and the logits that `routed_experts` weights them by and the balance
+    loss reads."""
 
     topk_indices: np.ndarray  # [T, k] int, rank order (rank 0 = largest logit)
-    full_probs: Tensor  # [T, N]
     logits: Tensor  # [T, N]
-    topk_probs: Tensor  # [T, k], aligned with topk_indices
 
     @property
     def n_tokens(self) -> int:
@@ -141,14 +137,16 @@ def gate_forward(params: GateParams, x: Tensor, k: int) -> GateOutput:
     Logits are x @ w_gate plus an rmsnorm-scaled softplus of x @ w_noise,
     computed per token over the expert axis, as one `gate_logits` node.
     There is no random sampling: the additive term is a deterministic
-    function of the token.
+    function of the token. The top-k selection is one stable sort of the
+    negated logits, so ties go to the lowest expert index; it records no
+    node, being constant during backward.
     """
     n = params.n_experts
     if not 1 <= k <= n:
         raise ValueError(f"gate_forward: k={k} outside 1..{n}")
     logits = tt.gate_logits(x, params.w_gate, params.w_noise, params.gamma, GATE_NORM_EPS)
-    probs, idx = tt.topk_softmax(logits, k)
-    return GateOutput(topk_indices=idx, full_probs=tt.softmax(logits), logits=logits, topk_probs=probs)
+    idx = np.argsort(-logits.values, axis=-1, kind="stable")[:, :k]
+    return GateOutput(topk_indices=idx, logits=logits)
 
 
 def expert_forward(e: ExpertParams, rows: np.ndarray) -> tt.GluRows:
@@ -176,6 +174,6 @@ def moe_layer_forward(
     out = gate_forward(gate, x, k)
     weights = [(e.w_in, e.w_gateproj, e.w_out) for e in experts]
     y = tt.routed_experts(
-        x, out.topk_probs, out.topk_indices, weights, lambda i, rows: expert_forward(experts[i], rows)
+        x, out.logits, out.topk_indices, weights, lambda i, rows: expert_forward(experts[i], rows)
     )
     return y, out

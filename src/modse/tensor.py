@@ -22,19 +22,21 @@ A gate's logits, x W_gate + rmsnorm(softplus(x W_noise)), are one
 of the chain it replaces: it lists an input once per use and returns its
 partial gradients in the order the chain's tape accumulated them.
 
-The auxiliary balance penalty is one `balance_penalty` op with a
-hand-written backward, where a chain of five would be, with the chain's bits.
+The auxiliary balance penalty is one `balance_penalty` op on the gate's
+logits: it takes their row softmax and each row's argmax inside, and its
+hand-written backward applies the softmax Jacobian, where a chain of a
+softmax and five more ops would be, with the chain's bits.
 
-A gate's routing decision is one `topk_softmax` op: one stable sort picks
-each token's k largest logits, and their softmax is kept as [tokens, k]
-weights beside the [tokens, k] expert indices, in rank order. A mixture
-layer's experts are one `routed_experts` node: one stable sort of the
+A mixture layer's experts are one `routed_experts` node on the gate's
+logits and [tokens, k] expert indices: it softmaxes each token's k chosen
+logits in rank order into its gate weights, one stable sort of the
 tokens*k expert ids makes each expert's routed rows a contiguous slice of
 one buffer, each gated-linear expert runs once on its slice, and each token
 sums its gate-weighted rows in ascending expert index, which is identical
 to the dense per-token sum over experts in that order. Its hand-written
-backward gathers the output gradient once into the same order and runs
-each expert's backward on its slice.
+backward gathers the output gradient once into the same order, runs each
+expert's backward on its slice, and scatters the gate weights' gradient
+through the k-way softmax into the logits.
 """
 
 from __future__ import annotations
@@ -53,8 +55,6 @@ __all__ = [
     "add",
     "rmsnorm",
     "gate_logits",
-    "softmax",
-    "topk_softmax",
     "embedding_lookup",
     "routed_experts",
     "causal_attention",
@@ -341,52 +341,6 @@ def gate_logits(x: Tensor, w_gate: Tensor, w_noise: Tensor, gamma: Tensor, eps: 
 
 
 # ---------------------------------------------------------------------------
-# routing primitives
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Row-wise softmax with max subtraction."""
-    v = x.values
-    m = np.max(v, axis=-1, keepdims=True)
-    e = np.exp(v - m)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def bw(g):
-        dot = np.sum(g * out, axis=-1, keepdims=True)
-        return (out * (g - dot),)
-
-    return _record(out, (x,), bw)
-
-
-def topk_softmax(logits: Tensor, k: int) -> tuple[Tensor, np.ndarray]:
-    """Softmax over each row's k largest logits: the [T, k] weights and their
-    [T, k] indices, both in rank order (rank 0 = largest logit).
-
-    One stable sort of the negated logits picks the entries, so ties go to
-    the lowest index. The selection is constant during backward: the [T, k]
-    softmax gradient is scattered into a zero [T, N] matrix. The normaliser
-    sums in rank order; for k <= 2 that gives the bits of a softmax over
-    the row with every other entry at -inf.
-    """
-    v = logits.values
-    if v.ndim != 2:
-        raise ShapeError(f"topk_softmax: logits must be [T, N], got {logits.shape}")
-    if not 1 <= k <= v.shape[1]:
-        raise ValueError(f"topk_softmax: k={k} outside 1..{v.shape[1]}")
-    idx = np.argsort(-v, axis=-1, kind="stable")[:, :k]
-    top = np.take_along_axis(v, idx, axis=-1)
-    e = np.exp(top - top[:, :1])
-    e /= e.sum(axis=-1, keepdims=True)
-
-    def bw(g):
-        gx = np.zeros_like(v)
-        np.put_along_axis(gx, idx, e * (g - np.sum(g * e, axis=-1, keepdims=True)), axis=-1)
-        return (gx,)
-
-    return _record(e, (logits,), bw), idx
-
-
-# ---------------------------------------------------------------------------
 # gather / routed experts
 
 
@@ -412,26 +366,32 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
 
 def routed_experts(
     x: Tensor,
-    probs: Tensor,
+    logits: Tensor,
     idx: np.ndarray,
     experts: Sequence[tuple[Tensor, Tensor, Tensor]],
     forward: Callable[[int, np.ndarray], GluRows] | None = None,
 ) -> Tensor:
-    """A mixture layer's expert FFN: y[t] = sum_r probs[t, r] * GLU_idx[t, r](x[t]), as one node.
+    """A mixture layer's expert FFN: y[t] = sum_r w[t, r] * GLU_idx[t, r](x[t]), as one node,
+    with w[t] the softmax of the k logits logits[t, idx[t]].
 
-    x is [T, d]; probs and idx are the gate's [T, k] weights and expert
-    indices; expert i is the (w_in, w_gate, w_out) of a gated-linear expert,
-    [d, h_i], [d, h_i], [h_i, d_out]. One stable sort of the T*k expert ids
-    lays the routed rows out expert by expert, each expert's in token order;
-    one gather copies x into that [T*k, d] buffer, and each expert with rows
-    runs once on its contiguous slice as `forward(i, rows)`, by default
-    `_glu_forward` of its weights (a caller may pass a function that
-    computes the same, to instrument each expert's call). One pass scales
-    the outputs by their gate weights, and each token sums its k rows in
-    ascending expert index.
+    x is [T, d]; logits are the gate's [T, N] scores and idx its [T, k]
+    expert indices, k distinct per row, in rank order; expert i is the
+    (w_in, w_gate, w_out) of a gated-linear expert, [d, h_i], [d, h_i],
+    [h_i, d_out]. The gate weights w are the k-way softmax of each row's
+    chosen logits, stabilised by their row max and normalised by a sum in
+    rank order; for a gate's top-k rows that max is rank 0, and for k <= 2
+    the weights have the bits of a full softmax with every other logit at
+    -inf. One stable sort of the T*k expert ids lays the routed rows out
+    expert by expert, each expert's in token order; one gather copies x
+    into that [T*k, d] buffer, and each expert with rows runs once on its
+    contiguous slice as `forward(i, rows)`, by default `_glu_forward` of its
+    weights (a caller may pass a function that computes the same, to
+    instrument each expert's call). One pass scales the outputs by their
+    gate weights, and each token sums its k rows in ascending expert index.
 
     The backward gathers g once into the sorted order, takes the gate
-    weights' gradient as one row sum, and runs each expert's backward on its
+    weights' gradient as one row sum, scatters it through the k-way softmax
+    into a zero [T, N] logit gradient, and runs each expert's backward on its
     slice; an expert no row chose gets no gradient (None). x is listed k
     times among the parents: partial j holds each token's row from its j-th
     highest expert, the order in which a chain of per-expert gathers added
@@ -440,9 +400,10 @@ def routed_experts(
     """
     idx = np.asarray(idx)
     n = len(experts)
-    ok = x.values.ndim == 2 and probs.values.ndim == 2 and idx.shape == probs.shape and idx.shape[0] == x.shape[0]
-    if not (ok and n and all(len(e) == 3 for e in experts)):
-        raise ShapeError(f"routed_experts: x {x.shape}, probs {probs.shape}, idx {idx.shape}, {n} experts")
+    ok = x.values.ndim == 2 and logits.values.ndim == 2 and idx.ndim == 2
+    ok = ok and logits.shape == (x.shape[0], n) and idx.shape[0] == x.shape[0] and 1 <= idx.shape[1] <= n
+    if not (ok and all(len(e) == 3 for e in experts)):
+        raise ShapeError(f"routed_experts: x {x.shape}, logits {logits.shape}, idx {idx.shape}, {n} experts")
     (t, d), k = x.shape, idx.shape[1]
     d_out = experts[0][2].shape[-1]
     for i, (w_in, w_gate, w_out) in enumerate(experts):
@@ -452,15 +413,20 @@ def routed_experts(
                 f"routed_experts: expert {i} w_in {w_in.shape}, w_gate {w_gate.shape}, w_out {w_out.shape} for x {x.shape}"
             )
     weights = tuple(w for e in experts for w in e)
-    dtypes = {w.dtype for w in (probs, *weights)}
+    dtypes = {w.dtype for w in (logits, *weights)}
     if dtypes != {x.dtype}:
         raise ShapeError(f"routed_experts: mixed dtypes {x.dtype} and {(dtypes - {x.dtype}).pop()}")
     if not np.issubdtype(idx.dtype, np.integer) or (idx.size and (idx.min() < 0 or idx.max() >= n)):
         raise ValueError(f"routed_experts: expert index outside 0..{n - 1}")
+    if (np.diff(np.sort(idx, axis=1), axis=1) == 0).any():
+        raise ValueError("routed_experts: a token lists one expert twice")
     if forward is None:
         def forward(i, rows):
             return _glu_forward(rows, *(w.values for w in experts[i]))
 
+    top = np.take_along_axis(logits.values, idx, axis=-1)
+    e = np.exp(top - top.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
     ids = idx.reshape(-1)
     order = np.argsort(ids, kind="stable")
     tok = order // k
@@ -470,7 +436,7 @@ def routed_experts(
     fwd = [forward(i, xs[lo:hi]) for i, lo, hi in spans]
     ys = np.concatenate([f.out for f in fwd]) if fwd else np.empty((0, d_out), x.dtype)
     saved = [f[1:] for f in fwd]  # (a, s, b); the outputs live on in ys alone
-    ws = probs.values.reshape(-1, 1)[order]
+    ws = e.reshape(-1, 1)[order]
     weighted = ys * ws
     # each token's sorted rows, in ascending expert index
     pos = np.empty_like(order)
@@ -484,15 +450,18 @@ def routed_experts(
         gs = g[tok]
         gw = np.empty(t * k, g.dtype)
         gw[order] = np.sum(gs * ys, axis=1)
+        gw = gw.reshape(t, k)
+        gl = np.zeros_like(logits.values)
+        np.put_along_axis(gl, idx, e * (gw - np.sum(gw * e, axis=-1, keepdims=True)), axis=-1)
         gs *= ws  # the experts' output gradient
         gxs = np.empty_like(xs)
         grads: list[np.ndarray | None] = [None] * (3 * n)
         for (i, lo, hi), a_s_b in zip(reversed(spans), reversed(saved)):
             w_values = [w.values for w in experts[i]]
             grads[3 * i : 3 * i + 3] = _glu_backward(gs[lo:hi], xs[lo:hi], a_s_b, w_values, gxs[lo:hi])
-        return (*(gxs[pos[:, j]] for j in reversed(range(k))), gw.reshape(t, k), *grads)
+        return (*(gxs[pos[:, j]] for j in reversed(range(k))), gl, *grads)
 
-    return _record(y, (x,) * k + (probs, *weights), bw)
+    return _record(y, (x,) * k + (logits, *weights), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -706,23 +675,32 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     return _record(loss, (logits,), bw)
 
 
-def balance_penalty(probs: Tensor, f: np.ndarray, c: float) -> tuple[Tensor, np.ndarray]:
-    """The penalty c * sum_i f_i * P_i as one node, and P, the [N] column means
-    ones[1, T] @ probs / T of the [T, N] probs, in their dtype. f is an [N]
-    constant, so every probs row receives the gradient c * f / T.
+def balance_penalty(logits: Tensor, c: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """The balance penalty c * sum_i f_i * P_i of [T, N] gate logits as one node, with
+    P and f: P is the [N] column means ones[1, T] @ probs / T, in the logits' dtype,
+    of the row softmax probs, and f the float64 fraction of rows whose largest
+    probability is at i, ties to the lowest index. f is taken from the
+    probabilities, not the logits, because rounding can tie probabilities whose
+    logits differ. f is constant, so every probs row receives the gradient
+    c * f / T, which the backward takes through the softmax Jacobian.
     """
-    if probs.values.ndim != 2 or np.shape(f) != probs.shape[1:]:
-        raise ShapeError(f"balance_penalty: probs {probs.shape}, f {np.shape(f)}")
-    (t, n), dt = probs.shape, probs.dtype
+    v = logits.values
+    if v.ndim != 2:
+        raise ShapeError(f"balance_penalty: logits must be [T, N], got {logits.shape}")
+    (t, n), dt = logits.shape, logits.dtype
+    e = np.exp(v - np.max(v, axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    f = np.bincount(np.argmax(probs, axis=1), minlength=n).astype(np.float64) / t
     c, tc = dt.type(c), dt.type(t)
-    f_row = np.asarray(f).reshape(1, n).astype(dt)
-    p_row = _mm(np.ones((1, t), dt), probs.values) / tc
+    f_row = f.reshape(1, n).astype(dt)
+    p_row = _mm(np.ones((1, t), dt), probs) / tc
     loss = np.asarray((p_row * f_row).sum() * c, dtype=dt)
 
     def bw(g):
-        return (np.repeat((g * c) * f_row / tc, t, axis=0),)
+        gp = np.repeat((g * c) * f_row / tc, t, axis=0)
+        return (probs * (gp - np.sum(gp * probs, axis=-1, keepdims=True)),)
 
-    return _record(loss, (probs,), bw), p_row[0]
+    return _record(loss, (logits,), bw), p_row[0], f
 
 
 # ---------------------------------------------------------------------------

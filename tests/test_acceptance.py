@@ -75,12 +75,7 @@ def _gate_output_from_probs(probs):
 
     probs = np.asarray(probs, dtype=np.float64)
     idx = np.argsort(-probs, axis=1, kind="stable")[:, :2]
-    return GateOutput(
-        topk_indices=idx,
-        full_probs=Tensor(probs, dtype=np.float64),
-        logits=Tensor(probs, dtype=np.float64),
-        topk_probs=None,
-    )
+    return GateOutput(topk_indices=idx, logits=Tensor(np.log(np.maximum(probs, 1e-300)), dtype=np.float64))
 
 
 def test_A4_balance_loss_values():

@@ -11,15 +11,11 @@ from modse.tensor import Tensor
 
 
 def gate_output_from_probs(probs: np.ndarray) -> GateOutput:
-    """Wrap a row-stochastic matrix as a routing decision (top-2 bookkeeping)."""
+    """Wrap a row-stochastic matrix as a routing decision (top-2 bookkeeping) whose logits'
+    softmax is that matrix, up to rounding."""
     probs = np.asarray(probs, dtype=np.float64)
     idx = np.argsort(-probs, axis=1, kind="stable")[:, :2]
-    return GateOutput(
-        topk_indices=idx,
-        full_probs=Tensor(probs, dtype=np.float64),
-        logits=Tensor(np.log(np.maximum(probs, 1e-300)), dtype=np.float64),
-        topk_probs=None,
-    )
+    return GateOutput(topk_indices=idx, logits=Tensor(np.log(np.maximum(probs, 1e-300)), dtype=np.float64))
 
 
 def brute_force_loss(probs: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -86,18 +82,16 @@ class TestBalanceLoss:
     def test_gradient_flows_through_P_only(self):
         # moving probability mass without changing any argmax changes the loss
         # via P; f is constant by construction
-        probs = Tensor(cyclic_peaked_probs(4, reps=2), requires_grad=True, dtype=np.float64)
-        out = GateOutput(
-            topk_indices=np.argsort(-probs.values, axis=1)[:, :2],
-            full_probs=probs,
-            logits=probs,
-            topk_probs=None,
-        )
+        probs = cyclic_peaked_probs(4, reps=2)
+        out = gate_output_from_probs(probs)
+        out.logits.requires_grad = True
         stats = balance_loss(out, alpha=0.01)
         tt.backward(stats.loss)
-        # dL/dprobs[t, i] = alpha * N * f_i / T for every token t
-        expect = 0.01 * 4 * stats.f / 8
-        np.testing.assert_allclose(probs.grad, np.tile(expect, (8, 1)), rtol=1e-12)
+        # dL/dprobs[t, i] = alpha * N * f_i / T for every token t, taken through the softmax:
+        # dL/dlogits[t] = probs[t] * (v - probs[t] . v) with v = alpha * N * f / T
+        v = 0.01 * 4 * stats.f / 8
+        expect = probs * (v - (probs @ v)[:, None])
+        np.testing.assert_allclose(out.logits.grad, expect, rtol=1e-12, atol=1e-18)
 
 
 class TestBalanceProperties:

@@ -104,6 +104,27 @@ class TestTrainCommand:
         expect = {"trim_threshold": 1 << 30, "mmap_threshold": 32 << 20} if applied else None
         assert json.loads((out / "manifest.json").read_text())["runtime"]["heap"] == expect
 
+    def test_blas_threads_default_to_one(self, tmp_path):
+        # on a machine with more than one core the thread count changes the toy config's
+        # bits, so leaving the variables unset must give the bits of one thread, and the
+        # manifest must say so
+        import os
+
+        cfg = Path(__file__).parents[1] / "configs" / "toy.json"
+        threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        runs = []
+        for tag, value in (("unset", None), ("one", "1")):
+            env = {k: v for k, v in os.environ.items() if k not in threads}
+            env.update(dict.fromkeys(threads, value) if value else {})
+            out = tmp_path / tag
+            argv = [sys.executable, "-m", "modse", "train", "--config", str(cfg), "--steps", "2", "--out", str(out)]
+            r = subprocess.run(argv, capture_output=True, text=True, env=env)
+            assert r.returncode == 0, r.stderr
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["runtime"]["blas_threads"] == dict.fromkeys(threads, "1")
+            runs.append((sha(out / "checkpoint.bin"), sha(out / "metrics.jsonl")))
+        assert runs[0] == runs[1]
+
     def test_non_finite_loss_exits_two_no_output_dir(self, tmp_path):
         cfg = write_config(tmp_path, TINY_MODEL, {**TINY_OPT, "warmup_steps": 0, "lr_peak": 1e30})
         out = tmp_path / "run"
@@ -141,6 +162,34 @@ class TestTrainCommand:
 
         trace = read_trace(out / "trace.jsonl")
         assert len(trace) == 2 * 1 * 2 * (16 * 2)  # steps * layers * ranks * tokens-per-step
+
+    @pytest.mark.parametrize(
+        "name", ["metrics.jsonl", "checkpoint.bin", "manifest.json", "sub/t.bin", "ABSOLUTE", "..", "."]
+    )
+    def test_trace_name_that_is_not_a_new_bare_file_exits_one(self, tmp_path, name, monkeypatch, capsys):
+        # another output's name would be overwritten, and a path would write outside --out
+        if name == "ABSOLUTE":
+            name = str(tmp_path / "x.bin")
+        cfg = write_config(tmp_path, TINY_MODEL, TINY_OPT)
+        out = tmp_path / "run"
+        (out / "sub").mkdir(parents=True)
+        (out / tmp_path.relative_to(tmp_path.anchor)).mkdir(parents=True)
+        calls = []
+        monkeypatch.setattr(cli, "train", lambda *a, **kw: calls.append(a))
+        argv = ["train", "--config", str(cfg), "--steps", "1", "--trace", name, "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert f"error: output name {name!r}" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "x.bin").exists()
+        assert [p for p in out.rglob("*") if p.is_file()] == []
+
+    def test_trace_name_refused_without_leaving_an_output_dir(self, tmp_path):
+        cfg = write_config(tmp_path, TINY_MODEL, TINY_OPT)
+        out = tmp_path / "run"
+        r = run_cli("train", "--config", cfg, "--steps", 1, "--trace", "metrics.jsonl", "--out", out)
+        assert r.returncode == 1
+        assert "error: output name 'metrics.jsonl': already an output of this command" in r.stderr
+        assert not out.exists()
 
     def test_bad_config_exits_one(self, tmp_path):
         p = tmp_path / "bad.json"

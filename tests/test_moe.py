@@ -95,6 +95,11 @@ class TestCountParameters:
         assert self._count(experts) == self._count(uniform)
 
 
+def softmax(v):
+    e = np.exp(v - v.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def _gate(d, n, rng, dtype=np.float64, std=0.5):
     w_gate, w_noise = (Tensor(rng.normal(0.0, std, (d, n)), dtype=dtype) for _ in range(2))
     return GateParams(w_gate=w_gate, w_noise=w_noise, gamma=Tensor(np.asarray(1.0), dtype=dtype))
@@ -123,12 +128,15 @@ class TestGateForward:
         assert np.array_equal(out.topk_indices, expected_idx)
 
     def test_k_equals_n_weights_match_full_probs(self):
-        d, n, t = 5, 4, 3
+        # every expert chosen: the layer is the dense sum over experts weighted by the full softmax
+        d, n, t = 8, 4, 3
         rng = stream_rng(2, "test-gate-x")
         x = Tensor(rng.normal(size=(t, d)), dtype=np.float64)
-        out = gate_forward(_seeded_gate(d, n), x, n)
-        full = np.take_along_axis(out.full_probs.values, out.topk_indices, axis=1)
-        np.testing.assert_allclose(out.topk_probs.values, full, rtol=1e-12)
+        experts = _seeded_experts(build_paired_spec(d, 8, [(1.5, 0.5), (1.25, 0.75)]), seed=2)
+        y, out = moe_layer_forward(_seeded_gate(d, n), experts, x, n)
+        full = softmax(out.logits.values)
+        dense = sum(full[:, [i]] * expert_forward(e, x.values).out for i, e in enumerate(experts))
+        np.testing.assert_allclose(y.values, dense, rtol=1e-12)
 
     def test_scalar_reimplementation_oracle(self):
         d, n, k, t = 4, 4, 2, 3
@@ -145,35 +153,38 @@ class TestGateForward:
             noise = [gamma * s / math.sqrt(ms + 1e-6) for s in sp]
             logits = [sum(x[ti][j] * wg[j][i] for j in range(d)) + noise[i] for i in range(n)]
             order = sorted(range(n), key=lambda i: (-logits[i], i))
-            kept = order[:k]
-            exps = [math.exp(logits[i] - max(logits[i] for i in kept)) if i in kept else 0.0 for i in range(n)]
-            weights = [e / sum(exps) for e in exps]
-            full_exps = [math.exp(v - max(logits)) for v in logits]
-            full = [e / sum(full_exps) for e in full_exps]
             np.testing.assert_allclose(out.logits.values[ti], logits, rtol=1e-10)
-            assert list(out.topk_indices[ti]) == kept
-            np.testing.assert_allclose(out.topk_probs.values[ti], [weights[i] for i in kept], rtol=1e-10, atol=0)
-            np.testing.assert_allclose(out.full_probs.values[ti], full, rtol=1e-10)
+            assert list(out.topk_indices[ti]) == order[:k]
 
     def test_weights_sum_to_one_and_sparsity(self):
+        # identical experts: the layer returns the expert's output exactly when each token's
+        # weights sum to one; each token routes to k distinct experts
         d, n, k, t = 6, 8, 2, 11
         rng = stream_rng(4, "test-gate-x")
         x = Tensor(rng.normal(size=(t, d)), dtype=np.float64)
-        out = gate_forward(_seeded_gate(d, n, seed=4), x, k)
-        np.testing.assert_allclose(out.topk_probs.values.sum(axis=1), 1.0, atol=1e-6)
-        np.testing.assert_allclose(out.full_probs.values.sum(axis=1), 1.0, atol=1e-6)
-        # exactly k positive weights per token, one per distinct expert
-        assert out.topk_probs.shape == (t, k) and (out.topk_probs.values > 0.0).all()
+        e = _seeded_experts(build_paired_spec(d, 6, [(1.0, 1.0)]), seed=4)[0]
+        y, out = moe_layer_forward(_seeded_gate(d, n, seed=4), x=x, k=k, experts=[e] * n)
+        np.testing.assert_allclose(y.values, expert_forward(e, x.values).out, rtol=1e-12, atol=1e-15)
+        assert out.topk_indices.shape == (t, k)
         for ti in range(t):
             assert len(set(out.topk_indices[ti])) == k
 
     def test_shift_invariance_of_selection_and_weights(self):
-        rng = stream_rng(5, "test-shift")
-        logits = rng.normal(size=(7, 5))
-        a, idx_a = tt.topk_softmax(Tensor(logits, dtype=np.float64), 2)
-        b, idx_b = tt.topk_softmax(Tensor(logits + 3.7, dtype=np.float64), 2)
-        assert np.array_equal(idx_a, idx_b)
-        np.testing.assert_allclose(a.values, b.values, rtol=1e-12)
+        # with a zero noise matrix, gamma adds about gamma to every logit: the same experts,
+        # with the same weights up to rounding
+        d, n = 6, 5
+        x = Tensor(stream_rng(5, "test-shift").normal(size=(7, d)), dtype=np.float64)
+        experts = _seeded_experts(build_paired_spec(d, 6, [(1.5, 0.5), (1.0, 1.0)]), seed=5)[:4]
+        experts.append(experts[0])
+        gate = _seeded_gate(d, n, seed=5)
+        outs = []
+        for gamma in (0.0, 3.7):
+            shifted = GateParams(gate.w_gate, Tensor(np.zeros((d, n))), Tensor(np.asarray(gamma)))
+            outs.append(moe_layer_forward(shifted, experts, x, 2))
+        (y_a, out_a), (y_b, out_b) = outs
+        np.testing.assert_allclose(out_b.logits.values - out_a.logits.values, 3.7, rtol=1e-5)
+        assert np.array_equal(out_a.topk_indices, out_b.topk_indices)
+        np.testing.assert_allclose(y_a.values, y_b.values, rtol=1e-12)
 
     def test_k_out_of_range(self):
         gate = _seeded_gate(4, 4)
@@ -262,10 +273,11 @@ class TestMoeLayerForward:
         gate = _seeded_gate(d, n, seed=9)
         x = Tensor(stream_rng(9, "t").normal(size=(t, d)), dtype=np.float64)
         y, out = moe_layer_forward(gate, experts, x, k)
+        topk = softmax(np.take_along_axis(out.logits.values, out.topk_indices, axis=1))
         dense = np.zeros((t, d))
         for i, e in enumerate(experts):
             # expert i's weight per token: its top-k weight, or zero when not chosen
-            w = np.where(out.topk_indices == i, out.topk_probs.values, 0.0).sum(axis=1, keepdims=True)
+            w = np.where(out.topk_indices == i, topk, 0.0).sum(axis=1, keepdims=True)
             dense += w * expert_forward(e, x.values).out
         np.testing.assert_allclose(y.values, dense, rtol=1e-12, atol=1e-15)
 

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 import modse.tensor as tt
 from modse.gradcheck import _proj
+from modse.moe import GateParams, gate_forward
 from modse.tensor import ShapeError, Tensor
 
 # frozen oracle values, evaluated at 50-digit precision
@@ -100,35 +101,40 @@ class TestRmsnorm:
         np.testing.assert_allclose(out.values[0], [RMSNORM_34[0] / 2, RMSNORM_34[1] * 5], rtol=1e-13)
 
 
+def row_softmax(v):
+    """The probabilities `balance_penalty` takes of one [N] row of logits: for a single
+    token, P is exactly that token's row softmax."""
+    return tt.balance_penalty(Tensor(np.asarray(v)[None], dtype=np.float64), 1.0)[1]
+
+
 class TestSoftmax:
     def test_symmetry(self):
-        out = tt.softmax(Tensor([0.0, 0.0, 0.0], dtype=np.float64))
-        np.testing.assert_allclose(out.values, np.full(3, 1 / 3), rtol=1e-15)
+        np.testing.assert_allclose(row_softmax([0.0, 0.0, 0.0]), np.full(3, 1 / 3), rtol=1e-15)
 
     def test_masked_entry_exactly_zero(self):
-        out = tt.softmax(Tensor([3.0, -np.inf, 2.0], dtype=np.float64))
-        assert out.values[1] == 0.0
-        assert out.values[0] == pytest.approx(SOFTMAX_3_2[0], abs=1e-15)
-        assert out.values[2] == pytest.approx(SOFTMAX_3_2[1], abs=1e-15)
+        out = row_softmax([3.0, -np.inf, 2.0])
+        assert out[1] == 0.0
+        assert out[0] == pytest.approx(SOFTMAX_3_2[0], abs=1e-15)
+        assert out[2] == pytest.approx(SOFTMAX_3_2[1], abs=1e-15)
 
     def test_large_logits_stable(self):
-        out = tt.softmax(Tensor([1000.0, 999.0], dtype=np.float64))
-        assert np.isfinite(out.values).all()
-        assert out.values.sum() == pytest.approx(1.0, abs=1e-12)
+        out = row_softmax([1000.0, 999.0])
+        assert np.isfinite(out).all()
+        assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
     @given(arrays(np.float64, (3, 5), elements=st.floats(-50, 50)))
     @settings(max_examples=50)
     def test_rows_sum_to_one_nonnegative(self, x):
-        out = tt.softmax(Tensor(x, dtype=np.float64)).values
-        assert (out >= 0).all()
-        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
+        for row in x:
+            out = row_softmax(row)
+            assert (out >= 0).all()
+            assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def masked_softmax_chain(x, k, g):
-    """Weights and d(loss)/d(x) of the keep-top-k then softmax chain the gate used before
-    `topk_softmax`: every entry but a row's k largest set to -inf, then a row softmax over
-    all N entries, with the top-k selection held constant in the backward. `g` is
-    d(loss)/d(weights) as a [T, N] matrix."""
+    """Weights and d(loss)/d(x) of the keep-top-k then softmax chain the gate once used: every
+    entry but a row's k largest set to -inf, then a row softmax over all N entries, with the
+    top-k selection held constant in the backward. `g` is d(loss)/d(weights) as a [T, N] matrix."""
     idx = np.argsort(-x, axis=-1, kind="stable")[:, :k]
     mask = np.zeros(x.shape, dtype=bool)
     np.put_along_axis(mask, idx, True, axis=-1)
@@ -137,6 +143,32 @@ def masked_softmax_chain(x, k, g):
     out = e / e.sum(axis=-1, keepdims=True)
     dot = np.sum(g * out, axis=-1, keepdims=True)
     return out, np.where(mask, out * (g - dot), 0)
+
+
+def topk_softmax(v, k, g=None):
+    """The gate's top-k softmax of [T, N] logits v as the model computes it: the indices
+    `gate_forward` picks for a gate whose logits are exactly v (identity scores, the noise term
+    scaled by zero) and the [T, k] weights `routed_experts` gives them, read exactly through
+    experts whose output rows are one-hot. With g, d(loss)/d(weights) as [T, k], also the
+    logits' gradient (else None)."""
+    dt, (t, n) = v.dtype, v.shape
+    gate = GateParams(*(Tensor(a, dtype=dt) for a in (np.eye(n), np.zeros((n, n)), np.zeros(()))))
+    idx = gate_forward(gate, Tensor(v, dtype=dt), k).topk_indices
+    logits = Tensor(v, requires_grad=True, dtype=dt)
+    zero = Tensor(np.zeros((1, 1)), dtype=dt)
+    experts = [(zero, zero, Tensor(np.zeros((1, n)), dtype=dt))] * n
+
+    def one_hot(i, rows):
+        out, z = np.zeros((len(rows), n), dt), np.zeros((len(rows), 1), dt)
+        out[:, i] = 1
+        return tt.GluRows(out, z, z, z)
+
+    y = tt.routed_experts(Tensor(np.zeros((t, 1)), dtype=dt), logits, idx, experts, one_hot)
+    if g is not None:
+        dense = np.zeros_like(v)
+        np.put_along_axis(dense, idx, g, axis=-1)
+        tt.backward(_proj(y, dense))
+    return np.take_along_axis(y.values, idx, axis=-1), idx, logits.grad
 
 
 class TestTopkSoftmax:
@@ -150,59 +182,60 @@ class TestTopkSoftmax:
         if k == x.shape[1]:
             # the normaliser sums in rank order: the chain gives the same bits on rank-ordered rows
             x = np.take_along_axis(x, order, axis=-1)
-        xt = Tensor(x, requires_grad=True, dtype=dtype)
-        probs, idx = tt.topk_softmax(xt, k)
+        probs, idx, gx = topk_softmax(x, k, g)
         g_dense = np.zeros_like(x)
         np.put_along_axis(g_dense, idx, g, axis=-1)
         expect, expect_gx = masked_softmax_chain(x, k, g_dense)
         assert np.array_equal(idx, np.argsort(-x, axis=-1, kind="stable")[:, :k])
-        assert probs.dtype == dtype and np.array_equal(probs.values, np.take_along_axis(expect, idx, axis=-1))
-        tt.backward(_proj(probs, g))
-        assert xt.grad.dtype == dtype and np.array_equal(xt.grad, expect_gx)
+        assert probs.dtype == dtype and np.array_equal(probs, np.take_along_axis(expect, idx, axis=-1))
+        assert gx.dtype == dtype and np.array_equal(gx, expect_gx)
 
     def test_basic(self):
-        probs, idx = tt.topk_softmax(Tensor([[3.0, 1.0, 2.0]], dtype=np.float64), 2)
+        probs, idx, _ = topk_softmax(np.array([[3.0, 1.0, 2.0]]), 2)
         assert idx.tolist() == [[0, 2]]
-        np.testing.assert_allclose(probs.values[0], SOFTMAX_3_2, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(probs[0], SOFTMAX_3_2, rtol=0, atol=1e-15)
 
     def test_tie_lowest_index_wins(self):
-        probs, idx = tt.topk_softmax(Tensor([[5.0, 5.0, 1.0]], dtype=np.float64), 1)
-        assert idx.tolist() == [[0]] and probs.values.tolist() == [[1.0]]
-        assert tt.topk_softmax(Tensor([[1.0, 5.0, 5.0, 5.0]], dtype=np.float64), 2)[1].tolist() == [[1, 2]]
+        probs, idx, _ = topk_softmax(np.array([[5.0, 5.0, 1.0]]), 1)
+        assert idx.tolist() == [[0]] and probs.tolist() == [[1.0]]
+        assert topk_softmax(np.array([[1.0, 5.0, 5.0, 5.0]]), 2)[1].tolist() == [[1, 2]]
 
     def test_k_equals_n_is_full_softmax(self):
-        x = Tensor([[1.0, 4.0, 2.0, 3.0]], dtype=np.float64)
-        probs, idx = tt.topk_softmax(x, 4)
+        x = np.array([[1.0, 4.0, 2.0, 3.0]])
+        probs, idx, _ = topk_softmax(x, 4)
         assert idx.tolist() == [[1, 3, 2, 0]]
-        np.testing.assert_allclose(probs.values, tt.softmax(x).values[:, [1, 3, 2, 0]], rtol=1e-15)
+        np.testing.assert_allclose(probs[0], row_softmax(x[0])[[1, 3, 2, 0]], rtol=1e-15)
 
     def test_k_too_large_rejected(self):
         for k in (0, 3):
             with pytest.raises(ValueError, match="outside"):
-                tt.topk_softmax(Tensor([[1.0, 2.0]]), k)
-        with pytest.raises(ShapeError, match="topk_softmax"):
-            tt.topk_softmax(Tensor([1.0, 2.0]), 1)
+                topk_softmax(np.array([[1.0, 2.0]]), k)
+        x, experts = Tensor(np.ones((1, 1))), [(Tensor(np.ones((1, 1))),) * 3] * 2
+        with pytest.raises(ShapeError, match="routed_experts"):
+            tt.routed_experts(x, Tensor(np.ones((1, 2))), np.zeros((1, 3), dtype=np.int64), experts)
+        with pytest.raises(ShapeError, match="routed_experts"):
+            tt.routed_experts(x, Tensor([1.0, 2.0]), np.zeros((1, 1), dtype=np.int64), experts)
 
     @given(arrays(np.float64, (4, 6), elements=st.floats(-100, 100)), st.integers(1, 6))
     @settings(max_examples=50)
     def test_idempotent(self, v, k):
         # selecting again from the kept logits keeps all of them, in place, with the same weights
-        once, idx = tt.topk_softmax(Tensor(v, dtype=np.float64), k)
-        twice, idx2 = tt.topk_softmax(Tensor(np.take_along_axis(v, idx, axis=-1), dtype=np.float64), k)
+        once, idx, _ = topk_softmax(v, k)
+        twice, idx2, _ = topk_softmax(np.take_along_axis(v, idx, axis=-1), k)
         assert np.array_equal(idx2, np.broadcast_to(np.arange(k), idx2.shape))
-        assert np.array_equal(once.values, twice.values)
+        assert np.array_equal(once, twice)
 
     @given(arrays(np.float64, (4, 6), elements=st.floats(-100, 100)), st.integers(1, 6))
     @settings(max_examples=50)
     def test_keeps_exactly_k(self, v, k):
-        probs, idx = tt.topk_softmax(Tensor(v, dtype=np.float64), k)
+        probs, idx, _ = topk_softmax(v, k)
         assert probs.shape == idx.shape == (4, k)
         assert all(len(set(row)) == k for row in idx.tolist())
         dropped = np.ones(v.shape, dtype=bool)
         np.put_along_axis(dropped, idx, False, axis=-1)
         for row, kept, off in zip(v, np.take_along_axis(v, idx, axis=-1), dropped):
             assert not off.any() or kept.min() >= row[off].max()
-        np.testing.assert_allclose(probs.values.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestBackward:
@@ -313,14 +346,31 @@ def expert_weights(rng, d, widths, dtype):
     return [[rng.normal(0.0, 0.5, s).astype(dtype) for s in ((d, h), (d, h), (h, d))] for h in widths]
 
 
+def topk_weights(logits, idx):
+    """Each row's softmax over its chosen logits, stabilised by their row max and normalised
+    in rank order: the gate weights `routed_experts` computes."""
+    top = np.take_along_axis(logits, idx, axis=-1)
+    e = np.exp(top - top.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def topk_weights_backward(logits, idx, e, g):
+    """d(loss)/d(logits) of `topk_weights` e given d(loss)/d(e) g, zero off each row's choice."""
+    gx = np.zeros_like(logits)
+    np.put_along_axis(gx, idx, e * (g - np.sum(g * e, axis=-1, keepdims=True)), axis=-1)
+    return gx
+
+
 class TestCombine:
     def test_matches_numpy_loop(self):
-        # float64, a top-3 gate over four experts: the gate-weighted merge and the gate
-        # weights' gradient equal a plain per-row loop over experts in index order, bit for bit
+        # float64, a top-3 choice over four experts that is not the logits' top 3: the
+        # gate-weighted merge equals a plain per-row loop over experts in index order, and the
+        # weights' gradient a plain per-row sum, bit for bit
         rng = np.random.default_rng(5)
         t, d, k = 6, 4, 3
         idx = routing(rng, t, k, 4, unused=-1)
-        w = rng.random((t, k))
+        logits = rng.normal(size=(t, 4))
+        w = topk_weights(logits, idx)
         experts = expert_weights(rng, d, (5, 3, 6, 2), np.float64)
         x, g = rng.normal(size=(t, d)), rng.normal(size=(t, d))
 
@@ -333,30 +383,34 @@ class TestCombine:
                 expect[i] = expect[i] + o[j] * w[i, c]
                 expect_gw[i, c] = np.sum(g[i] * o[j])
 
-        w_t = Tensor(w, requires_grad=True, dtype=np.float64)
+        logits_t = Tensor(logits, requires_grad=True, dtype=np.float64)
         ts = [tuple(Tensor(a, dtype=np.float64) for a in ws) for ws in experts]
-        y = tt.routed_experts(Tensor(x, dtype=np.float64), w_t, idx, ts)
+        y = tt.routed_experts(Tensor(x, dtype=np.float64), logits_t, idx, ts)
         assert np.array_equal(y.values, expect)
         tt.backward(_proj(y, g))
-        assert np.array_equal(w_t.grad, expect_gw)
+        assert np.array_equal(logits_t.grad, topk_weights_backward(logits, idx, w, expect_gw))
 
     def test_shape_errors(self):
-        x, w = Tensor(np.ones((3, 4))), Tensor(np.ones((3, 2)))
+        x, logits = Tensor(np.ones((3, 4))), Tensor(np.ones((3, 3)))
         experts = [tuple(Tensor(np.ones(s)) for s in ((4, 5), (4, 5), (5, 4)))] * 3
         idx = np.array([[0, 1], [1, 2], [2, 0]])
         with pytest.raises(ShapeError):
-            tt.routed_experts(x, w, idx, [])
+            tt.routed_experts(x, logits, idx, [])
         with pytest.raises(ShapeError):
-            tt.routed_experts(x, w, idx[:, :1], experts)
+            tt.routed_experts(x, Tensor(np.ones((3, 2))), idx, experts)
         with pytest.raises(ShapeError):
-            tt.routed_experts(x, Tensor(np.ones((2, 2))), idx[:2], experts)
+            tt.routed_experts(x, logits, idx[:2], experts)
+        with pytest.raises(ShapeError):
+            tt.routed_experts(x, logits, idx[:, 0], experts)
         for bad in (3, -1):
             with pytest.raises(ValueError, match="expert index"):
-                tt.routed_experts(x, w, np.array([[0, 1], [1, 2], [2, bad]]), experts)
+                tt.routed_experts(x, logits, np.array([[0, 1], [1, 2], [2, bad]]), experts)
         with pytest.raises(ValueError, match="expert index"):
-            tt.routed_experts(x, w, idx.astype(np.float64), experts)
+            tt.routed_experts(x, logits, idx.astype(np.float64), experts)
+        with pytest.raises(ValueError, match="twice"):
+            tt.routed_experts(x, logits, np.array([[0, 1], [2, 2], [2, 0]]), experts)
         with pytest.raises(ShapeError, match="mixed dtypes"):
-            tt.routed_experts(x, Tensor(np.ones((3, 2)), dtype=np.float32), idx, experts)
+            tt.routed_experts(x, Tensor(np.ones((3, 3)), dtype=np.float32), idx, experts)
 
 
 def chain_matmul(a, b):
@@ -379,15 +433,20 @@ def glu_chain(x, w_in, w_gate, w_out, g):
     return chain_matmul(hidden, w_out), gx, x.T @ ga, x.T @ gb, hidden.T @ g
 
 
-def penalty_chain(probs, f, c):
-    """Loss, P and d(loss)/d(probs) of the matmul, div_scale, mul, sum_all, scale chain."""
-    (t, n), dt = probs.shape, probs.dtype
+def penalty_chain(logits, c):
+    """Loss, P, f and d(loss)/d(logits) of the chain balance_penalty replaces: the row softmax
+    op, f from argmax and bincount of its probabilities, the matmul, div_scale, mul, sum_all,
+    scale penalty chain, and the softmax op's backward."""
+    (t, n), dt = logits.shape, logits.dtype
+    e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    f = np.bincount(np.argmax(probs, axis=1), minlength=n).astype(np.float64) / t
     ones = np.ones((1, t), dt)
     p_row = chain_matmul(ones, probs) / dt.type(t)
     f_row = f.reshape(1, n).astype(dt)
     loss = np.asarray((p_row * f_row).sum(), dtype=dt) * dt.type(c)
-    g = np.full_like(p_row, np.ones((), dt) * dt.type(c)) * f_row / dt.type(t)
-    return loss, p_row[0], ones.T @ g
+    g = ones.T @ (np.full_like(p_row, np.ones((), dt) * dt.type(c)) * f_row / dt.type(t))
+    return loss, p_row[0], f, probs * (g - np.sum(g * probs, axis=-1, keepdims=True))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -408,17 +467,17 @@ class TestGluExpert:
 
     def test_shape_and_dtype_errors(self, dtype, rows, d, h):
         x = Tensor(np.ones((rows, d)), dtype=dtype)
-        probs = Tensor(np.ones((rows, 1)), dtype=dtype)
+        logits = [Tensor(np.ones((rows, n)), dtype=dtype) for n in (1, 2)]
         idx = np.zeros((rows, 1), dtype=np.int64)
         w = Tensor(np.ones((d, h)), dtype=dtype)
         w_out = Tensor(np.ones((h, d)), dtype=dtype)
         with pytest.raises(ShapeError, match="routed_experts: expert 0"):
-            tt.routed_experts(x, probs, idx, [(w, w, w)])
+            tt.routed_experts(x, logits[0], idx, [(w, w, w)])
         with pytest.raises(ShapeError, match="routed_experts: expert 1"):
-            tt.routed_experts(x, probs, idx, [(w, w, w_out), (w, w_out, w_out)])
+            tt.routed_experts(x, logits[1], idx, [(w, w, w_out), (w, w_out, w_out)])
         other = np.float32 if dtype == np.float64 else np.float64
         with pytest.raises(ShapeError, match="mixed dtypes"):
-            tt.routed_experts(x, probs, idx, [(w, w, Tensor(np.ones((h, d)), dtype=other))])
+            tt.routed_experts(x, logits[0], idx, [(w, w, Tensor(np.ones((h, d)), dtype=other))])
 
 
 def routed_chain(x, probs, idx, experts, g):
@@ -445,28 +504,53 @@ def routed_chain(x, probs, idx, experts, g):
     return y, x_parts[::-1], g_probs, w_grads
 
 
+def topk_softmax_chain(logits, idx, g=None):
+    """The weights, and given d(loss)/d(weights) g the logits' gradient, of the `topk_softmax`
+    op the gate once recorded: each row's chosen logits, in rank order, softmaxed against
+    rank 0's."""
+    top = np.take_along_axis(logits, idx, axis=-1)
+    e = np.exp(top - top[:, :1])
+    e /= e.sum(axis=-1, keepdims=True)
+    if g is None:
+        return e, None
+    gx = np.zeros_like(logits)
+    np.put_along_axis(gx, idx, e * (g - np.sum(g * e, axis=-1, keepdims=True)), axis=-1)
+    return e, gx
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("shared", [False, True], ids=["once", "shared"])
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
 @pytest.mark.parametrize("t,d,widths", [(8, 6, (7, 5, 9, 6, 3)), (40, 24, (30, 18, 40, 12, 8))], ids=["einsum", "blas"])
 class TestRoutedExperts:
     def test_matches_expert_chain_bit_for_bit(self, t, d, widths, k, shared, dtype):
-        # expert 3 gets no rows; `shared` feeds x to a later node too, so x's gradient
-        # pins the order of the op's k partials
+        # the gate's top-k of the logits, with ties in every other row; below k = 5 expert 3
+        # gets no rows; `shared` feeds x and the logits to later nodes too, so their gradients
+        # pin the order of the op's partials
         rng = np.random.default_rng(17)
-        idx = routing(rng, t, k, len(widths), unused=3)
+        logits = rng.normal(size=(t, len(widths)))
+        logits[::2] = np.round(logits[::2])
+        logits[:, 3] = logits.min(axis=1) - 1.0
+        logits = logits.astype(dtype)
+        idx = np.argsort(-logits, axis=-1, kind="stable")[:, :k]
         x, g, p2 = (rng.normal(size=(t, d)).astype(dtype) for _ in range(3))
-        probs = rng.random((t, k)).astype(dtype)
+        p3 = rng.normal(size=logits.shape).astype(dtype)
         experts = expert_weights(rng, d, widths, dtype)
-        x_t, probs_t = (Tensor(a, requires_grad=True, dtype=dtype) for a in (x, probs))
+        x_t, logits_t = (Tensor(a, requires_grad=True, dtype=dtype) for a in (x, logits))
         ts = [tuple(Tensor(a, requires_grad=True, dtype=dtype) for a in ws) for ws in experts]
-        y = tt.routed_experts(x_t, probs_t, idx, ts)
+        y = tt.routed_experts(x_t, logits_t, idx, ts)
+        probs = topk_softmax_chain(logits, idx)[0]
         expect_y, x_parts, expect_probs, expect_w = routed_chain(x, probs, idx, experts, g)
+        expect_logits = topk_softmax_chain(logits, idx, expect_probs)[1]
         assert y.dtype == dtype and np.array_equal(y.values, expect_y)
-        tt.backward(tt.add(_proj(y, g), _proj(x_t, p2)) if shared else _proj(y, g))
-        expect_x = accumulate(p2, *x_parts) if shared else accumulate(*x_parts)
+        if shared:
+            tt.backward(tt.add(_proj(y, g), tt.add(_proj(x_t, p2), _proj(logits_t, p3))))
+            expect_x, expect_logits = accumulate(p2, *x_parts), p3 + expect_logits
+        else:
+            tt.backward(_proj(y, g))
+            expect_x = accumulate(*x_parts)
         assert x_t.grad.dtype == dtype and np.array_equal(x_t.grad, expect_x)
-        assert np.array_equal(probs_t.grad, expect_probs)
+        assert logits_t.grad.dtype == dtype and np.array_equal(logits_t.grad, expect_logits)
         for tensors, eg in zip(ts, expect_w):
             if eg is None:
                 assert all(w.grad is None for w in tensors)
@@ -479,23 +563,33 @@ class TestRoutedExperts:
 @pytest.mark.parametrize("t", [6, 300], ids=["einsum", "blas"])
 class TestBalancePenalty:
     def test_matches_op_chain_bit_for_bit(self, dtype, t):
+        # rows 0 and 1 tie every logit and their two largest, so f's tie rule shows
         rng = np.random.default_rng(12)
-        probs = rng.random((t, 5)).astype(dtype)
-        f = rng.random(5)
-        x = Tensor(probs, requires_grad=True, dtype=dtype)
-        loss, p = tt.balance_penalty(x, f, 0.05)
-        expect_loss, expect_p, expect_g = penalty_chain(probs, f, 0.05)
+        logits = rng.normal(size=(t, 5)).astype(dtype)
+        logits[0] = 1.0
+        logits[1, 3] = logits[1].max()
+        x = Tensor(logits, requires_grad=True, dtype=dtype)
+        loss, p, f = tt.balance_penalty(x, 0.05)
+        expect_loss, expect_p, expect_f, expect_g = penalty_chain(logits, 0.05)
         assert loss.values.shape == () and loss.dtype == dtype and loss.values == expect_loss
         assert p.dtype == dtype and np.array_equal(p, expect_p)
+        assert f.dtype == np.float64 and np.array_equal(f, expect_f)
         tt.backward(loss)
         assert x.grad.dtype == dtype and np.array_equal(x.grad, expect_g)
 
     def test_shape_errors(self, dtype, t):
-        probs = Tensor(np.ones((t, 4)), dtype=dtype)
         with pytest.raises(ShapeError, match="balance_penalty"):
-            tt.balance_penalty(probs, np.ones(3), 1.0)
+            tt.balance_penalty(Tensor(np.ones(4), dtype=dtype), 1.0)
         with pytest.raises(ShapeError, match="balance_penalty"):
-            tt.balance_penalty(Tensor(np.ones(4), dtype=dtype), np.ones(4), 1.0)
+            tt.balance_penalty(Tensor(np.ones((t, 4, 1)), dtype=dtype), 1.0)
+
+
+def test_balance_penalty_counts_f_on_probabilities():
+    # in float32, exp(-1e-8) rounds to 1: the probabilities tie where the logits do not,
+    # and f goes to the lowest index of the tie, not to the larger logit
+    logits = Tensor(np.array([[0.0, 1e-8, -3.0]], dtype=np.float32))
+    assert np.argmax(logits.values) == 1
+    assert tt.balance_penalty(logits, 1.0)[2].tolist() == [1.0, 0.0, 0.0]
 
 
 def reference_rotation(x, cos, sin):

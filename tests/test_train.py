@@ -58,17 +58,17 @@ class TestTrain:
         for name in fresh:
             np.testing.assert_array_equal(weights[name].values, fresh[name].values)
 
-    def test_micro_step_records_13_nodes(self, corpus, monkeypatch):
+    def test_micro_step_records_11_nodes(self, corpus, monkeypatch):
         # one tape node per op call, each attention sublayer, gate logit chain, layer's routed
-        # experts, gate top-k softmax and balance penalty fused into one: an op chain coming
-        # back raises the count
+        # experts with their top-k softmax, and balance penalty with its full softmax fused
+        # into one: an op chain coming back raises the count
         real = tt._record
         nodes = []
         monkeypatch.setattr(tt, "_record", lambda *a: nodes.append(a) or real(*a))
         train(tiny_cfg(n_layers=1, batch_size=8, seed=3), tiny_opt(), corpus, steps=1)
-        assert len(nodes) == 13
+        assert len(nodes) == 11
 
-    def test_toy_step_records_22_nodes(self, corpus, monkeypatch):
+    def test_toy_step_records_18_nodes(self, corpus, monkeypatch):
         # the toy config: two layers of eight experts, each layer's experts one node
         with open(Path(__file__).parents[1] / "configs" / "toy.json") as fh:
             cfg = ModelConfig.from_dict(json.load(fh)["model"])
@@ -76,7 +76,7 @@ class TestTrain:
         nodes = []
         monkeypatch.setattr(tt, "_record", lambda *a: nodes.append(a) or real(*a))
         train(cfg, tiny_opt(), corpus, steps=1)
-        assert len(nodes) == 22
+        assert len(nodes) == 18
 
     def test_alpha_zero_same_step0_ce_then_diverges(self, corpus):
         cfg = tiny_cfg()
@@ -229,7 +229,7 @@ class TestTrain:
             gc.collect()
             live.append(sum(r() is not None for r in refs))
             out = real(*args)
-            refs.append(weakref.ref(out[3][0].full_probs.values))
+            refs.append(weakref.ref(out[3][0].logits.values))
             return out
 
         monkeypatch.setattr(modse.train, "objective", tracking_objective)
