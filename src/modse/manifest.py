@@ -4,9 +4,10 @@ Commands write their primary outputs inside a `with RunOutputs(...)` block:
 files are produced under temporary names and renamed into place only when
 the whole block has succeeded, so a failed run leaves no partial outputs.
 The manifest (command line, config snapshot, seed, version, the numpy and
-BLAS build with the BLAS thread variables and core count, the allocator
-thresholds training set, timestamps, sha256 digests of every emitted file)
-is written last.
+BLAS build with the BLAS thread variables, whether numpy loaded before the
+package set them, the core count and the fused ops' worker count, the
+allocator settings training made, timestamps, sha256 digests of every
+emitted file) is written last.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import BLAS_THREAD_VARS, __version__
+from . import BLAS_THREAD_VARS, NUMPY_LOADED_FIRST, __version__
+from .tensor import worker_count
 from .train import heap_policy
 
 MANIFEST_NAME = "manifest.json"
@@ -57,14 +59,16 @@ def version_string() -> str:
 def runtime_info() -> dict:
     """What a run's bits depend on beyond its config and seed: the numpy version, the
     BLAS library numpy was built against, the BLAS thread variables as this process
-    sees them (importing the package sets each unset one to "1"; a process that
-    loaded numpy before the package keeps the BLAS count it started with) and the
-    core count; computed once per process."""
+    sees them (importing the package sets each unset one to "1"), whether numpy was
+    loaded before the package (then BLAS read the variables before that, and may run
+    on every core whatever they say now) and the core count; computed once per
+    process."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
+        "numpy_loaded_first": NUMPY_LOADED_FIRST,
         "cpu_count": os.cpu_count(),
     }
 
@@ -127,7 +131,8 @@ class RunOutputs:
             config=self.config,
             seed=self.seed,
             version=version_string(),
-            runtime={**runtime_info(), "heap": heap_policy()},  # not cached: a training run may set it later
+            # not cached: a training run may set the heap policy later, and the affinity may change
+            runtime={**runtime_info(), "workers": worker_count(), "heap": heap_policy()},
             started_at=_iso(self._t0),
             finished_at=_iso(time.time()),
             outputs=digests,

@@ -152,7 +152,8 @@ def gate_forward(params: GateParams, x: Tensor, k: int) -> GateOutput:
 def expert_forward(e: ExpertParams, rows: np.ndarray) -> tt.GluRows:
     """Gated-linear feed-forward (silu(x W_in) * (x W_gateproj)) W_out of an expert's
     routed rows [R, d_model], as plain numpy: the output and what its backward reads.
-    `moe_layer_forward` calls it once per expert that has rows."""
+    `moe_layer_forward` calls it once per expert that has rows, on a worker thread of
+    the ops' pool when the layer's work is large enough, so calls may overlap."""
     return tt._glu_forward(rows, e.w_in.values, e.w_gateproj.values, e.w_out.values)
 
 

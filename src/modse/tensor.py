@@ -37,12 +37,25 @@ to the dense per-token sum over experts in that order. Its hand-written
 backward gathers the output gradient once into the same order, runs each
 expert's backward on its slice, and scatters the gate weights' gradient
 through the k-way softmax into the logits.
+
+The two fused ops made of independent pieces run those pieces on a pool of
+worker threads, one per usable core, when the op's work reaches
+PARALLEL_WORK: `routed_experts` each expert's forward (the caller's
+`forward` callback, which may then run on a worker thread, concurrently
+with other experts) and backward, `causal_attention` its score-softmax-value
+core over contiguous chunks of sequences. numpy's BLAS calls and ufunc
+loops release the GIL, so the pieces overlap. Each piece makes the same
+numpy calls on the same shapes wherever it runs and writes only its own
+slices, so the bits do not depend on the worker count. The pool is built on
+first use, and a forked child drops its copy, whose threads did not survive
+the fork.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -67,6 +80,57 @@ __all__ = [
 
 class ShapeError(ValueError):
     """Raised when operand dimensions are incompatible."""
+
+
+# an op's pieces go to the worker pool only when the op's work (rows*k*d for the
+# experts, B*H*S^2 for attention) reaches this; below it the hand-offs cost more
+# than they save, so the micro model stays on the calling thread
+PARALLEL_WORK = 1 << 16
+_workers: int | None = None  # None: one worker per usable core; tests set a count
+_pool = None  # (worker count, ThreadPoolExecutor), built on first use
+
+
+def worker_count() -> int:
+    """The worker threads the fused ops use above PARALLEL_WORK: one per core this
+    process may run on (its CPU affinity), so `taskset` restricts them."""
+    if _workers is not None:
+        return _workers
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map(fn, items: list, work: int) -> list:
+    """[fn(item) for item in items], on the worker pool when `work` reaches PARALLEL_WORK
+    and there are at least two items and two workers; results come in item order."""
+    n = worker_count() if work >= PARALLEL_WORK and len(items) > 1 else 1
+    if n < 2:
+        return list(map(fn, items))
+    global _pool
+    if _pool is None or _pool[0] != n:
+        from concurrent.futures import ThreadPoolExecutor  # 7-9 ms to import, so only when first needed
+
+        if _pool is not None:
+            _pool[1].shutdown(wait=False)
+        _pool = (n, ThreadPoolExecutor(n, thread_name_prefix="modse-op"))
+    return list(_pool[1].map(fn, items))
+
+
+def _split(n: int, work: int) -> list[tuple[int, int]]:
+    """0..n as contiguous [lo, hi) ranges, one per worker when `work` reaches PARALLEL_WORK, else one."""
+    parts = min(n, worker_count()) if work >= PARALLEL_WORK else 1
+    cuts = [n * i // parts for i in range(parts + 1)]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _drop_pool() -> None:
+    global _pool
+    _pool = None  # a forked child inherits the executor but none of its threads
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 _FLOAT_DTYPES = (np.float32, np.float64)
@@ -386,8 +450,11 @@ def routed_experts(
     into that [T*k, d] buffer, and each expert with rows runs once on its
     contiguous slice as `forward(i, rows)`, by default `_glu_forward` of its
     weights (a caller may pass a function that computes the same, to
-    instrument each expert's call). One pass scales the outputs by their
-    gate weights, and each token sums its k rows in ascending expert index.
+    instrument each expert's call). Above PARALLEL_WORK (T*k*d) the experts
+    run on the worker pool, so `forward` may run on a worker thread,
+    concurrently with other experts' calls. One pass scales the outputs by
+    their gate weights, and each token sums its k rows in ascending expert
+    index.
 
     The backward gathers g once into the sorted order, takes the gate
     weights' gradient as one row sum, scatters it through the k-way softmax
@@ -433,7 +500,8 @@ def routed_experts(
     bounds = np.cumsum(np.bincount(ids, minlength=n)).tolist()
     spans = [(i, lo, hi) for i, (lo, hi) in enumerate(zip([0, *bounds], bounds)) if hi > lo]
     xs = x.values[tok]
-    fwd = [forward(i, xs[lo:hi]) for i, lo, hi in spans]
+    work = t * k * d
+    fwd = _map(lambda span: forward(span[0], xs[span[1] : span[2]]), spans, work)
     ys = np.concatenate([f.out for f in fwd]) if fwd else np.empty((0, d_out), x.dtype)
     saved = [f[1:] for f in fwd]  # (a, s, b); the outputs live on in ys alone
     ws = e.reshape(-1, 1)[order]
@@ -455,10 +523,15 @@ def routed_experts(
         np.put_along_axis(gl, idx, e * (gw - np.sum(gw * e, axis=-1, keepdims=True)), axis=-1)
         gs *= ws  # the experts' output gradient
         gxs = np.empty_like(xs)
-        grads: list[np.ndarray | None] = [None] * (3 * n)
-        for (i, lo, hi), a_s_b in zip(reversed(spans), reversed(saved)):
+
+        def expert_backward(span_saved):
+            (i, lo, hi), a_s_b = span_saved
             w_values = [w.values for w in experts[i]]
-            grads[3 * i : 3 * i + 3] = _glu_backward(gs[lo:hi], xs[lo:hi], a_s_b, w_values, gxs[lo:hi])
+            return _glu_backward(gs[lo:hi], xs[lo:hi], a_s_b, w_values, gxs[lo:hi])
+
+        grads: list[np.ndarray | None] = [None] * (3 * n)
+        for (i, _, _), g_w in zip(spans, _map(expert_backward, list(zip(spans, saved)), work)):
+            grads[3 * i : 3 * i + 3] = g_w
         return (*(gxs[pos[:, j]] for j in reversed(range(k))), gl, *grads)
 
     return _record(y, (x,) * k + (logits, *weights), bw)
@@ -550,7 +623,11 @@ def causal_attention(
     carries the -inf mask. Each block's probabilities are stored key-major,
     [keys, queries], so the softmax reduces over the second-to-last axis.
     The backward's per-query row term sum_j dP_ij P_ij is taken as
-    dO_i . O_i, over head columns instead of over keys.
+    dO_i . O_i, over head columns instead of over keys. Above PARALLEL_WORK
+    (B*H*S^2) that score-softmax-value core, forward and backward, runs on
+    the worker pool, one contiguous chunk of sequences per worker; the
+    projections, the rotations, the row term and the weight gradients, which
+    sum over all rows, stay whole on the calling thread.
 
     The parents are (h, h, gamma, wq, wk, wv, wo): h's residual term g comes
     before the norm's term, and the norm's input gradient sums
@@ -592,16 +669,26 @@ def causal_attention(
 
     att = np.empty(split, dt)
     att_h = att.transpose(0, 2, 1, 3)
-    blocks: list[tuple[int, int, np.ndarray]] = []
-    for r0 in range(0, seq_len, ATTN_BLOCK):
-        r1 = min(r0 + ATTN_BLOCK, seq_len)
-        p = kh[:, :, :r1] @ qh[:, :, r0:r1].swapaxes(-1, -2)
-        p[..., r0:, :] += diag_mask[: r1 - r0, : r1 - r0]
-        p -= p.max(axis=-2, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-2, keepdims=True)
-        np.matmul(p.swapaxes(-1, -2), vh[:, :, :r1], out=att_h[:, :, r0:r1])
-        blocks.append((r0, r1, p))
+    bounds = [(r0, min(r0 + ATTN_BLOCK, seq_len)) for r0 in range(0, seq_len, ATTN_BLOCK)]
+    work = b * n_heads * seq_len * seq_len
+    chunks = _split(b, work)  # sequences lo..hi-1 per worker
+
+    def core(chunk):
+        # the S x S part of sequences lo..hi-1: each block's key-major probabilities
+        lo, hi = chunk
+        q, k, v = qh[lo:hi], kh[lo:hi], vh[lo:hi]
+        probs = []
+        for r0, r1 in bounds:
+            p = k[:, :, :r1] @ q[:, :, r0:r1].swapaxes(-1, -2)
+            p[..., r0:, :] += diag_mask[: r1 - r0, : r1 - r0]
+            p -= p.max(axis=-2, keepdims=True)
+            np.exp(p, out=p)
+            p /= p.sum(axis=-2, keepdims=True)
+            np.matmul(p.swapaxes(-1, -2), v[:, :, :r1], out=att_h[lo:hi, :, r0:r1])
+            probs.append(p)
+        return probs
+
+    chunk_probs = _map(core, chunks, work)
     att = att.reshape(rows, d)
     out = _mm(att, wo.values)
     out += x  # the residual
@@ -619,14 +706,19 @@ def causal_attention(
             dst[:, :, :r0] += part[:, :, :r0]
             dst[:, :, r0 : part.shape[2]] = part[:, :, r0:]
 
-        for r0, r1, p in blocks:
-            go = gh[:, :, r0:r1]
-            add_keys(gv_h, r0, p @ go)
-            ds = vh[:, :, :r1] @ go.swapaxes(-1, -2)
-            ds -= row_term[..., r0:r1]
-            ds *= p
-            np.matmul(ds.swapaxes(-1, -2), kh[:, :, :r1], out=gq_h[:, :, r0:r1])
-            add_keys(gk_h, r0, ds @ qh[:, :, r0:r1])
+        def core_backward(chunk_and_probs):
+            (lo, hi), probs = chunk_and_probs
+            q, k, v, go_h, rt = qh[lo:hi], kh[lo:hi], vh[lo:hi], gh[lo:hi], row_term[lo:hi]
+            for (r0, r1), p in zip(bounds, probs):
+                go = go_h[:, :, r0:r1]
+                add_keys(gv_h[lo:hi], r0, p @ go)
+                ds = v[:, :, :r1] @ go.swapaxes(-1, -2)
+                ds -= rt[..., r0:r1]
+                ds *= p
+                np.matmul(ds.swapaxes(-1, -2), k[:, :, :r1], out=gq_h[lo:hi, :, r0:r1])
+                add_keys(gk_h[lo:hi], r0, ds @ q[:, :, r0:r1])
+
+        _map(core_backward, list(zip(chunks, chunk_probs)), work)
         gq = _rotate(gq.reshape(rows, d), cos_q, sin_q, inverse=True)
         gk = _rotate(gk.reshape(rows, d), cos_k, sin_k, inverse=True)
         gv = gv.reshape(rows, d)

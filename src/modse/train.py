@@ -1,15 +1,16 @@
 """Training loop: next-token cross entropy plus the per-layer balance penalties.
 
 Bitwise deterministic for a fixed config and seed on one numpy/BLAS build
-and BLAS thread count: the thread count changes low-order bits, and the run
-manifest records all three. Each step logs a TrainStepRecord; optionally
+and BLAS thread count, whatever the number of worker threads the fused ops
+use: the BLAS thread count changes low-order bits, and the run manifest
+records all three. Each step logs a TrainStepRecord; optionally
 every routing decision (which expert each token chose at each layer and
 rank) goes to a trace file.
 
 Each step frees its whole graph before the next forward. When one
 `[batch*seq_len, dim]` activation is at least glibc's default mmap
 threshold (128 KiB), the first such run in a process asks glibc to keep
-freed memory in the heap (see `_keep_heap`), so the next step reuses it
+freed memory in one heap (see `_keep_heap`), so the next step reuses it
 instead of faulting it back in; `heap_policy()` says what is in force.
 """
 
@@ -34,15 +35,18 @@ from .trace import TraceHeader, TraceWriter, make_records
 
 
 # mallopt's parameter numbers in glibc's malloc.h, and glibc's default mmap threshold
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 _DEFAULT_MMAP_THRESHOLD = 128 << 10
 _TRIM_THRESHOLD, _MMAP_THRESHOLD = 1 << 30, 32 << 20  # 32 MiB: the largest mmap threshold 64-bit glibc takes
+_ARENA_MAX = 1  # the op pool's worker threads allocate from the main heap, not from arenas of their own
 _heap_kept = False  # the allocator is per process, and so is this record of what was set
 
 
 def heap_policy() -> dict | None:
-    """The allocator thresholds `_keep_heap` set in this process, or None if it set none."""
-    return {"trim_threshold": _TRIM_THRESHOLD, "mmap_threshold": _MMAP_THRESHOLD} if _heap_kept else None
+    """The allocator settings `_keep_heap` made in this process, or None if it made none."""
+    if not _heap_kept:
+        return None
+    return {"trim_threshold": _TRIM_THRESHOLD, "mmap_threshold": _MMAP_THRESHOLD, "arena_max": _ARENA_MAX}
 
 
 def _keep_heap(activation_bytes: int) -> None:
@@ -50,7 +54,9 @@ def _keep_heap(activation_bytes: int) -> None:
 
     Without this, glibc serves each large activation with its own mmap and
     trims the heap top once a step's graph is freed, so every step faults
-    tens of MB back in. Below glibc's default mmap threshold the steps
+    tens of MB back in. One arena keeps the worker threads of the fused ops
+    from each growing a heap of their own, which raised peak RSS by about
+    12 MB on the toy shapes. Below glibc's default mmap threshold the steps
     already reuse heap memory, and the allocator is left alone. Where libc
     has no `mallopt`, or it refuses a value, nothing is recorded.
     """
@@ -63,7 +69,8 @@ def _keep_heap(activation_bytes: int) -> None:
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    _heap_kept = mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1 and mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
+    settings = ((_M_TRIM_THRESHOLD, _TRIM_THRESHOLD), (_M_MMAP_THRESHOLD, _MMAP_THRESHOLD), (_M_ARENA_MAX, _ARENA_MAX))
+    _heap_kept = all(mallopt(param, value) == 1 for param, value in settings)
 
 
 class NonFiniteLossError(RuntimeError):

@@ -101,7 +101,7 @@ class TestTrainCommand:
         r = run_cli("train", "--config", cfg, "--steps", 1, "--out", out)
         assert r.returncode == 0, r.stderr
         applied = shape != "micro" and platform.libc_ver()[0] == "glibc"
-        expect = {"trim_threshold": 1 << 30, "mmap_threshold": 32 << 20} if applied else None
+        expect = {"trim_threshold": 1 << 30, "mmap_threshold": 32 << 20, "arena_max": 1} if applied else None
         assert json.loads((out / "manifest.json").read_text())["runtime"]["heap"] == expect
 
     def test_blas_threads_default_to_one(self, tmp_path):
@@ -124,6 +124,43 @@ class TestTrainCommand:
             assert manifest["runtime"]["blas_threads"] == dict.fromkeys(threads, "1")
             runs.append((sha(out / "checkpoint.bin"), sha(out / "metrics.jsonl")))
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("first", ["numpy", "modse", "modse-one-core"])
+    def test_manifest_records_numpy_first_and_the_worker_count(self, tmp_path, first):
+        # BLAS reads its thread variables when numpy loads, so a process that loaded numpy
+        # before the package runs BLAS at the count it read then, whatever the variables say
+        # afterwards; the worker count follows the process's CPU affinity
+        import os
+
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no CPU affinity calls on this platform")
+        cfg = write_config(tmp_path, TINY_MODEL, TINY_OPT)
+        out = tmp_path / "run"
+        pin = "os.sched_setaffinity(0, [min(os.sched_getaffinity(0))]); " if first == "modse-one-core" else ""
+        code = (
+            f"import os; {pin}import {first.split('-')[0]}; from modse import cli; "
+            f"raise SystemExit(cli.main(['train', '--config', {str(cfg)!r}, '--steps', '1', '--out', {str(out)!r}]))"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        runtime = json.loads((out / "manifest.json").read_text())["runtime"]
+        assert runtime["numpy_loaded_first"] is (first == "numpy")
+        assert runtime["workers"] == (1 if pin else len(os.sched_getaffinity(0)))
+
+    def test_bits_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
+        # the toy shapes are above the ops' work gate, so 2 workers run experts and attention
+        # chunks side by side; each piece makes the same numpy calls wherever it runs
+        import modse.tensor
+
+        cfg = Path(__file__).parents[1] / "configs" / "toy.json"
+        digests = []
+        for workers in (1, 2):
+            monkeypatch.setattr(modse.tensor, "_workers", workers)
+            out = tmp_path / f"workers-{workers}"
+            assert cli.main(["train", "--config", str(cfg), "--steps", "2", "--out", str(out)]) == 0
+            assert json.loads((out / "manifest.json").read_text())["runtime"]["workers"] == workers
+            digests.append((sha(out / "checkpoint.bin"), sha(out / "metrics.jsonl")))
+        assert digests[0] == digests[1]
 
     def test_non_finite_loss_exits_two_no_output_dir(self, tmp_path):
         cfg = write_config(tmp_path, TINY_MODEL, {**TINY_OPT, "warmup_steps": 0, "lr_peak": 1e30})
@@ -744,6 +781,7 @@ class TestRunOutputs:
         # bits depend on the numpy/BLAS build and the BLAS thread count, so the manifest names them
         import os
 
+        import modse
         from modse import manifest
         from modse.train import heap_policy
 
@@ -766,7 +804,9 @@ class TestRunOutputs:
             "numpy": np.__version__,
             "blas": f"{blas['name']} {blas['version']}",
             "blas_threads": threads,
+            "numpy_loaded_first": modse.NUMPY_LOADED_FIRST,
             "cpu_count": os.cpu_count(),
+            "workers": modse.tensor.worker_count(),
             "heap": heap_policy(),
         }
         for tag in ("a", "b"):

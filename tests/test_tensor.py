@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -942,3 +944,92 @@ class TestCrossEntropy:
     def test_target_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             tt.cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
+
+
+# ---------------------------------------------------------------------------
+# worker pool
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """A pool of this test's own, shut down after it."""
+    monkeypatch.setattr(tt, "_pool", None)
+    yield
+    if tt._pool is not None:
+        tt._pool[1].shutdown()
+
+
+def routed_at_gate(dtype):
+    """The toy layer's experts on 512 tokens, k = 2, d = 64: T*k*d is exactly PARALLEL_WORK."""
+    rng = np.random.default_rng(23)
+    t, d, widths = 512, 64, (288, 32, 256, 64, 192, 128, 160, 160)
+    logits = rng.normal(size=(t, len(widths))).astype(dtype)
+    idx = np.argsort(-logits, axis=-1, kind="stable")[:, :2]
+    weights = [w for ws in expert_weights(rng, d, widths, dtype) for w in ws]
+
+    def op(x, lg, *ws):
+        return tt.routed_experts(x, lg, idx, [ws[i : i + 3] for i in range(0, len(ws), 3)])
+
+    assert t * 2 * d >= tt.PARALLEL_WORK
+    return op, [rng.normal(size=(t, d)).astype(dtype), logits, *weights]
+
+
+def attention_at_gate(dtype):
+    """Three sequences of 80 over 4 heads, two query blocks each: B*H*S^2 = 76,800."""
+    rng = np.random.default_rng(29)
+    batch, seq_len, n_heads, hd = 3, 80, 4, 16
+    h, gamma, w = sublayer_inputs(rng, batch * seq_len, n_heads * hd)
+    tables = tt.build_attention_tables(*(a.astype(dtype) for a in rope_angles(seq_len, hd, rng)), n_heads)
+    assert batch * n_heads * seq_len**2 >= tt.PARALLEL_WORK
+    return (lambda *ts: tt.causal_attention(*ts, tables)), [a.astype(dtype) for a in (h, gamma, *w)]
+
+
+def values_and_grads(op, inputs):
+    """op's output values and every input's gradient, under a fixed projection of the output."""
+    ts = [Tensor(a, requires_grad=True, dtype=a.dtype) for a in inputs]
+    y = op(*ts)
+    tt.backward(_proj(y, np.random.default_rng(5).normal(size=y.shape).astype(y.dtype)))
+    return [y.values, *(t.grad for t in ts)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("make", [routed_at_gate, attention_at_gate], ids=["routed_experts", "causal_attention"])
+def test_bits_do_not_depend_on_the_worker_count(monkeypatch, fresh_pool, make, dtype):
+    # 3 workers split attention's 3 sequences 1/1/1, 2 workers split them 1/2; a short switch
+    # interval makes the workers interleave at many more points
+    op, inputs = make(dtype)
+    results = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(tt, "_workers", workers)
+            results[workers] = values_and_grads(op, inputs)
+            assert workers == 1 or tt._pool[0] == workers  # the pool ran the op's pieces
+    finally:
+        sys.setswitchinterval(interval)
+    for workers in (2, 3):
+        for got, expect in zip(results[workers], results[1]):
+            assert got.dtype == expect.dtype and np.array_equal(got, expect)
+
+
+def test_forked_child_runs_a_pooled_op(monkeypatch, fresh_pool):
+    # a fork copies the parent's executor but none of its threads; the child must build its own
+    import multiprocessing
+
+    monkeypatch.setattr(tt, "_workers", 2)
+    op, inputs = routed_at_gate(np.float32)
+    expect = values_and_grads(op, inputs)
+    assert tt._pool is not None
+
+    def child():
+        got = values_and_grads(op, inputs)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(timeout=60)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+    assert proc.exitcode == 0

@@ -68,6 +68,31 @@ class TestTrain:
         train(tiny_cfg(n_layers=1, batch_size=8, seed=3), tiny_opt(), corpus, steps=1)
         assert len(nodes) == 11
 
+    class CountingPool:
+        """Stands in for the ops' worker pool: counts each map and runs it on the calling thread."""
+
+        def __init__(self):
+            self.maps = 0
+
+        def map(self, fn, items):
+            self.maps += 1
+            return map(fn, items)
+
+    @pytest.mark.parametrize("shape,maps", [("micro", 0), ("toy", 8)])
+    def test_only_steps_above_the_work_gate_use_the_pool(self, corpus, monkeypatch, shape, maps):
+        # the micro model's ops stay below PARALLEL_WORK, where the pool's hand-offs would cost
+        # more than they save; each toy layer maps attention and its experts, forward and backward
+        if shape == "micro":
+            cfg = tiny_cfg(n_layers=1, batch_size=8, seed=3)
+        else:
+            with open(Path(__file__).parents[1] / "configs" / "toy.json") as fh:
+                cfg = ModelConfig.from_dict(json.load(fh)["model"])
+        pool = self.CountingPool()
+        monkeypatch.setattr(tt, "_workers", 2)
+        monkeypatch.setattr(tt, "_pool", (2, pool))
+        train(cfg, tiny_opt(), corpus, steps=1)
+        assert pool.maps == maps
+
     def test_toy_step_records_18_nodes(self, corpus, monkeypatch):
         # the toy config: two layers of eight experts, each layer's experts one node
         with open(Path(__file__).parents[1] / "configs" / "toy.json") as fh:
@@ -301,8 +326,8 @@ class TestHeapPolicy:
     def test_set_once_at_the_gate(self, libc):
         modse.train._keep_heap(128 << 10)
         modse.train._keep_heap(1 << 30)
-        assert libc.calls == [(-1, 1 << 30), (-3, 32 << 20)]
-        assert modse.train.heap_policy() == {"trim_threshold": 1 << 30, "mmap_threshold": 32 << 20}
+        assert libc.calls == [(-1, 1 << 30), (-3, 32 << 20), (-8, 1)]
+        assert modse.train.heap_policy() == {"trim_threshold": 1 << 30, "mmap_threshold": 32 << 20, "arena_max": 1}
 
     @pytest.mark.parametrize("cdll", [lambda _: object(), lambda _: TestHeapPolicy.FakeLibc(ok=0)],
                              ids=["no-mallopt", "mallopt-refuses"])
