@@ -7,7 +7,7 @@ sublayer, from its norm to its residual, is one `causal_attention` node, fed
 rotary tables and a causal mask that are built once per shape and dtype and
 shared, read-only, by every later forward. Weights live in a flat ordered
 name->Tensor dict so checkpointing and the optimizer can treat the model as
-a list of named buffers.
+a list of named buffers; `param_shapes` derives that list from the config.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import tensor as tt
+from .data import VOCAB_SIZE
 from .moe import (
     ExpertParams,
     GateParams,
@@ -46,7 +47,7 @@ class ModelConfig:
     n_heads: int = 4
     n_experts: int = 8
     top_k: int = 2
-    vocab_size: int = 258
+    vocab_size: int = VOCAB_SIZE
     h_base: int = 160
     expert_ratios: tuple[tuple[float, float], ...] | str = DEFAULT_EXPERT_RATIOS
     seq_len: int = 256
@@ -105,35 +106,36 @@ def spec_hash(cfg: ModelConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def init_weights(cfg: ModelConfig, dtype=np.float32) -> dict[str, Tensor]:
-    """Seeded weight dict; matrices ~ N(0, 0.02), norm scales start at 1."""
-    rng = stream_rng(cfg.seed, "init")
-    spec = cfg.expert_spec()
-
-    def mat(*shape):
-        return Tensor(rng.normal(0.0, INIT_STD, shape), requires_grad=True, dtype=dtype)
-
-    def ones(*shape):
-        return Tensor(np.ones(shape), requires_grad=True, dtype=dtype)
-
-    w: dict[str, Tensor] = {}
-    w["embed"] = mat(cfg.vocab_size, cfg.dim)
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every weight's name and shape, in the order `init_weights` draws them and checkpoints store them."""
+    d, expert_sizes = cfg.dim, cfg.expert_spec().expert_sizes
+    shapes: dict[str, tuple[int, ...]] = {"embed": (cfg.vocab_size, d)}
     for i in range(cfg.n_layers):
         p = f"layers.{i}"
-        w[f"{p}.attn_norm.gamma"] = ones(cfg.dim)
+        shapes[f"{p}.attn_norm.gamma"] = (d,)
         for name in ("wq", "wk", "wv", "wo"):
-            w[f"{p}.attn.{name}"] = mat(cfg.dim, cfg.dim)
-        w[f"{p}.ffn_norm.gamma"] = ones(cfg.dim)
-        w[f"{p}.gate.w_gate"] = mat(cfg.dim, cfg.n_experts)
-        w[f"{p}.gate.w_noise"] = mat(cfg.dim, cfg.n_experts)
-        w[f"{p}.gate.gamma"] = ones()
-        for j, h in enumerate(spec.expert_sizes):
-            w[f"{p}.experts.{j}.w_in"] = mat(cfg.dim, h)
-            w[f"{p}.experts.{j}.w_gateproj"] = mat(cfg.dim, h)
-            w[f"{p}.experts.{j}.w_out"] = mat(h, cfg.dim)
-    w["final_norm.gamma"] = ones(cfg.dim)
-    w["lm_head"] = mat(cfg.dim, cfg.vocab_size)
-    return w
+            shapes[f"{p}.attn.{name}"] = (d, d)
+        shapes[f"{p}.ffn_norm.gamma"] = (d,)
+        shapes[f"{p}.gate.w_gate"] = (d, cfg.n_experts)
+        shapes[f"{p}.gate.w_noise"] = (d, cfg.n_experts)
+        shapes[f"{p}.gate.gamma"] = ()
+        for j, h in enumerate(expert_sizes):
+            shapes[f"{p}.experts.{j}.w_in"] = (d, h)
+            shapes[f"{p}.experts.{j}.w_gateproj"] = (d, h)
+            shapes[f"{p}.experts.{j}.w_out"] = (h, d)
+    shapes["final_norm.gamma"] = (d,)
+    shapes["lm_head"] = (d, cfg.vocab_size)
+    return shapes
+
+
+def init_weights(cfg: ModelConfig, dtype=np.float32) -> dict[str, Tensor]:
+    """Seeded weight dict; norm scales (the names ending in gamma) start at 1, the rest ~ N(0, 0.02)."""
+    rng = stream_rng(cfg.seed, "init")
+    weights = {}
+    for name, shape in param_shapes(cfg).items():
+        values = np.ones(shape) if name.endswith("gamma") else rng.normal(0.0, INIT_STD, shape)
+        weights[name] = Tensor(values, requires_grad=True, dtype=dtype)
+    return weights
 
 
 def layer_gate(weights: dict[str, Tensor], layer: int) -> GateParams:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import os
 import re
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -133,15 +134,18 @@ class TraceWriter:
     def __init__(self, path: str | Path, header: TraceHeader, binary: bool = False):
         self.path = Path(path)
         self.binary = binary
+        blob = json.dumps(header.to_dict(), sort_keys=True)  # ASCII: json.dumps escapes every other character
         if binary:
             self._fh = open(self.path, "wb")
-            blob = json.dumps(header.to_dict(), sort_keys=True).encode("utf-8")
-            self._fh.write(MAGIC)
-            self._fh.write(len(blob).to_bytes(4, "little"))
-            self._fh.write(blob)
+            head = MAGIC + len(blob).to_bytes(4, "little") + blob.encode("ascii")
         else:
             self._fh = open(self.path, "w", encoding="utf-8")
-            self._fh.write(json.dumps(header.to_dict(), sort_keys=True) + "\n")
+            head = blob + "\n"
+        try:
+            self._fh.write(head)
+        except BaseException:  # the caller gets no writer to close
+            self._fh.close()
+            raise
 
     def write(self, records: np.ndarray) -> None:
         records = np.asarray(records, dtype=RECORD_DTYPE)
@@ -171,8 +175,8 @@ def read_trace(path: str | Path) -> RoutingTrace:
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
-        if magic == MAGIC:
-            raw = fh.read()
+        if magic == MAGIC:  # read to the end in one sized read: read() would copy the bytes it had buffered
+            raw = fh.read(os.fstat(fh.fileno()).st_size - len(MAGIC))
             hlen = int.from_bytes(raw[:4], "little")
             if len(raw) < 4 + hlen:
                 raise TraceFormatError(f"{path}: truncated binary header")
@@ -180,10 +184,10 @@ def read_trace(path: str | Path) -> RoutingTrace:
                 header = TraceHeader.from_dict(json.loads(raw[4 : 4 + hlen]))
             except (ValueError, RecursionError) as e:  # JSON, UTF-8 or header-field errors
                 raise TraceFormatError(f"{path}: bad binary header: {e}") from e
-            body = raw[4 + hlen :]
-            if len(body) % RECORD_DTYPE.itemsize != 0:
+            if (len(raw) - 4 - hlen) % RECORD_DTYPE.itemsize != 0:
                 raise TraceFormatError(f"{path}: truncated binary record block")
-            return RoutingTrace(header, np.frombuffer(body, dtype=RECORD_DTYPE))
+            # a view of the bytes read, not a copy, so a read peaks at the file's size
+            return RoutingTrace(header, np.frombuffer(raw, dtype=RECORD_DTYPE, offset=4 + hlen))
         if magic[:-2] == MAGIC[:-2]:
             version = magic[-2:].decode("latin-1")
             raise TraceFormatError(f"{path}: unsupported binary trace version {version}: only {MAGIC.decode()} is read")

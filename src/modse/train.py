@@ -16,6 +16,7 @@ instead of faulting it back in; `heap_policy()` says what is in force.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import json
 from dataclasses import dataclass
@@ -88,10 +89,6 @@ class TrainStepRecord:
     per_layer_P: list[list[float]]
 
 
-def named_params(weights: dict[str, Tensor]) -> list[tuple[str, Tensor]]:
-    return [(n, t) for n, t in weights.items() if t.requires_grad]
-
-
 def _trace_step(
     writer: TraceWriter,
     gate_outs: list[GateOutput],
@@ -145,27 +142,27 @@ def train(
     `AdamState`), so the returned tensors hold views of it.
     """
     weights = init_weights(cfg)
-    params = named_params(weights)
+    params = list(weights.items())  # init_weights makes every weight trainable
     state = AdamState(params)
     _keep_heap(cfg.batch_size * cfg.seq_len * cfg.dim * state.flat.itemsize)
     batcher = Batcher(corpus, cfg.seq_len, cfg.batch_size, cfg.seed)
-    spec = cfg.expert_spec()
-
-    writer = None
-    if trace_out is not None:
-        header = TraceHeader(
-            spec_hash=spec_hash(cfg),
-            n_experts=cfg.n_experts,
-            n_layers=cfg.n_layers,
-            top_k=cfg.top_k,
-            expert_sizes=tuple(spec.expert_sizes),
-        )
-        writer = TraceWriter(trace_out, header, binary=trace_binary)
-    metrics_fh = open(metrics_out, "w", encoding="utf-8") if metrics_out is not None else None
 
     records: list[TrainStepRecord] = []
     token_base = 0
-    try:
+    with contextlib.ExitStack() as outputs:  # closes whichever files opened, however the run ends
+        writer = metrics_fh = None
+        if trace_out is not None:
+            header = TraceHeader(
+                spec_hash=spec_hash(cfg),
+                n_experts=cfg.n_experts,
+                n_layers=cfg.n_layers,
+                top_k=cfg.top_k,
+                expert_sizes=tuple(cfg.expert_spec().expert_sizes),
+            )
+            writer = outputs.enter_context(TraceWriter(trace_out, header, binary=trace_binary))
+        if metrics_out is not None:
+            metrics_fh = outputs.enter_context(open(metrics_out, "w", encoding="utf-8"))
+
         for step in range(steps):
             epoch = batcher.epoch
             batch = batcher.next_batch()
@@ -202,18 +199,9 @@ def train(
             token_base += inputs.size
             # drop this step's graph (activations and closures) before the next forward
             del loss, ce, stats, gate_outs
-    finally:
-        if writer is not None:
-            writer.close()
-        if metrics_fh is not None:
-            metrics_fh.close()
 
     if checkpoint_out is not None:
-        save_checkpoint(
-            checkpoint_out,
-            weights,
-            meta={"config": cfg.to_dict(), "expert_sizes": list(spec.expert_sizes), "steps": steps},
-        )
+        save_checkpoint(checkpoint_out, cfg, weights, steps)
     return records, weights
 
 

@@ -23,9 +23,9 @@ from modse import trace
 from modse.analytics import AlignmentError
 from modse.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from modse.cli import ConfigError, _load_config, _read_loss_csv
-from modse.model import ModelConfig
+from modse.gradcheck import micro_config
+from modse.model import ModelConfig, init_weights
 from modse.optim import OptimizerConfig
-from modse.tensor import Tensor
 from modse.trace import (
     RECORD_DTYPE,
     RoutingTrace,
@@ -184,11 +184,8 @@ def test_version_1_binary_trace_loads_or_raises(tmp_path_factory, edits):
 @settings(max_examples=150, deadline=None)
 def test_checkpoint_loads_or_raises(tmp_path_factory, edits):
     tmp = tmp_path_factory.getbasetemp()
-    weights = {
-        "a": Tensor(np.arange(12, dtype=np.float32).reshape(3, 4)),
-        "b.gamma": Tensor(np.asarray(1.0, dtype=np.float32)),
-    }
-    save_checkpoint(tmp / "base.ckpt", weights, meta={"dim": 4})
+    cfg = micro_config()
+    save_checkpoint(tmp / "base.ckpt", cfg, init_weights(cfg), steps=3)
     p = tmp / "fuzz.ckpt"
     p.write_bytes(apply_edits((tmp / "base.ckpt").read_bytes(), edits))
     try:

@@ -1,11 +1,22 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import modse.moe
 import modse.tensor as tt
-from modse.model import ModelConfig, attention_tables, init_weights, rope_tables, spec_hash, transformer_forward
+from modse.gradcheck import micro_config
+from modse.model import (
+    ModelConfig,
+    attention_tables,
+    init_weights,
+    param_shapes,
+    rope_tables,
+    spec_hash,
+    transformer_forward,
+)
 from modse.rng import stream_rng
 
 
@@ -245,3 +256,17 @@ class TestRopeTables:
         cos, sin = rope_tables(4, 8, dtype=np.float64)
         np.testing.assert_array_equal(cos[0], np.ones(4))
         np.testing.assert_array_equal(sin[0], np.zeros(4))
+
+
+def toy_config(**overrides) -> ModelConfig:
+    toy = json.loads((Path(__file__).resolve().parents[1] / "configs" / "toy.json").read_text())["model"]
+    return ModelConfig.from_dict({**toy, **overrides})
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [toy_config(), micro_config(), toy_config(expert_ratios="homogeneous")],
+    ids=["toy", "micro", "homogeneous"],
+)
+def test_param_shapes_list_init_weights_in_order(cfg):
+    assert list(param_shapes(cfg).items()) == [(name, t.shape) for name, t in init_weights(cfg).items()]

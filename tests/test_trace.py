@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -401,6 +402,41 @@ class TestValidation:
         p.write_bytes(data[:-5])
         with pytest.raises(TraceFormatError, match="truncated"):
             read_trace(p)
+
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["jsonl", "binary"])
+    def test_header_write_failure_closes_the_file(self, tmp_path, monkeypatch, binary):
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                raise OSError(28, "No space left on device")
+
+            def close(self):
+                self.fh.close()
+
+        opened = []
+        monkeypatch.setattr(trace, "open", lambda *a, **kw: opened.append(FullDisk(open(*a, **kw))) or opened[-1], raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            TraceWriter(tmp_path / "t.bin", header(), binary=binary)
+        assert len(opened) == 1
+        assert opened[0].fh.closed
+
+    def test_binary_read_peaks_below_one_and_a_half_file_sizes(self, tmp_path):
+        n = 1 << 20
+        records = make_records(epoch=0, layer=np.arange(n) % 2, token=np.arange(n), rank=0, expert=np.arange(n) % 4)
+        p = tmp_path / "t.bin"
+        write_trace(p, RoutingTrace(header(), records), binary=True)
+        del records
+        tracemalloc.start()
+        try:
+            loaded = read_trace(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == n
+        assert peak < 1.5 * p.stat().st_size
 
 
 class TestFormatVersions:

@@ -181,11 +181,30 @@ class TestTrain:
         ck = tmp_path / "ck.bin"
         cfg = tiny_cfg()
         _, weights = train(cfg, tiny_opt(), corpus, steps=2, checkpoint_out=ck)
-        loaded, meta = load_checkpoint(ck)
-        assert meta["config"]["dim"] == cfg.dim
-        assert meta["expert_sizes"] == cfg.expert_spec().expert_sizes
+        loaded_cfg, loaded, steps = load_checkpoint(ck)
+        assert loaded_cfg == cfg
+        assert steps == 2
+        assert list(loaded) == list(weights)
         for name, t in weights.items():
             np.testing.assert_array_equal(loaded[name].values, t.values.astype(np.float32))
+
+    def test_outputs_opened_before_a_failing_open_are_closed(self, corpus, tmp_path, monkeypatch):
+        # the trace writer opens first; the metrics file then cannot open in a missing directory
+        writers = []
+
+        class RecordedWriter(modse.train.TraceWriter):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                writers.append(self)
+
+        monkeypatch.setattr(modse.train, "TraceWriter", RecordedWriter)
+        with pytest.raises(FileNotFoundError):
+            train(
+                tiny_cfg(), tiny_opt(), corpus, steps=1,
+                trace_out=tmp_path / "t.bin", trace_binary=True, metrics_out=tmp_path / "missing" / "m.jsonl",
+            )
+        assert len(writers) == 1
+        assert writers[0]._fh.closed
 
 
     def test_non_finite_loss_stops_naming_the_step(self, corpus, tmp_path, monkeypatch):
