@@ -39,7 +39,7 @@ def main():
             expert_ratios=((4.5, 0.5), (4.0, 1.0), (3.0, 2.0), (2.5, 2.5)),
             seq_len=64, batch_size=8, seed=args.seed,
         )
-        opt = OptimizerConfig(warmup_steps=20, total_steps=args.steps, alpha=alpha)
+        opt = OptimizerConfig(warmup_steps=max(1, args.steps // 10), total_steps=args.steps, alpha=alpha)
         records, _ = train(cfg, opt, corpus, args.steps)
         ratio = mean_ratio(records, last=args.steps // 4)
         final_f = np.asarray(records[-1].per_layer_f[0])

@@ -56,7 +56,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, Tensor], i
             if 12 * cfg.n_layers * cfg.n_experts > body:
                 raise ValueError(f"{cfg.n_layers} layers of {cfg.n_experts} experts cannot fit in {body} bytes")
             shapes = param_shapes(cfg)
-        except (KeyError, TypeError, ValueError, OverflowError) as e:  # OverflowError: a width beyond float range
+        except (KeyError, TypeError, ValueError) as e:
             raise CheckpointError(f"{path}: bad model config: {e}") from e
         sizes = [math.prod(shape) for shape in shapes.values()]
         if body != 4 * sum(sizes):  # checked before reading, so a huge config allocates nothing

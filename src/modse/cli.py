@@ -36,8 +36,8 @@ from .data import load_text_corpus, synthetic_corpus, synthetic_docs
 from .manifest import RunOutputs
 from .model import ModelConfig
 from .optim import OptimizerConfig
-from .placement import STRATEGIES, DeviceModel, PlanningError, plan_baselines, plan_pairwise
-from .trace import TraceFormatError, read_trace
+from .placement import STRATEGIES, DeviceModel, plan_baselines, plan_pairwise
+from .trace import read_trace
 from .train import train
 
 log = logging.getLogger("modse")
@@ -327,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args, ["modse", *argv])
-    except (ConfigError, PlanningError, TraceFormatError, AlignmentError, ValueError) as e:
+    except ValueError as e:  # ConfigError, PlanningError, TraceFormatError and AlignmentError among them
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as e:

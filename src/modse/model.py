@@ -80,6 +80,12 @@ class ModelConfig:
                 raise ValueError(
                     f"{len(self.expert_ratios)} ratio pairs cannot cover {self.n_experts} experts"
                 )
+            # a homogeneous spec needs no such check, and it grows with n_experts,
+            # which a checkpoint header may set huge
+            try:  # build the spec once to validate the widths; nothing is kept, as expert_ratios may still be set
+                self.expert_spec()
+            except OverflowError as e:  # a width beyond float range
+                raise ValueError(f"expert widths out of range: {e}") from e
 
     def expert_spec(self) -> PairedExpertSpec:
         if self.expert_ratios == "homogeneous":

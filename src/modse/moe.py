@@ -122,14 +122,6 @@ class GateOutput:
     topk_indices: np.ndarray  # [T, k] int, rank order (rank 0 = largest logit)
     logits: Tensor  # [T, N]
 
-    @property
-    def n_tokens(self) -> int:
-        return self.topk_indices.shape[0]
-
-    @property
-    def top_k(self) -> int:
-        return self.topk_indices.shape[1]
-
 
 def gate_forward(params: GateParams, x: Tensor, k: int) -> GateOutput:
     """Score tokens against experts and pick each token's top-k.

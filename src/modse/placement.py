@@ -44,13 +44,14 @@ class DeviceModel:
 class PlacementPlan:
     strategy: str
     device_count: int
-    assignment: dict[tuple[int, int], int]  # (layer, expert) -> device
+    assignment: np.ndarray  # [layers, n_experts] int: the device of each layer's expert
     per_device_params: list[int]
 
     def to_json_dict(self) -> dict:
         entries = [
             {"layer": layer, "expert": expert, "device": dev}
-            for (layer, expert), dev in sorted(self.assignment.items())
+            for layer, row in enumerate(self.assignment.tolist())
+            for expert, dev in enumerate(row)
         ]
         return {
             "strategy": self.strategy,
@@ -70,15 +71,19 @@ class WorkloadReport:
     imbalance_ratio: float  # max/min of the flop proxy; inf when some device saw nothing
 
 
-def _expert_params(spec: PairedExpertSpec, expert: int) -> int:
-    return 3 * spec.d_model * spec.expert_sizes[expert]
+def _per_device(assignment: np.ndarray, device_count: int, amounts) -> list[int]:
+    """Each device's sum of `amounts`, given per (layer, expert) cell or per expert.
+
+    The sums are of Python integers, so they are exact however wide the experts.
+    """
+    totals = np.zeros(device_count, dtype=object)
+    np.add.at(totals, assignment, np.broadcast_to(np.asarray(amounts, dtype=object), assignment.shape))
+    return totals.tolist()
 
 
-def _totals(spec: PairedExpertSpec, assignment: dict[tuple[int, int], int], d: int) -> list[int]:
-    totals = [0] * d
-    for (_, expert), dev in assignment.items():
-        totals[dev] += _expert_params(spec, expert)
-    return totals
+def _plan(strategy: str, spec: PairedExpertSpec, assignment: np.ndarray, d: int) -> PlacementPlan:
+    params = [3 * spec.d_model * width for width in spec.expert_sizes]
+    return PlacementPlan(strategy, d, assignment, _per_device(assignment, d, params))
 
 
 def plan_pairwise(spec: PairedExpertSpec, layers: int, devices: DeviceModel) -> PlacementPlan:
@@ -97,13 +102,8 @@ def plan_pairwise(spec: PairedExpertSpec, layers: int, devices: DeviceModel) -> 
             f"pairwise plan needs pairs*layers divisible by devices: "
             f"{n_pairs} pairs * {layers} layers not divisible by {d}"
         )
-    assignment: dict[tuple[int, int], int] = {}
-    for layer in range(layers):
-        for j in range(n_pairs):
-            dev = (layer * n_pairs + j) % d
-            assignment[(layer, 2 * j)] = dev
-            assignment[(layer, 2 * j + 1)] = dev
-    return PlacementPlan("pairwise", d, assignment, _totals(spec, assignment, d))
+    pair_devices = np.arange(layers * n_pairs).reshape(layers, n_pairs) % d
+    return _plan("pairwise", spec, np.repeat(pair_devices, 2, axis=1), d)
 
 
 def plan_baselines(
@@ -115,9 +115,10 @@ def plan_baselines(
 ) -> PlacementPlan:
     """Comparison strategies that ignore the pairing.
 
-    naive_contiguous slices the per-layer expert list into equal chunks, in
-    spec order or descending-width order (`order="descending"`); size_sorted
-    assigns widest-first to the currently lightest device.
+    naive_contiguous slices the layer-major list of experts into equal
+    chunks, each layer's experts in spec order or descending-width order
+    (`order="descending"`); size_sorted assigns widest-first, ties in
+    layer-major then expert order, to the currently lightest device.
     """
     if strategy not in ("naive_contiguous", "size_sorted"):
         raise ValueError(f"unknown baseline strategy {strategy!r}")
@@ -131,32 +132,23 @@ def plan_baselines(
             f"{n} experts * {layers} layers not divisible by {d}"
         )
 
-    flat: list[tuple[int, int]] = []
-    for layer in range(layers):
-        experts = list(range(n))
-        if order == "descending":
-            experts.sort(key=lambda e: -spec.expert_sizes[e])
-        flat.extend((layer, e) for e in experts)
-
-    assignment: dict[tuple[int, int], int] = {}
+    sizes = spec.expert_sizes
+    assignment = np.empty((layers, n), dtype=np.int64)
     if strategy == "naive_contiguous":
-        chunk = len(flat) // d
-        for pos, key in enumerate(flat):
-            assignment[key] = pos // chunk
+        experts = sorted(range(n), key=lambda e: -sizes[e]) if order == "descending" else list(range(n))
+        assignment[:, experts] = np.arange(layers * n).reshape(layers, n) // (layers * n // d)
     else:
-        flat.sort(key=lambda key: -spec.expert_sizes[key[1]])
-        loads = [0] * d
-        for key in flat:
-            dev = min(range(d), key=lambda i: (loads[i], i))
-            assignment[key] = dev
-            loads[dev] += _expert_params(spec, key[1])
-    return PlacementPlan(strategy, d, assignment, _totals(spec, assignment, d))
+        loads = [0] * d  # widths: parameters are 3*d_model times them, so the choices are the same
+        for cell in sorted(range(layers * n), key=lambda cell: -sizes[cell % n]):
+            dev = loads.index(min(loads))
+            assignment.flat[cell] = dev
+            loads[dev] += sizes[cell % n]
+    return _plan(strategy, spec, assignment, d)
 
 
 def evaluate_workload(plan: PlacementPlan, trace: RoutingTrace, spec: PairedExpertSpec) -> WorkloadReport:
     """Accumulate routed tokens and token*width work per device under `plan`."""
-    n = spec.n_experts
-    layers = 1 + max(layer for layer, _ in plan.assignment)
+    layers, n = plan.assignment.shape[0], spec.n_experts
     rec = trace.records
     if rec.size:
         if int(rec["expert"].max()) >= n:
@@ -165,14 +157,8 @@ def evaluate_workload(plan: PlacementPlan, trace: RoutingTrace, spec: PairedExpe
             raise TraceRangeError(f"trace layer {int(rec['layer'].max())} outside plan with {layers} layers")
 
     counts = routing_counts(rec, layers, n)[1].sum(axis=(0, 2))  # [layers, n]
-    sizes = spec.expert_sizes
-
-    tokens = [0] * plan.device_count
-    flops = [0] * plan.device_count
-    for (layer, expert), dev in plan.assignment.items():
-        c = int(counts[layer, expert])
-        tokens[dev] += c
-        flops[dev] += c * sizes[expert]
+    tokens = _per_device(plan.assignment, plan.device_count, counts)
+    flops = _per_device(plan.assignment, plan.device_count, counts * np.array(spec.expert_sizes, dtype=object))
     lo, hi = min(flops), max(flops)
     ratio = math.inf if lo == 0 else hi / lo
     return WorkloadReport(tokens, flops, ratio)

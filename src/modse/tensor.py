@@ -153,7 +153,7 @@ class Tensor:
             arr = arr.astype(dtype, order="C")
         elif arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float32, order="C")
-        self.values: np.ndarray = arr if arr.flags["C_CONTIGUOUS"] or arr.ndim == 0 else np.ascontiguousarray(arr)
+        self.values: np.ndarray = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -231,7 +231,7 @@ def backward(loss: Tensor) -> None:
                 t.grad = g.copy() if t.grad is None else t.grad + g
             continue
         for parent, pg in zip(t._parents, t._backward_fn(g)):
-            if pg is None or not (parent.requires_grad or parent._parents):
+            if pg is None or not parent.requires_grad:
                 continue
             acc = flows.get(id(parent))
             flows[id(parent)] = pg if acc is None else acc + pg

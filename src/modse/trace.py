@@ -113,15 +113,12 @@ def validate_records(header: TraceHeader, records: np.ndarray) -> None:
 
 
 def make_records(epoch, layer, token, rank, expert) -> np.ndarray:
-    """Assemble aligned field arrays into a record block."""
-    n = len(np.atleast_1d(token))
-    rec = np.zeros(n, dtype=RECORD_DTYPE)
-    rec["epoch"] = epoch
-    rec["layer"] = layer
-    rec["token"] = token
-    rec["rank"] = rank
-    rec["expert"] = expert
-    return rec
+    """Assemble field arrays, broadcast against each other, into a flat record block in C order."""
+    fields = {"epoch": epoch, "layer": layer, "token": token, "rank": rank, "expert": expert}
+    rec = np.zeros(np.broadcast_shapes(*map(np.shape, fields.values())), dtype=RECORD_DTYPE)
+    for name, values in fields.items():
+        rec[name] = values
+    return rec.reshape(-1)
 
 
 # The line json.dumps writes for a record's dict.

@@ -89,25 +89,13 @@ class TrainStepRecord:
     per_layer_P: list[list[float]]
 
 
-def _trace_step(
-    writer: TraceWriter,
-    gate_outs: list[GateOutput],
-    epoch: int,
-    token_base: int,
-) -> None:
-    n_tokens = gate_outs[0].n_tokens
-    token_ids = token_base + np.arange(n_tokens, dtype=np.uint64)
-    for layer, go in enumerate(gate_outs):
-        for rank in range(go.top_k):
-            writer.write(
-                make_records(
-                    epoch=epoch,
-                    layer=layer,
-                    token=token_ids,
-                    rank=rank,
-                    expert=go.topk_indices[:, rank],
-                )
-            )
+def _trace_step(writer: TraceWriter, gate_outs: list[GateOutput], epoch: int, token_base: int) -> None:
+    """One block of every layer's routing, ordered by layer, then rank, then token."""
+    experts = np.stack([go.topk_indices.T for go in gate_outs])  # [layers, k, T]
+    layers, k, n_tokens = experts.shape
+    layer, rank = np.arange(layers)[:, None, None], np.arange(k)[:, None]
+    token = token_base + np.arange(n_tokens, dtype=np.uint64)
+    writer.write(make_records(epoch=epoch, layer=layer, token=token, rank=rank, expert=experts))
 
 
 def objective(

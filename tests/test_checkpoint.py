@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from modse import cli
+from modse import cli, model
 from modse.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from modse.gradcheck import micro_config
 from modse.model import init_weights, param_shapes
@@ -147,8 +147,8 @@ def test_steps_must_be_a_non_negative_integer(tmp_path, steps):
         {"n_layers": 0},
         {"expert_ratios": 5},
         {"expert_ratios": [[0.75], [0.5, 0.5]]},
-        {"expert_ratios": [[0.75, 0.5], [0.5, 0.5]]},  # ModelConfig takes it; param_shapes refuses the pair sum
-        {"h_base": 10**400},  # a width beyond float range: param_shapes raises OverflowError
+        {"expert_ratios": [[0.75, 0.5], [0.5, 0.5]]},  # ModelConfig refuses the pair sum
+        {"h_base": 10**400},  # a width beyond float range: ModelConfig refuses it
         {"name": "a"},
         [16],
     ],
@@ -172,6 +172,18 @@ def test_shape_larger_than_the_file_rejected(tmp_path, shape):
 
 def test_more_layers_than_the_body_can_hold_rejected_before_listing_shapes(tmp_path):
     config = {**micro_config().to_dict(), "n_layers": 10**12}
+    p = write_checkpoint(tmp_path / "ck.bin", micro_body(tmp_path), config=config)
+    with pytest.raises(CheckpointError, match="cannot fit"):
+        load_checkpoint(p)
+
+
+def test_more_homogeneous_experts_than_the_body_can_hold_rejected_before_any_spec(tmp_path, monkeypatch):
+    # a homogeneous spec holds one pair per two experts: built for this header, it would exhaust memory
+    def refuse(*args):
+        raise AssertionError("homogeneous spec built before the body-size check")
+
+    monkeypatch.setattr(model, "homogeneous_spec", refuse)
+    config = {**micro_config().to_dict(), "n_experts": 10**12, "expert_ratios": "homogeneous"}
     p = write_checkpoint(tmp_path / "ck.bin", micro_body(tmp_path), config=config)
     with pytest.raises(CheckpointError, match="cannot fit"):
         load_checkpoint(p)

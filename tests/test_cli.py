@@ -304,6 +304,15 @@ class TestTrainCommand:
         assert f"error: {cfg}: {field} must be" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_width_beyond_float_range_exits_one_no_output_dir(self, tmp_path):
+        # the ratios scale h_base as floats, which a 401-digit integer overflows
+        cfg = write_config(tmp_path, {**TINY_MODEL, "h_base": 10**400}, TINY_OPT)
+        out = tmp_path / "run"
+        r = run_cli("train", "--config", cfg, "--steps", 1, "--out", out)
+        assert r.returncode == 1, r.stderr
+        assert re.search(r"^error: .*expert widths out of range", r.stderr, re.M)
+        assert not out.exists()
+
     def test_paired_ratios_choice_is_gone(self, tmp_path):
         # the config's ratios are the paired widths; only the homogeneous override exists
         cfg = write_config(tmp_path, TINY_MODEL, TINY_OPT)

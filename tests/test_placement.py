@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modse.fixtures import load_routing_epoch7
+from modse.model import DEFAULT_EXPERT_RATIOS
 from modse.moe import build_paired_spec, homogeneous_spec
 from modse.placement import (
     DeviceModel,
@@ -56,7 +57,7 @@ class TestPairwisePlan:
         plan = plan_pairwise(spec_300m(), 1, DeviceModel(2))
         assert plan.per_device_params == [2 * 3 * 1536 * 7680] * 2
         per_dev = {}
-        for (layer, e), dev in plan.assignment.items():
+        for (layer, e), dev in np.ndenumerate(plan.assignment):
             per_dev.setdefault(dev, []).append(e)
         assert sorted(len(v) for v in per_dev.values()) == [4, 4]
 
@@ -100,7 +101,8 @@ class TestPairwisePlan:
         spec = build_paired_spec(d, h_base, pairs)
         plan = plan_pairwise(spec, layers, DeviceModel(devices))
         assert len(set(plan.per_device_params)) == 1
-        assert sorted(plan.assignment) == [(l, e) for l in range(layers) for e in range(spec.n_experts)]
+        assert plan.assignment.shape == (layers, spec.n_experts)
+        assert ((0 <= plan.assignment) & (plan.assignment < devices)).all()
 
 
 class TestBaselinePlans:
@@ -129,7 +131,42 @@ class TestBaselinePlans:
     def test_every_expert_assigned_exactly_once(self):
         for strategy in ("naive_contiguous", "size_sorted"):
             plan = plan_baselines(spec_300m(), 2, DeviceModel(4), strategy)
-            assert sorted(plan.assignment) == [(l, e) for l in range(2) for e in range(8)]
+            assert plan.assignment.shape == (2, 8)
+            assert ((0 <= plan.assignment) & (plan.assignment < 4)).all()
+
+
+SPECS = {
+    "homogeneous": homogeneous_spec(64, 160, 8),
+    "toy": build_paired_spec(64, 160, list(DEFAULT_EXPERT_RATIOS)),  # widths 288, 32, 256, 64, 192, 128, 160, 160
+}
+PAIRWISE = [[0, 0, 1, 1, 2, 2, 3, 3], [0, 0, 1, 1, 2, 2, 3, 3]]
+CONTIGUOUS = [[0, 0, 0, 0, 1, 1, 1, 1], [2, 2, 2, 2, 3, 3, 3, 3]]
+ROUND_ROBIN = [[0, 1, 2, 3, 0, 1, 2, 3], [0, 1, 2, 3, 0, 1, 2, 3]]
+TOY_SIZE_SORTED = [[0, 0, 2, 2, 2, 2, 0, 1], [1, 1, 3, 3, 3, 3, 0, 1]]
+EXACT_ASSIGNMENTS = {
+    ("homogeneous", "pairwise", "as_is"): PAIRWISE,
+    ("homogeneous", "naive_contiguous", "as_is"): CONTIGUOUS,
+    ("homogeneous", "naive_contiguous", "descending"): CONTIGUOUS,
+    ("homogeneous", "size_sorted", "as_is"): ROUND_ROBIN,
+    ("homogeneous", "size_sorted", "descending"): ROUND_ROBIN,
+    ("toy", "pairwise", "as_is"): PAIRWISE,
+    ("toy", "naive_contiguous", "as_is"): CONTIGUOUS,
+    ("toy", "naive_contiguous", "descending"): [[0, 1, 0, 1, 0, 1, 0, 1], [2, 3, 2, 3, 2, 3, 2, 3]],
+    ("toy", "size_sorted", "as_is"): TOY_SIZE_SORTED,
+    ("toy", "size_sorted", "descending"): TOY_SIZE_SORTED,
+}
+
+
+class TestExactAssignments:
+    """Which device holds each expert, at 2 layers and 4 devices: per-device totals alone miss a changed tie order."""
+
+    @pytest.mark.parametrize("spec,strategy,order", EXACT_ASSIGNMENTS, ids=list(map("-".join, EXACT_ASSIGNMENTS)))
+    def test_assignment(self, spec, strategy, order):
+        if strategy == "pairwise":
+            plan = plan_pairwise(SPECS[spec], 2, DeviceModel(4))
+        else:
+            plan = plan_baselines(SPECS[spec], 2, DeviceModel(4), strategy, order=order)
+        assert plan.assignment.tolist() == EXACT_ASSIGNMENTS[spec, strategy, order]
 
 
 class TestWorkload:
@@ -245,4 +282,6 @@ class TestPlanJson:
         assert loaded["strategy"] == "pairwise"
         assert loaded["device_count"] == 2
         assert loaded["per_device_params"] == plan.per_device_params
-        assert {(e["layer"], e["expert"]): e["device"] for e in loaded["assignment"]} == plan.assignment
+        assert {(e["layer"], e["expert"]): e["device"] for e in loaded["assignment"]} == {
+            cell: int(dev) for cell, dev in np.ndenumerate(plan.assignment)
+        }
