@@ -2,8 +2,9 @@
 """Compare routing evenness with and without the balance penalty.
 
 Trains the same seeded small model once per alpha and reports the mean
-top-1 max/min routing ratio over the final quarter of training (inf means
-some expert received no top-1 tokens at all, i.e. the router collapsed).
+top-1 max/min routing ratio over the final quarter of training, at least the
+last step (inf means some expert received no top-1 tokens at all, i.e. the
+router collapsed).
 """
 
 import argparse
@@ -33,6 +34,7 @@ def main():
     args = ap.parse_args()
 
     corpus = synthetic_corpus(args.seed, n_docs=1500)
+    last = max(1, args.steps // 4)
     for alpha in args.alphas:
         cfg = ModelConfig(
             dim=32, n_layers=1, n_heads=2, n_experts=8, top_k=2, h_base=80,
@@ -41,9 +43,12 @@ def main():
         )
         opt = OptimizerConfig(warmup_steps=max(1, args.steps // 10), total_steps=args.steps, alpha=alpha)
         records, _ = train(cfg, opt, corpus, args.steps)
-        ratio = mean_ratio(records, last=args.steps // 4)
+        ratio = mean_ratio(records, last)
         final_f = np.asarray(records[-1].per_layer_f[0])
-        print(f"alpha={alpha:<6g} mean top-1 max/min ratio {ratio:8.3f}   final f {np.round(final_f, 3)}")
+        print(
+            f"alpha={alpha:<6g} mean top-1 max/min ratio over the last {last} of {args.steps} steps {ratio:8.3f}"
+            f"   final f {np.round(final_f, 3)}"
+        )
 
 
 if __name__ == "__main__":

@@ -181,13 +181,12 @@ def difficult_token_expert_distribution(trace: RoutingTrace, difficult_token_ids
 def default_size_classes(expert_sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Boolean masks over the experts: wider than the mean width, and narrower; exactly-average in neither.
 
-    Compared in integers: w is large when w*N > sum(sizes) and small when
-    w*N < sum(sizes). Paired widths sum to 2*h_base per pair, so their mean,
-    and the dividing line, is h_base.
+    Compared in Python integers, so exact for any width a trace header holds:
+    w is large when w*N > sum(sizes) and small when w*N < sum(sizes). Paired
+    widths sum to 2*h_base per pair, so their mean, and the dividing line, is h_base.
     """
-    scaled = np.asarray(expert_sizes, dtype=np.int64) * len(expert_sizes)
-    total = sum(expert_sizes)
-    return scaled > total, scaled < total
+    n, total = len(expert_sizes), sum(expert_sizes)
+    return np.array([w * n > total for w in expert_sizes]), np.array([w * n < total for w in expert_sizes])
 
 
 def distribution_csv(report: DifficultTokenReport) -> str:

@@ -21,12 +21,11 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as tt
-from .balance import balance_loss
 from .model import ModelConfig, init_weights, transformer_forward
 from .moe import ExpertParams, GateParams, build_paired_spec, gate_forward, moe_layer_forward
 from .rng import stream_rng
 from .tensor import Tensor
-from .train import objective
+from .train import balance_loss, objective
 
 OPS_TOL = 1e-4
 E2E_TOL = 1e-3
@@ -207,7 +206,7 @@ def check_gate(t: int = 5, d: int = 6, n: int = 4, k: int = 2) -> SuiteResult:
 
     def loss(w: dict[str, Tensor]) -> Tensor:
         out = gate_forward(_gate(w), w["x"], k)
-        return tt.add(_proj(out.logits, pa), tt.balance_penalty(out.logits, float(n))[0])
+        return tt.add(_proj(out.logits, pa), tt.balance_penalty(out.logits, float(n)).loss)
 
     return _suite("gate", _fd_each(loss, arrays), OPS_TOL)
 

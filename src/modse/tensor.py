@@ -767,18 +767,26 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     return _record(loss, (logits,), bw)
 
 
-def balance_penalty(logits: Tensor, c: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """The balance penalty c * sum_i f_i * P_i of [T, N] gate logits as one node, with
-    P and f: P is the [N] column means ones[1, T] @ probs / T, in the logits' dtype,
-    of the row softmax probs, and f the float64 fraction of rows whose largest
-    probability is at i, ties to the lowest index. f is taken from the
-    probabilities, not the logits, because rounding can tie probabilities whose
-    logits differ. f is constant, so every probs row receives the gradient
-    c * f / T, which the backward takes through the softmax Jacobian.
+class BalancePenalty(NamedTuple):
+    """What `balance_penalty` returns for one batch of gate logits."""
+
+    loss: Tensor  # scalar c * sum_i f_i * P_i, differentiable through P
+    P: np.ndarray  # [N] mean router probability per expert, in the logits' dtype
+    f: np.ndarray  # [N] float64 fraction of tokens whose most probable expert is i
+
+
+def balance_penalty(logits: Tensor, c: float) -> BalancePenalty:
+    """The balance penalty c * sum_i f_i * P_i of [T, N] gate logits, T >= 1, as one
+    node, with P and f: P is the [N] column means ones[1, T] @ probs / T of the row
+    softmax probs, and f the fraction of rows whose largest probability is at i,
+    ties to the lowest index. f is taken from the probabilities, not the logits,
+    because rounding can tie probabilities whose logits differ. f is constant, so
+    every probs row receives the gradient c * f / T, which the backward takes
+    through the softmax Jacobian.
     """
     v = logits.values
-    if v.ndim != 2:
-        raise ShapeError(f"balance_penalty: logits must be [T, N], got {logits.shape}")
+    if v.ndim != 2 or v.shape[0] == 0:
+        raise ShapeError(f"balance_penalty: logits must be [T, N] with T >= 1, got {logits.shape}")
     (t, n), dt = logits.shape, logits.dtype
     e = np.exp(v - np.max(v, axis=-1, keepdims=True))
     probs = e / e.sum(axis=-1, keepdims=True)
@@ -792,7 +800,7 @@ def balance_penalty(logits: Tensor, c: float) -> tuple[Tensor, np.ndarray, np.nd
         gp = np.repeat((g * c) * f_row / tc, t, axis=0)
         return (probs * (gp - np.sum(gp * probs, axis=-1, keepdims=True)),)
 
-    return _record(loss, (logits,), bw), p_row[0], f
+    return BalancePenalty(_record(loss, (logits,), bw), p_row[0], f)
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as tt
-from .balance import BalanceStats, balance_loss
 from .checkpoint import save_checkpoint
 from .data import Batcher
 from .model import ModelConfig, init_weights, spec_hash, transformer_forward
 from .moe import GateOutput
 from .optim import AdamState, OptimizerConfig, adam_step, clip_global_norm, lr_at
-from .tensor import Tensor, per_token_cross_entropy
+from .tensor import BalancePenalty, Tensor, per_token_cross_entropy
 from .trace import TraceHeader, TraceWriter, make_records
 
 
@@ -98,12 +97,18 @@ def _trace_step(writer: TraceWriter, gate_outs: list[GateOutput], epoch: int, to
     writer.write(make_records(epoch=epoch, layer=layer, token=token, rank=rank, expert=experts))
 
 
+def balance_loss(gate_out: GateOutput, alpha: float) -> BalancePenalty:
+    """One layer's auxiliary balance loss alpha * N * sum_i f_i * P_i over its N experts:
+    alpha at uniform routing, alpha * N when every token picks one expert."""
+    return tt.balance_penalty(gate_out.logits, alpha * gate_out.logits.shape[1])
+
+
 def objective(
     cfg: ModelConfig, weights: dict[str, Tensor], inputs: np.ndarray, targets: np.ndarray, alpha: float
-) -> tuple[Tensor, Tensor, list[BalanceStats], list[GateOutput]]:
+) -> tuple[Tensor, Tensor, list[BalancePenalty], list[GateOutput]]:
     """The loss training minimises: next-token cross entropy plus every layer's balance penalty.
 
-    Returns the loss, the cross entropy, and each layer's balance stats and gate output.
+    Returns the loss, the cross entropy, and each layer's balance penalty and gate output.
     """
     logits, gate_outs = transformer_forward(cfg, weights, inputs)
     ce = tt.cross_entropy(logits, targets)

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from modse import gradcheck
-from modse.balance import balance_loss
 from modse.data import synthetic_corpus
 from modse.fixtures import load_difficult_tokens, load_routing_epoch7
 from modse.model import ModelConfig
@@ -24,7 +23,7 @@ from modse.optim import OptimizerConfig
 from modse.placement import DeviceModel, average_selected_hidden_size, plan_baselines, plan_pairwise
 from modse.tensor import Tensor
 from modse.trace import RoutingTrace, TraceHeader, make_records
-from modse.train import train
+from modse.train import balance_loss, train
 
 PUBLISHED_RATIOS = [(4.5, 0.5), (4.0, 1.0), (3.0, 2.0), (2.5, 2.5)]
 REFERENCE_PAIRS = {

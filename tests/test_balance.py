@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modse.tensor as tt
-from modse.balance import BalanceStats, EmptyBatchError, balance_loss
 from modse.moe import GateOutput
 from modse.rng import stream_rng
-from modse.tensor import Tensor
+from modse.tensor import ShapeError, Tensor
+from modse.train import balance_loss
 
 
 def gate_output_from_probs(probs: np.ndarray) -> GateOutput:
@@ -76,7 +76,7 @@ class TestBalanceLoss:
         assert stats.f.tolist() == [1.0, 0.0, 0.0]
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(EmptyBatchError):
+        with pytest.raises(ShapeError):
             balance_loss(gate_output_from_probs(np.zeros((0, 4))), alpha=0.01)
 
     def test_gradient_flows_through_P_only(self):

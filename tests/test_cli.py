@@ -442,6 +442,29 @@ class TestAnalyzeCommand:
             "sum_small,2,1",
         ]
 
+    @pytest.mark.parametrize(
+        "sizes", [(2**70, 1, 3, 5), (2**61, 1, 1, 1)], ids=["beyond-int64", "product-beyond-int64"]
+    )
+    def test_width_classes_exact_for_any_header_width(self, tmp_path, sizes):
+        # only expert 0 is wider than the mean, even where w*N or the width itself passes int64
+        header = TraceHeader("t", 4, 1, 2, sizes)
+        experts = np.arange(8) % 4
+        recs = np.concatenate([make_records(0, 0, np.arange(8), 0, experts),
+                               make_records(0, 0, np.arange(8), 1, (experts + 1) % 4)])
+        tp = tmp_path / "t.bin"
+        write_trace(tp, RoutingTrace(header, recs), binary=True)
+        lines = ["token_index,loss"] + [f"{i},{v}" for i, v in enumerate([3.0, 0.1, 0.1, 3.0, 0.1, 0.1, 0.1, 0.1])]
+        (tmp_path / "l.csv").write_text("\n".join(lines))
+        out = tmp_path / "analysis"
+        r = run_cli("analyze", tp, "--losses-baseline", tmp_path / "l.csv", "--losses-modse", tmp_path / "l.csv",
+                    "--out", out)
+        assert r.returncode == 0, r.stderr
+        # difficult tokens 0 and 3: top-1 experts 0 and 3, top-2 experts 1 and 0
+        assert (out / "distribution.csv").read_text().splitlines()[-2:] == [
+            "sum_large,2,1",
+            "sum_small,2,1",
+        ]
+
     @pytest.mark.parametrize("flag", ["--losses-baseline", "--losses-modse"])
     def test_one_losses_flag_exits_one_before_any_output(self, tmp_path, flag, capsys):
         tp = tmp_path / "t.jsonl"

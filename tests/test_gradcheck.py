@@ -140,6 +140,13 @@ def test_end_to_end_micro():
     assert r.worst_err <= 1e-3, sorted(r.per_item.items(), key=lambda kv: -kv[1])[:5]
 
 
+def test_end_to_end_small_reaches_the_second_layer():
+    # the 2-layer model: layer 0's gradient arrives through layer 1's attention, gate and experts
+    r = gc.check_end_to_end("small")
+    assert r.passed, sorted(r.per_item.items(), key=lambda kv: -kv[1])[:5]
+    assert {"layers.0.gate.w_gate", "layers.1.gate.w_gate", "layers.1.experts.3.w_out"} <= set(r.per_item)
+
+
 def _corrupted(out):
     """`out`, or the loss of a `(loss, P, f)` triple, with every gradient its backward hands on scaled by 1.01."""
     t = out[0] if isinstance(out, tuple) else out

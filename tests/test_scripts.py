@@ -20,8 +20,13 @@ ROOT = Path(__file__).resolve().parents[1]
         ),
         (["train_toy.py", "--steps", "2"], r"final ce \d+\.\d{4} \(started \d+\.\d{4}\)"),
         (["balance_effect.py", "--steps", "2", "--alphas", "0", "0.01"], r"alpha=0.01 +mean top-1 max/min ratio .*"),
+        # the "final quarter" of a 2-step run is its last step, not both steps
+        (
+            ["balance_effect.py", "--steps", "2", "--alphas", "0"],
+            r"alpha=0 +mean top-1 max/min ratio over the last 1 of 2 steps .*",
+        ),
     ],
-    ids=["placement_demo", "train_toy", "balance_effect"],
+    ids=["placement_demo", "train_toy", "balance_effect", "balance_effect_window"],
 )
 def test_script_runs(argv, last_line):
     r = subprocess.run(
