@@ -15,7 +15,7 @@ expert's weights go unchecked. The end-to-end suite differentiates
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -216,7 +216,7 @@ def check_moe_layer(t: int = 3, d: int = 8, n: int = 4, k: int = 2) -> SuiteResu
     arrays = _stable_gate_inputs("gradcheck-layer", t, d, n, k)
     rng = stream_rng(7, "gradcheck-layer-experts")
     spec = build_paired_spec(d, 6, [(1.0, 0.5), (0.75, 0.75)])
-    names = [f.name for f in fields(ExpertParams)]
+    names = ExpertParams._fields
     for i, h in enumerate(spec.expert_sizes):
         for f, shape in zip(names, ((d, h), (d, h), (h, d))):
             arrays[f"expert{i}.{f}"] = rng.normal(0.0, 0.5, shape)

@@ -18,7 +18,6 @@ import json
 import os
 import subprocess
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -73,21 +72,6 @@ def runtime_info() -> dict:
     }
 
 
-@dataclass
-class RunManifest:
-    command: list[str]
-    config: dict
-    seed: int | None
-    version: str
-    runtime: dict
-    started_at: str
-    finished_at: str
-    outputs: dict[str, str]  # filename -> sha256
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, indent=2, sort_keys=True) + "\n"
-
-
 def _iso(t: float) -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(t)) + "Z"
 
@@ -120,25 +104,25 @@ class RunOutputs:
         self._staged[name] = tmp
         return tmp
 
-    def commit(self) -> RunManifest:
-        digests: dict[str, str] = {}
+    def commit(self) -> dict:
+        digests: dict[str, str] = {}  # filename -> sha256
         for name, tmp in self._staged.items():
             final = self.out_dir / name
             tmp.replace(final)
             digests[name] = sha256_file(final)
-        manifest = RunManifest(
-            command=self.command,
-            config=self.config,
-            seed=self.seed,
-            version=version_string(),
+        manifest = {
+            "command": self.command,
+            "config": self.config,
+            "seed": self.seed,
+            "version": version_string(),
             # not cached: a training run may set the heap policy later, and the affinity may change
-            runtime={**runtime_info(), "workers": worker_count(), "heap": heap_policy()},
-            started_at=_iso(self._t0),
-            finished_at=_iso(time.time()),
-            outputs=digests,
-        )
+            "runtime": {**runtime_info(), "workers": worker_count(), "heap": heap_policy()},
+            "started_at": _iso(self._t0),
+            "finished_at": _iso(time.time()),
+            "outputs": digests,
+        }
         tmp = self.out_dir / f".{MANIFEST_NAME}.tmp"
-        tmp.write_text(manifest.to_json(), encoding="utf-8")
+        tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         tmp.replace(self.out_dir / MANIFEST_NAME)
         return manifest
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -144,25 +144,6 @@ def init_weights(cfg: ModelConfig, dtype=np.float32) -> dict[str, Tensor]:
     return weights
 
 
-def layer_gate(weights: dict[str, Tensor], layer: int) -> GateParams:
-    p = f"layers.{layer}.gate"
-    return GateParams(w_gate=weights[f"{p}.w_gate"], w_noise=weights[f"{p}.w_noise"], gamma=weights[f"{p}.gamma"])
-
-
-def layer_experts(cfg: ModelConfig, weights: dict[str, Tensor], layer: int) -> list[ExpertParams]:
-    out = []
-    for j in range(cfg.n_experts):
-        p = f"layers.{layer}.experts.{j}"
-        out.append(
-            ExpertParams(
-                w_in=weights[f"{p}.w_in"],
-                w_gateproj=weights[f"{p}.w_gateproj"],
-                w_out=weights[f"{p}.w_out"],
-            )
-        )
-    return out
-
-
 def rope_tables(seq_len: int, head_dim: int, dtype, base: float = ROPE_BASE):
     """cos/sin tables [seq_len, head_dim/2]; row s holds the angles of position s."""
     half = head_dim // 2
@@ -199,9 +180,12 @@ def transformer_forward(cfg: ModelConfig, weights: dict[str, Tensor], tokens: np
         h = tt.causal_attention(h, weights[f"{p}.attn_norm.gamma"], *proj, tables, eps=NORM_EPS)
 
         m_in = tt.rmsnorm(h, weights[f"{p}.ffn_norm.gamma"], eps=NORM_EPS)
-        y, gate_out = moe_layer_forward(
-            layer_gate(weights, i), layer_experts(cfg, weights, i), m_in, cfg.top_k
-        )
+        gate = GateParams(*(weights[f"{p}.gate.{name}"] for name in GateParams._fields))
+        experts = [
+            ExpertParams(*(weights[f"{p}.experts.{j}.{name}"] for name in ExpertParams._fields))
+            for j in range(cfg.n_experts)
+        ]
+        y, gate_out = moe_layer_forward(gate, experts, m_in, cfg.top_k)
         h = tt.add(h, y)
         gate_outs.append(gate_out)
 

@@ -16,6 +16,7 @@ slice of rows, one gate-weighted sum per token.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +30,7 @@ class PairConstraintError(ValueError):
     """An expert-size pair breaks the pair-sum or integrality constraint."""
 
 
-@dataclass
-class GateParams:
+class GateParams(NamedTuple):
     """Router weights: per-expert score matrix, noise matrix, and the noise-norm scale."""
 
     w_gate: Tensor  # [d_model, n_experts]
@@ -42,8 +42,7 @@ class GateParams:
         return self.w_gate.shape[1]
 
 
-@dataclass
-class ExpertParams:
+class ExpertParams(NamedTuple):
     """One gated-linear feed-forward expert, bias-free."""
 
     w_in: Tensor  # [d_model, hidden]
@@ -92,7 +91,7 @@ def build_paired_spec(
     target = 2.0 * h_base / d_model
     pairs = []
     for i, (r_large, r_small) in enumerate(ratios):
-        if abs((r_large + r_small) - target) > 1e-9:
+        if not abs((r_large + r_small) - target) <= 1e-9:  # NaN and infinite ratios fail this too
             raise PairConstraintError(
                 f"pair {i}: ratios ({r_large}, {r_small}) sum to {r_large + r_small}, "
                 f"need 2*h_base/d_model = {target}"
@@ -165,8 +164,7 @@ def moe_layer_forward(
     if len(experts) != gate.n_experts:
         raise ValueError(f"moe_layer_forward: {len(experts)} experts for a gate over {gate.n_experts}")
     out = gate_forward(gate, x, k)
-    weights = [(e.w_in, e.w_gateproj, e.w_out) for e in experts]
     y = tt.routed_experts(
-        x, out.logits, out.topk_indices, weights, lambda i, rows: expert_forward(experts[i], rows)
+        x, out.logits, out.topk_indices, experts, lambda i, rows: expert_forward(experts[i], rows)
     )
     return y, out

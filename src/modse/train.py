@@ -88,9 +88,9 @@ class TrainStepRecord:
     per_layer_P: list[list[float]]
 
 
-def _trace_step(writer: TraceWriter, gate_outs: list[GateOutput], epoch: int, token_base: int) -> None:
+def _trace_step(writer: TraceWriter, topk: list[np.ndarray], epoch: int, token_base: int) -> None:
     """One block of every layer's routing, ordered by layer, then rank, then token."""
-    experts = np.stack([go.topk_indices.T for go in gate_outs])  # [layers, k, T]
+    experts = np.stack([idx.T for idx in topk])  # [layers, k, T]
     layers, k, n_tokens = experts.shape
     layer, rank = np.arange(layers)[:, None, None], np.arange(k)[:, None]
     token = token_base + np.arange(n_tokens, dtype=np.uint64)
@@ -119,6 +119,50 @@ def objective(
     return loss, ce, stats, gate_outs
 
 
+@dataclass
+class TrainState:
+    """What one training step reads and advances: the config, the weights (views
+    of `adam.flat`), the optimizer state, the batch stream and the step count."""
+
+    cfg: ModelConfig
+    weights: dict[str, Tensor]
+    adam: AdamState
+    batcher: Batcher
+    step: int = 0
+
+
+def train_step(state: TrainState, opt: OptimizerConfig) -> tuple[TrainStepRecord, list[np.ndarray]]:
+    """One optimizer step on the next batch; returns its record and each layer's [T, k]
+    top-k expert indices. The step's graph (activations and closures) is freed on return."""
+    step = state.step
+    batch = state.batcher.next_batch()
+    inputs, targets = batch[:, :-1], batch[:, 1:].reshape(-1)
+
+    loss, ce, stats, gate_outs = objective(state.cfg, state.weights, inputs, targets, opt.alpha)
+    if not np.isfinite(loss.values):
+        raise NonFiniteLossError(f"step {step}: loss is {float(loss.values)} (cross entropy {float(ce.values)})")
+
+    tt.backward(loss)
+    gnorm = clip_global_norm(state.adam, opt.grad_clip_norm)
+    if not np.isfinite(gnorm):
+        bad = next((n for n, p in state.adam.params if p.grad is not None and not np.isfinite(p.grad).all()), None)
+        raise NonFiniteLossError(f"step {step}: gradient norm is {gnorm} (first non-finite gradient: {bad})")
+    adam_step(state.adam, opt, step + 1)
+    for _, p in state.adam.params:
+        p.zero_grad()
+    state.step += 1
+    rec = TrainStepRecord(
+        step=step,
+        ce_loss=float(ce.values),
+        balance_loss_sum=float(sum(float(st.loss.values) for st in stats)),
+        lr=lr_at(step, opt),
+        grad_norm_pre_clip=gnorm,
+        per_layer_f=[st.f.tolist() for st in stats],
+        per_layer_P=[st.P.tolist() for st in stats],
+    )
+    return rec, [go.topk_indices for go in gate_outs]
+
+
 def train(
     cfg: ModelConfig,
     opt: OptimizerConfig,
@@ -135,13 +179,11 @@ def train(
     `AdamState`), so the returned tensors hold views of it.
     """
     weights = init_weights(cfg)
-    params = list(weights.items())  # init_weights makes every weight trainable
-    state = AdamState(params)
-    _keep_heap(cfg.batch_size * cfg.seq_len * cfg.dim * state.flat.itemsize)
-    batcher = Batcher(corpus, cfg.seq_len, cfg.batch_size, cfg.seed)
+    adam = AdamState(list(weights.items()))  # init_weights makes every weight trainable
+    _keep_heap(cfg.batch_size * cfg.seq_len * cfg.dim * adam.flat.itemsize)
+    state = TrainState(cfg, weights, adam, Batcher(corpus, cfg.seq_len, cfg.batch_size, cfg.seed))
 
     records: list[TrainStepRecord] = []
-    token_base = 0
     with contextlib.ExitStack() as outputs:  # closes whichever files opened, however the run ends
         writer = metrics_fh = None
         if trace_out is not None:
@@ -156,42 +198,14 @@ def train(
         if metrics_out is not None:
             metrics_fh = outputs.enter_context(open(metrics_out, "w", encoding="utf-8"))
 
-        for step in range(steps):
-            epoch = batcher.epoch
-            batch = batcher.next_batch()
-            inputs, targets = batch[:, :-1], batch[:, 1:].reshape(-1)
-
-            loss, ce, stats, gate_outs = objective(cfg, weights, inputs, targets, opt.alpha)
-            if not np.isfinite(loss.values):
-                raise NonFiniteLossError(f"step {step}: loss is {float(loss.values)} (cross entropy {float(ce.values)})")
-
-            tt.backward(loss)
-            gnorm = clip_global_norm(state, opt.grad_clip_norm)
-            if not np.isfinite(gnorm):
-                bad = next((n for n, p in params if p.grad is not None and not np.isfinite(p.grad).all()), None)
-                raise NonFiniteLossError(f"step {step}: gradient norm is {gnorm} (first non-finite gradient: {bad})")
-            adam_step(state, opt, step + 1)
-            for _, p in params:
-                p.zero_grad()
-
-            rec = TrainStepRecord(
-                step=step,
-                ce_loss=float(ce.values),
-                balance_loss_sum=float(sum(float(st.loss.values) for st in stats)),
-                lr=lr_at(step, opt),
-                grad_norm_pre_clip=gnorm,
-                per_layer_f=[st.f.tolist() for st in stats],
-                per_layer_P=[st.P.tolist() for st in stats],
-            )
+        for _ in range(steps):
+            epoch = state.batcher.epoch
+            rec, topk = train_step(state, opt)
             records.append(rec)
             if metrics_fh is not None:
                 metrics_fh.write(json.dumps(vars(rec)) + "\n")
-
-            if writer is not None:
-                _trace_step(writer, gate_outs, epoch, token_base)
-            token_base += inputs.size
-            # drop this step's graph (activations and closures) before the next forward
-            del loss, ce, stats, gate_outs
+            if writer is not None:  # every step reads batch_size * seq_len input tokens
+                _trace_step(writer, topk, epoch, rec.step * cfg.batch_size * cfg.seq_len)
 
     if checkpoint_out is not None:
         save_checkpoint(checkpoint_out, cfg, weights, steps)

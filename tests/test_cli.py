@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import platform
 import re
 import subprocess
@@ -357,6 +358,15 @@ class TestPlanCommand:
         assert r.returncode == 0
         plan = json.loads((out / "plan.json").read_text())
         assert len(set(plan["per_device_params"])) == 4
+
+    @pytest.mark.parametrize("pair", [[math.nan, math.nan], [math.inf, -math.inf]], ids=["nan", "infinity"])
+    def test_non_finite_ratio_pair_exits_one_naming_the_pair(self, tmp_path, pair, capsys):
+        # a NaN pair sum compares False against the tolerance, so it must fail the check, not pass it
+        cfg = write_config(tmp_path, {"expert_ratios": [pair, [2.5, 2.5], [2.5, 2.5], [2.5, 2.5]]})
+        assert cli.main(["plan", "--config", str(cfg), "--devices", "2", "--out", str(tmp_path / "plan")]) == 1
+        err = capsys.readouterr().err
+        assert "pair 0: ratios" in err and "sum to nan" in err
+        assert not (tmp_path / "plan").exists()
 
 
 def uniform_trace_file(path, n=4, layers=2, per_expert=6):

@@ -13,11 +13,11 @@ import pytest
 import modse.tensor as tt
 import modse.train
 from modse.checkpoint import load_checkpoint
-from modse.data import synthetic_corpus
+from modse.data import Batcher, synthetic_corpus
 from modse.model import ModelConfig, init_weights
-from modse.optim import OptimizerConfig
+from modse.optim import AdamState, OptimizerConfig
 from modse.trace import read_trace
-from modse.train import NonFiniteLossError, eval_loss, train
+from modse.train import NonFiniteLossError, TrainState, eval_loss, train, train_step
 
 
 def tiny_cfg(**kw):
@@ -286,6 +286,30 @@ class TestTrain:
         assert len(bases) == 1
         flat = next(iter(weights.values())).values.base
         assert flat.size == sum(t.size for t in weights.values())
+
+    def test_train_step_repeats_what_train_does(self, corpus):
+        # three steps on a fresh state: the records and weight bytes of train(), and
+        # per layer a [T, k] integer index array, with no graph handed back
+        cfg, opt = tiny_cfg(), tiny_opt()
+        weights = init_weights(cfg)
+        adam = AdamState(list(weights.items()))
+        state = TrainState(cfg, weights, adam, Batcher(corpus, cfg.seq_len, cfg.batch_size, cfg.seed))
+        records, outputs = [], []
+        for _ in range(3):
+            rec, topk = train_step(state, opt)
+            records.append(rec)
+            outputs.append(topk)
+        ref_records, ref_weights = train(cfg, opt, corpus, 3)
+        assert state.step == 3
+        assert [vars(r) for r in records] == [vars(r) for r in ref_records]
+        assert list(weights) == list(ref_weights)
+        assert all(weights[n].values.tobytes() == ref_weights[n].values.tobytes() for n in weights)
+        for topk in outputs:
+            assert len(topk) == cfg.n_layers
+            for idx in topk:
+                assert type(idx) is np.ndarray  # not a Tensor, which would hold the step's tape
+                assert np.issubdtype(idx.dtype, np.integer)
+                assert idx.shape == (cfg.batch_size * cfg.seq_len, cfg.top_k)
 
 
 # Minor page faults of each steady-state step of a B32/S64 toy run, measured
