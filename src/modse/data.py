@@ -57,22 +57,30 @@ def load_text_corpus(paths: list[str | Path]) -> np.ndarray:
     return corpus_from_docs(docs)
 
 
+def window_starts(n_tokens: int, seq_len: int) -> np.ndarray:
+    """Start offsets of the [seq_len+1]-token windows that tile a stream of
+    n_tokens back to back, one every seq_len tokens; trailing tokens short of
+    a full window are left out."""
+    starts = np.arange(0, n_tokens - seq_len, seq_len)
+    if len(starts) == 0:
+        raise ValueError(f"corpus of {n_tokens} tokens is shorter than one window ({seq_len + 1})")
+    return starts
+
+
 class Batcher:
     """Deterministic stream of [batch, seq_len+1] windows over a token array.
 
-    Window starts are fixed on a seq_len grid; their visit order is
+    Window starts are fixed on the `window_starts` grid; their visit order is
     reshuffled every epoch from the root seed's "shuffle" stream, so the
     whole batch sequence is a function of (tokens, seq_len, batch_size, seed).
     """
 
     def __init__(self, tokens: np.ndarray, seq_len: int, batch_size: int, seed: int):
         tokens = np.asarray(tokens, dtype=np.int32)
-        if len(tokens) < seq_len + 1:
-            raise ValueError(f"corpus of {len(tokens)} tokens is shorter than one window ({seq_len + 1})")
+        self._starts = window_starts(len(tokens), seq_len)
         self.tokens = tokens
         self.seq_len = seq_len
         self.batch_size = batch_size
-        self._starts = np.arange(0, len(tokens) - seq_len, seq_len)
         self._rng = stream_rng(seed, "shuffle")
         self._order = self._rng.permutation(self._starts)
         self._cursor = 0

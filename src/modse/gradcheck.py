@@ -179,18 +179,22 @@ def check_tensor_ops(n_seeds: int = 10) -> SuiteResult:
     return _suite("tensor_ops", worst, OPS_TOL)
 
 
-def _stable_gate_inputs(seed_name: str, t: int, d: int, n: int, k: int) -> dict[str, np.ndarray]:
+# every gate-level suite routes t tokens of width d over N_GATE experts, K_GATE per token
+N_GATE, K_GATE = 4, 2
+
+
+def _stable_gate_inputs(seed_name: str, t: int, d: int) -> dict[str, np.ndarray]:
     """x and the gate params, by name, whose top-k and argmax margins survive FD probes
     and whose top-k selections choose every expert, so each expert's weights get a gradient."""
     for attempt in range(50):
         rng = stream_rng(attempt, seed_name)
         arrays = {"x": rng.normal(size=(t, d))}
-        arrays.update((name, rng.normal(0.0, 0.5, (d, n))) for name in ("w_gate", "w_noise"))
+        arrays.update((name, rng.normal(0.0, 0.5, (d, N_GATE))) for name in ("w_gate", "w_noise"))
         arrays["gamma"] = np.asarray(1.0)
         w = {name: Tensor(a, dtype=np.float64) for name, a in arrays.items()}
-        out = gate_forward(_gate(w), w["x"], k)
+        out = gate_forward(_gate(w), w["x"], K_GATE)
         lv = out.logits.values
-        if min(_topk_margin(lv, k), _topk_margin(lv, 1)) > 1e-2 and np.unique(out.topk_indices).size == n:
+        if min(_topk_margin(lv, K_GATE), _topk_margin(lv, 1)) > 1e-2 and np.unique(out.topk_indices).size == N_GATE:
             return arrays
     raise RuntimeError("could not find margin-stable gate inputs")
 
@@ -199,21 +203,22 @@ def _gate(w: dict[str, Tensor]) -> GateParams:
     return GateParams(w["w_gate"], w["w_noise"], w["gamma"])
 
 
-def check_gate(t: int = 5, d: int = 6, n: int = 4, k: int = 2) -> SuiteResult:
+def check_gate() -> SuiteResult:
     """Gate logits plus their fused balance penalty against central differences, per weight matrix."""
-    arrays = _stable_gate_inputs("gradcheck-gate", t, d, n, k)
-    pa = stream_rng(99, "gradcheck-gate-proj").normal(size=(t, n))
+    arrays = _stable_gate_inputs("gradcheck-gate", 5, 6)
+    pa = stream_rng(99, "gradcheck-gate-proj").normal(size=(5, N_GATE))
 
     def loss(w: dict[str, Tensor]) -> Tensor:
-        out = gate_forward(_gate(w), w["x"], k)
-        return tt.add(_proj(out.logits, pa), tt.balance_penalty(out.logits, float(n)).loss)
+        out = gate_forward(_gate(w), w["x"], K_GATE)
+        return tt.add(_proj(out.logits, pa), tt.balance_penalty(out.logits, float(N_GATE)).loss)
 
     return _suite("gate", _fd_each(loss, arrays), OPS_TOL)
 
 
-def check_moe_layer(t: int = 3, d: int = 8, n: int = 4, k: int = 2) -> SuiteResult:
+def check_moe_layer() -> SuiteResult:
     """Full expert-layer output against central differences, every weight."""
-    arrays = _stable_gate_inputs("gradcheck-layer", t, d, n, k)
+    t, d = 3, 8
+    arrays = _stable_gate_inputs("gradcheck-layer", t, d)
     rng = stream_rng(7, "gradcheck-layer-experts")
     spec = build_paired_spec(d, 6, [(1.0, 0.5), (0.75, 0.75)])
     names = ExpertParams._fields
@@ -224,18 +229,18 @@ def check_moe_layer(t: int = 3, d: int = 8, n: int = 4, k: int = 2) -> SuiteResu
 
     def loss(w: dict[str, Tensor]) -> Tensor:
         experts = [ExpertParams(**{f: w[f"expert{i}.{f}"] for f in names}) for i in range(spec.n_experts)]
-        y, _ = moe_layer_forward(_gate(w), experts, w["x"], k)
+        y, _ = moe_layer_forward(_gate(w), experts, w["x"], K_GATE)
         return _proj(y, proj)
 
     return _suite("moe_layer", _fd_each(loss, arrays), OPS_TOL)
 
 
-def check_balance_loss(t: int = 5, d: int = 8, n: int = 4, k: int = 2) -> SuiteResult:
+def check_balance_loss() -> SuiteResult:
     """Balance penalty gradient (flows through P only) against central differences."""
-    arrays = _stable_gate_inputs("gradcheck-balance", t, d, n, k)
+    arrays = _stable_gate_inputs("gradcheck-balance", 5, 8)
 
     def loss(w: dict[str, Tensor]) -> Tensor:
-        return balance_loss(gate_forward(_gate(w), w["x"], k), alpha=0.01).loss
+        return balance_loss(gate_forward(_gate(w), w["x"], K_GATE), alpha=0.01).loss
 
     return _suite("balance_loss", _fd_each(loss, arrays), OPS_TOL)
 

@@ -144,10 +144,10 @@ def init_weights(cfg: ModelConfig, dtype=np.float32) -> dict[str, Tensor]:
     return weights
 
 
-def rope_tables(seq_len: int, head_dim: int, dtype, base: float = ROPE_BASE):
+def rope_tables(seq_len: int, head_dim: int, dtype):
     """cos/sin tables [seq_len, head_dim/2]; row s holds the angles of position s."""
     half = head_dim // 2
-    inv_freq = base ** (-np.arange(half, dtype=np.float64) * 2.0 / head_dim)
+    inv_freq = ROPE_BASE ** (-np.arange(half, dtype=np.float64) * 2.0 / head_dim)
     angles = np.outer(np.arange(seq_len, dtype=np.float64), inv_freq)
     return np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
 

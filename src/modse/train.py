@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tensor as tt
 from .checkpoint import save_checkpoint
-from .data import Batcher
+from .data import Batcher, window_starts
 from .model import ModelConfig, init_weights, spec_hash, transformer_forward
 from .moe import GateOutput
 from .optim import AdamState, OptimizerConfig, adam_step, clip_global_norm, lr_at
@@ -212,26 +212,18 @@ def train(
     return records, weights
 
 
-def eval_loss(
-    cfg: ModelConfig,
-    weights: dict[str, Tensor],
-    corpus: np.ndarray,
-    with_per_token: bool = False,
-) -> tuple[float, np.ndarray | None]:
-    """Mean next-token cross entropy over the corpus, windowed at cfg.seq_len.
+def eval_loss(cfg: ModelConfig, weights: dict[str, Tensor], corpus: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean next-token cross entropy over the corpus, and the loss of each predicted position.
 
-    Windows tile the corpus back to back; trailing tokens short of a full
-    window are skipped. With `with_per_token`, also returns the loss of each
-    predicted position, in corpus order (position i is the prediction of
-    token i+1 within its window). The forward runs on constant views of the
-    weights, so it records no tape.
+    Windows lie on the `data.window_starts` grid at cfg.seq_len. The losses
+    are in corpus order: position i is the prediction of token i+1 within
+    its window. The forward runs on constant views of the weights, so it
+    records no tape.
     """
     weights = {name: Tensor(t.values) for name, t in weights.items()}
     corpus = np.asarray(corpus, dtype=np.int32)
     s = cfg.seq_len
-    starts = np.arange(0, len(corpus) - s, s)
-    if len(starts) == 0:
-        raise ValueError(f"corpus of {len(corpus)} tokens is shorter than one window ({s + 1})")
+    starts = window_starts(len(corpus), s)
     losses = []
     for i in range(0, len(starts), cfg.batch_size):
         chunk = starts[i : i + cfg.batch_size]
@@ -239,4 +231,4 @@ def eval_loss(
         logits, _ = transformer_forward(cfg, weights, batch[:, :-1])
         losses.append(per_token_cross_entropy(logits.values, batch[:, 1:].reshape(-1)))
     per_token = np.concatenate(losses)
-    return float(per_token.mean()), (per_token if with_per_token else None)
+    return float(per_token.mean()), per_token

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from modse.data import BOS, EOS, VOCAB_SIZE, Batcher, corpus_from_docs, encode_doc, synthetic_corpus, synthetic_docs
+from modse.data import (
+    BOS,
+    EOS,
+    VOCAB_SIZE,
+    Batcher,
+    corpus_from_docs,
+    encode_doc,
+    synthetic_corpus,
+    synthetic_docs,
+    window_starts,
+)
 from modse.rng import stream_rng
 
 
@@ -65,6 +75,11 @@ class TestBatcher:
     def test_short_corpus_rejected(self):
         with pytest.raises(ValueError, match="shorter"):
             Batcher(np.zeros(5, dtype=np.int32), seq_len=10, batch_size=1, seed=0)
+
+    @pytest.mark.parametrize("n_tokens, starts", [(11, [0]), (20, [0]), (21, [0, 10]), (35, [0, 10, 20])])
+    def test_window_grid(self, n_tokens, starts):
+        # a window holds seq_len + 1 tokens and the next one starts seq_len later
+        assert window_starts(n_tokens, 10).tolist() == starts
 
 
 class TestStreams:

@@ -391,7 +391,7 @@ class TestEvalLoss:
     def test_per_token_mean_matches(self, corpus):
         cfg = tiny_cfg()
         weights = init_weights(cfg)
-        mean, per = eval_loss(cfg, weights, corpus[:1000], with_per_token=True)
+        mean, per = eval_loss(cfg, weights, corpus[:1000])
         assert per is not None
         assert per.mean() == pytest.approx(mean, abs=1e-6)
 
@@ -399,7 +399,7 @@ class TestEvalLoss:
         cfg = tiny_cfg(seq_len=2, batch_size=1)
         weights = init_weights(cfg)
         corpus = np.array([5, 6, 7], dtype=np.int32)
-        mean, per = eval_loss(cfg, weights, corpus, with_per_token=True)
+        mean, per = eval_loss(cfg, weights, corpus)
         from modse.model import transformer_forward
 
         logits, _ = transformer_forward(cfg, weights, np.array([[5, 6]]))
@@ -426,7 +426,7 @@ class TestEvalLoss:
         real = tt._record
         nodes = []
         monkeypatch.setattr(tt, "_record", lambda *a: nodes.append(real(*a)) or nodes[-1])
-        mean, per = eval_loss(cfg, weights, text, with_per_token=True)
+        mean, per = eval_loss(cfg, weights, text)
         assert nodes and not any(n._parents for n in nodes)
         assert per.tobytes() == expect.tobytes()
         assert all(w.requires_grad for w in weights.values())
