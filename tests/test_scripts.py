@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
@@ -20,8 +22,14 @@ def _reproduce(*argv):
     )
 
 
-def test_reproduce_smoke(tmp_path):
-    r = _reproduce("--steps", "2", "--seeds", "1", "--out", str(tmp_path))
+@pytest.fixture(scope="module")
+def smoke(tmp_path_factory):
+    """One `reproduce.py --steps 2 --seeds 1` run, shared by the tests that read its tables."""
+    return _reproduce("--steps", "2", "--seeds", "1", "--out", str(tmp_path_factory.mktemp("reproduce")))
+
+
+def test_reproduce_smoke(smoke):
+    r = smoke
     assert r.returncode == 0, r.stderr
     lines = r.stdout.splitlines()
     assert len([line for line in lines if re.match(r"seed \d+ +\d+\.\d{4} +\d+\.\d{4} +[+-]\d+\.\d{4}$", line)]) == 1
@@ -34,6 +42,23 @@ def test_reproduce_smoke(tmp_path):
     assert all(line.endswith("(equal)") for line in pairwise)
     # the window is the last quarter of the steps, at least the last step
     assert r.stdout.count("over the last 1 of 2 steps") == 2
+
+
+# each experiment that had a script of its own prints its row in reproduce.py's tables
+@pytest.mark.parametrize(
+    "row",
+    [
+        r"D=4 size-sorted +\[283115520, 283115520, 283115520, 283115520\] \(equal\)",
+        r"seed 0 +\d+\.\d{4} +\d+\.\d{4} +[+-]\d+\.\d{4}",
+        r"alpha=0\.01 +(\d+\.\d{3}|inf) +final f \[\[.*\]\]",
+        # the "final quarter" of a 2-step run is its last step, not both steps
+        r"Balance, seed 0: mean top-1 max/min ratio of per_layer_f over the last 1 of 2 steps, and the final f",
+    ],
+    ids=["placement_demo", "train_toy", "balance_effect", "balance_effect_window"],
+)
+def test_script_runs(smoke, row):
+    assert smoke.returncode == 0, smoke.stderr
+    assert any(re.fullmatch(row, line) for line in smoke.stdout.splitlines()), smoke.stdout
 
 
 def test_reproduce_stops_with_the_failing_command_and_its_code(tmp_path):
