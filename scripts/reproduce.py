@@ -5,9 +5,10 @@
    configs/toy.json as is and with `--ratios homogeneous`; the mean ce_loss
    of each over the last quarter of the steps (at least the last step), and
    paired minus homogeneous, seed by seed.
-2. Balance: on the first seed, one run per `--alpha`; the mean top-1 max/min
-   ratio of per_layer_f over the same window (inf when some expert got no
-   top-1 token) and the final f.
+2. Balance: on the first seed, one run per `--alpha`; over the same window,
+   the median of the per-(step, layer) top-1 max/min ratios of per_layer_f
+   (inf for a cell where some expert got no top-1 token), the share of such
+   cells, and the final f.
 3. Placement: `modse plan` on configs/moe_300m.json for each device count and
    strategy; the per-device parameters and whether they are equal.
 
@@ -88,11 +89,18 @@ def main() -> None:
         f"{(d < 0).sum()} of {len(d)} seeds favour paired, {(d > 0).sum()} favour homogeneous"
     )
 
-    print(f"\nBalance, seed 0: mean top-1 max/min ratio of per_layer_f over {window}, and the final f")
+    print(
+        f"\nBalance, seed 0: median top-1 max/min ratio of per_layer_f over {window}, "
+        "share of (step, layer) cells where some expert got no top-1 token, and the final f"
+    )
+    print(f"{'':12s} {'median':>8s} {'no-top-1':>8s}")
     for alpha in ALPHAS:
         records = train(args.out / f"alpha-{alpha}-s0", 0, args.steps, last, "--alpha", alpha)
-        ratio = np.mean([top1_ratio(f) for r in records for f in np.array(r["per_layer_f"])])
-        print(f"alpha={alpha:<6s} {ratio:8.3f}   final f {np.round(records[-1]['per_layer_f'], 3).tolist()}")
+        ratios = np.array([top1_ratio(f) for r in records for f in np.array(r["per_layer_f"])])
+        print(
+            f"alpha={alpha:<6s} {np.median(ratios):8.3f} {np.isinf(ratios).mean():8.3f}   "
+            f"final f {np.round(records[-1]['per_layer_f'], 3).tolist()}"
+        )
 
     print("\nPlacement, configs/moe_300m.json: parameters per device")
     for devices in (1, 2, 4):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, _rows
 
 
 @dataclass
@@ -148,8 +148,8 @@ def adam_step(state: AdamState, cfg: OptimizerConfig, step: int) -> None:
     bc1 = 1.0 - cfg.beta1**step
     bc2 = 1.0 - cfg.beta2**step
     f = state.flat.dtype.type
-    for a, b in state.runs:
-        w, g, t, m, v = (buf[a:b] for buf in (state.flat, state.grad, state.work, state.m, state.v))
+
+    def update_range(w, g, t, m, v):
         m *= f(cfg.beta1)
         m += np.multiply(f(1.0 - cfg.beta1), g, out=t)
         v *= f(cfg.beta2)
@@ -160,3 +160,6 @@ def adam_step(state: AdamState, cfg: OptimizerConfig, step: int) -> None:
             update += np.multiply(f(cfg.weight_decay), w, out=t)
         update *= f(lr)
         w -= update
+
+    for a, b in state.runs:  # each run over contiguous ranges, on the ops' worker pool above its work gate
+        _rows(update_range, b - a, *(buf[a:b] for buf in (state.flat, state.grad, state.work, state.m, state.v)))

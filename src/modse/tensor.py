@@ -38,17 +38,25 @@ backward gathers the output gradient once into the same order, runs each
 expert's backward on its slice, and scatters the gate weights' gradient
 through the k-way softmax into the logits.
 
-The two fused ops made of independent pieces run those pieces on a pool of
-worker threads, one per usable core, when the op's work reaches
-PARALLEL_WORK: `routed_experts` each expert's forward (the caller's
+An op whose work reaches PARALLEL_WORK hands its large independent pieces
+to a pool of worker threads, one per usable core. A piece is either a whole
+numpy call run as a concurrent task, or a contiguous range of rows of a
+row-wise pass. Tasks: `routed_experts` each expert's forward (the caller's
 `forward` callback, which may then run on a worker thread, concurrently
-with other experts) and backward, `causal_attention` its score-softmax-value
-core over contiguous chunks of sequences. numpy's BLAS calls and ufunc
-loops release the GIL, so the pieces overlap. Each piece makes the same
-numpy calls on the same shapes wherever it runs and writes only its own
-slices, so the bits do not depend on the worker count. The pool is built on
-first use, and a forked child drops its copy, whose threads did not survive
-the fork.
+with other experts) and backward; `matmul`'s two backward GEMMs;
+`causal_attention`'s three projections with their rotations, its two
+inverse rotations, and its three input-gradient products and four
+weight-gradient GEMMs. Row ranges: attention's score-softmax-value core
+(chunks of sequences), every rmsnorm forward and backward, cross entropy's
+log-softmax and its backward, the experts' per-token sum, and Adam's update
+(`optim.adam_step`). A GEMM is never split by rows, because BLAS may block
+a partial matrix differently, and a sum over rows (a gamma or weight
+gradient) stays one whole call. numpy's BLAS calls and ufunc loops release
+the GIL, so the pieces overlap. Each piece makes the same numpy calls on
+the same data wherever it runs and writes only its own slices, so the bits
+do not depend on the worker count. Below the gate an op makes the same
+calls on the calling thread, whole. The pool is built on first use, and a
+forked child drops its copy, whose threads did not survive the fork.
 """
 
 from __future__ import annotations
@@ -83,8 +91,9 @@ class ShapeError(ValueError):
 
 
 # an op's pieces go to the worker pool only when the op's work (rows*k*d for the
-# experts, B*H*S^2 for attention) reaches this; below it the hand-offs cost more
-# than they save, so the micro model stays on the calling thread
+# experts, B*H*S^2 for attention's core, the size of the [rows, cols] array a
+# row-wise pass or a set of GEMM tasks works on) reaches this; below it the
+# hand-offs cost more than they save, so the micro model stays on the calling thread
 PARALLEL_WORK = 1 << 16
 _workers: int | None = None  # None: one worker per usable core; tests set a count
 _pool = None  # (worker count, ThreadPoolExecutor), built on first use
@@ -122,6 +131,21 @@ def _split(n: int, work: int) -> list[tuple[int, int]]:
     parts = min(n, worker_count()) if work >= PARALLEL_WORK else 1
     cuts = [n * i // parts for i in range(parts + 1)]
     return list(zip(cuts, cuts[1:]))
+
+
+def _tasks(work: int, *calls: Callable[[], object]) -> list:
+    """[call() for call in calls], as concurrent tasks on the pool when `work` reaches PARALLEL_WORK."""
+    return _map(lambda call: call(), list(calls), work)
+
+
+def _rows(fn, work: int, *arrays: np.ndarray) -> list:
+    """[fn(*arrays)] below PARALLEL_WORK; above it fn on each worker's contiguous range of
+    the arrays' rows (their first axis), on the pool, with the results in row order. fn
+    writes its outputs into arrays among `arrays`, so each range writes only its own rows."""
+    chunks = _split(len(arrays[0]), work) if work >= PARALLEL_WORK else ()
+    if len(chunks) < 2:
+        return [fn(*arrays)]
+    return _map(lambda c: fn(*(a[c[0] : c[1]] for a in arrays)), chunks, work)
 
 
 def _drop_pool() -> None:
@@ -255,7 +279,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b, "matmul")
 
     def bw(g):
-        return g @ b.values.T, a.values.T @ g
+        return tuple(_tasks(g.size, lambda: g @ b.values.T, lambda: a.values.T @ g))
 
     return _record(_mm(a.values, b.values), (a, b), bw)
 
@@ -336,20 +360,42 @@ def _rms_scale(v: np.ndarray, eps: float) -> np.ndarray:
     """1 / sqrt(mean(v^2) + eps) over the last axis, kept as a trailing axis of length 1."""
     if eps < 0:
         raise ValueError("eps must be non-negative")
-    ms = np.mean(np.square(v), axis=-1, keepdims=True)
+    ms = np.add.reduce(np.square(v), axis=-1, keepdims=True)  # np.mean's sum, without its wrapper
+    ms /= v.dtype.type(v.shape[-1])
     return 1.0 / np.sqrt(ms + v.dtype.type(eps))
 
 
+def _rmsnorm_forward(v: np.ndarray, gamma: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(v * r * gamma, r) with r = `_rms_scale(v, eps)`, over ranges of v's first axis (a 1-D v is one row)."""
+    out = np.empty(v.shape, v.dtype)
+
+    def rows(v, out):
+        r = _rms_scale(v, eps)
+        np.multiply(v, r, out=out)
+        out *= gamma
+        return r
+
+    rs = _rows(rows, v.size if v.ndim > 1 else 0, v, out)
+    return out, rs[0] if len(rs) == 1 else np.concatenate(rs)
+
+
 def _rmsnorm_backward(g: np.ndarray, v: np.ndarray, r: np.ndarray, gamma: np.ndarray):
-    """Gradients of v and gamma of v * r * gamma, given r = `_rms_scale(v)` and d(loss)/d(out) g."""
+    """Gradients of v and gamma of v * r * gamma, given r = `_rms_scale(v)` and d(loss)/d(out) g.
+    Ranges of the first axis, as in `_rmsnorm_forward`, give gx and g * xhat; the gamma gradient
+    sums the latter over all rows in one call."""
     n = v.shape[-1]
-    xhat = v * r  # rebuilt, not kept on the tape
-    gg = g * gamma
-    # gx = r * (gg - xhat * mean(gg * xhat)), the mean over the last axis
-    gx = xhat * (np.einsum("...i,...i->...", gg, xhat)[..., None] / n)
-    np.subtract(gg, gx, out=gx)
-    gx *= r
-    ggamma = np.multiply(g, xhat, out=gg)
+    gx, ggamma = np.empty(v.shape, v.dtype), np.empty(v.shape, v.dtype)
+
+    def rows(g, v, r, gx, gg):
+        xhat = v * r  # rebuilt, not kept on the tape
+        np.multiply(g, gamma, out=gg)
+        # gx = r * (gg - xhat * mean(gg * xhat)), the mean over the last axis
+        np.multiply(xhat, np.einsum("...i,...i->...", gg, xhat)[..., None] / n, out=gx)
+        np.subtract(gg, gx, out=gx)
+        gx *= r
+        np.multiply(g, xhat, out=gg)
+
+    _rows(rows, v.size if v.ndim > 1 else 0, g, v, r, gx, ggamma)
     if gamma.ndim == 0:
         return gx, np.asarray(ggamma.sum(), dtype=v.dtype)
     return gx, ggamma.reshape(-1, n).sum(axis=0)
@@ -365,9 +411,7 @@ def rmsnorm(x: Tensor, gamma: Tensor, eps: float = 1e-6) -> Tensor:
     v = x.values
     _check_gamma(gamma, v.shape[-1], "rmsnorm")
     _check_same_dtype(x, gamma, "rmsnorm")
-    r = _rms_scale(v, eps)
-    out = v * r
-    out *= gamma.values
+    out, r = _rmsnorm_forward(v, gamma.values, eps)
     return _record(out, (x, gamma), lambda g: _rmsnorm_backward(g, v, r, gamma.values))
 
 
@@ -390,9 +434,7 @@ def gate_logits(x: Tensor, w_gate: Tensor, w_noise: Tensor, gamma: Tensor, eps: 
         _check_same_dtype(x, w, "gate_logits")
     a = _mm(x.values, w_noise.values)
     s = _softplus(a)
-    r = _rms_scale(s, eps)
-    logits = s * r
-    logits *= gamma.values
+    logits, r = _rmsnorm_forward(s, gamma.values, eps)
     logits += _mm(x.values, w_gate.values)
 
     def bw(g):
@@ -454,7 +496,7 @@ def routed_experts(
     run on the worker pool, so `forward` may run on a worker thread,
     concurrently with other experts' calls. One pass scales the outputs by
     their gate weights, and each token sums its k rows in ascending expert
-    index.
+    index, over ranges of tokens above PARALLEL_WORK.
 
     The backward gathers g once into the sorted order, takes the gate
     weights' gradient as one row sum, scatters it through the k-way softmax
@@ -491,7 +533,8 @@ def routed_experts(
         def forward(i, rows):
             return _glu_forward(rows, *(w.values for w in experts[i]))
 
-    top = np.take_along_axis(logits.values, idx, axis=-1)
+    chosen = (np.arange(t)[:, None], idx)  # each token's k logits, in rank order
+    top = logits.values[chosen]
     e = np.exp(top - top.max(axis=-1, keepdims=True))
     e /= e.sum(axis=-1, keepdims=True)
     ids = idx.reshape(-1)
@@ -510,9 +553,14 @@ def routed_experts(
     pos = np.empty_like(order)
     pos[order] = np.arange(order.size)
     pos = np.sort(pos.reshape(t, k), axis=1)
-    y = weighted[pos[:, 0]]
-    for j in range(1, k):
-        y += weighted[pos[:, j]]
+    y = np.empty((t, d_out), x.dtype)
+
+    def token_rows(pos, y):
+        np.take(weighted, pos[:, 0], axis=0, out=y, mode="clip")  # "clip": an out of mode "raise" is buffered
+        for j in range(1, k):
+            y += weighted[pos[:, j]]
+
+    _rows(token_rows, t * k * d_out, pos, y)
 
     def bw(g):
         gs = g[tok]
@@ -520,7 +568,7 @@ def routed_experts(
         gw[order] = np.sum(gs * ys, axis=1)
         gw = gw.reshape(t, k)
         gl = np.zeros_like(logits.values)
-        np.put_along_axis(gl, idx, e * (gw - np.sum(gw * e, axis=-1, keepdims=True)), axis=-1)
+        gl[chosen] = e * (gw - np.sum(gw * e, axis=-1, keepdims=True))
         gs *= ws  # the experts' output gradient
         gxs = np.empty_like(xs)
 
@@ -625,9 +673,11 @@ def causal_attention(
     The backward's per-query row term sum_j dP_ij P_ij is taken as
     dO_i . O_i, over head columns instead of over keys. Above PARALLEL_WORK
     (B*H*S^2) that score-softmax-value core, forward and backward, runs on
-    the worker pool, one contiguous chunk of sequences per worker; the
-    projections, the rotations, the row term and the weight gradients, which
-    sum over all rows, stay whole on the calling thread.
+    the worker pool, one contiguous chunk of sequences per worker. Above
+    PARALLEL_WORK (B*S*d) the norm runs over row ranges, and the three
+    projections with their rotations, the two inverse rotations, and the
+    norm's three input-gradient products with the four weight gradients run
+    as concurrent whole calls; the row term stays one call.
 
     The parents are (h, h, gamma, wq, wk, wv, wo): h's residual term g comes
     before the norm's term, and the norm's input gradient sums
@@ -660,12 +710,16 @@ def causal_attention(
         return x.reshape(split).transpose(0, 2, 1, 3)
 
     x = h.values
-    r = _rms_scale(x, eps)
-    n = x * r
-    n *= gamma.values
-    qh = heads(_rotate(_mm(n, wq.values), cos_q, sin_q))
-    kh = heads(_rotate(_mm(n, wk.values), cos_k, sin_k))
-    vh = heads(_mm(n, wv.values))
+    n, r = _rmsnorm_forward(x, gamma.values, eps)
+    qh, kh, vh = map(
+        heads,
+        _tasks(
+            x.size,
+            lambda: _rotate(_mm(n, wq.values), cos_q, sin_q),
+            lambda: _rotate(_mm(n, wk.values), cos_k, sin_k),
+            lambda: _mm(n, wv.values),
+        ),
+    )
 
     att = np.empty(split, dt)
     att_h = att.transpose(0, 2, 1, 3)
@@ -719,14 +773,26 @@ def causal_attention(
                 add_keys(gk_h[lo:hi], r0, ds @ q[:, :, r0:r1])
 
         _map(core_backward, list(zip(chunks, chunk_probs)), work)
-        gq = _rotate(gq.reshape(rows, d), cos_q, sin_q, inverse=True)
-        gk = _rotate(gk.reshape(rows, d), cos_k, sin_k, inverse=True)
+        gq, gk = _tasks(
+            x.size,
+            lambda: _rotate(gq.reshape(rows, d), cos_q, sin_q, inverse=True),
+            lambda: _rotate(gk.reshape(rows, d), cos_k, sin_k, inverse=True),
+        )
         gv = gv.reshape(rows, d)
-        gn = gv @ wv.values.T
-        gn += gk @ wk.values.T
-        gn += gq @ wq.values.T
+        gn, gn_k, gn_q, *w_grads = _tasks(
+            x.size,
+            lambda: gv @ wv.values.T,
+            lambda: gk @ wk.values.T,
+            lambda: gq @ wq.values.T,
+            lambda: n.T @ gq,
+            lambda: n.T @ gk,
+            lambda: n.T @ gv,
+            lambda: att.T @ g,
+        )
+        gn += gn_k
+        gn += gn_q
         gx, ggamma = _rmsnorm_backward(gn, x, r, gamma.values)
-        return g, gx, ggamma, n.T @ gq, n.T @ gk, n.T @ gv, att.T @ g
+        return g, gx, ggamma, *w_grads
 
     return _record(out, (h, h, gamma, wq, wk, wv, wo), bw)
 
@@ -735,10 +801,11 @@ def causal_attention(
 # losses
 
 
-def _log_softmax(v: np.ndarray) -> np.ndarray:
-    m = np.max(v, axis=-1, keepdims=True)
-    z = v - m
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+def _log_softmax(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise log softmax of v, into `out` when given."""
+    z = np.subtract(v, np.max(v, axis=-1, keepdims=True), out=out)
+    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return z
 
 
 def per_token_cross_entropy(logits_values: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -756,13 +823,21 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         raise ShapeError(f"cross_entropy: {t} rows vs {len(targets)} targets")
     if targets.size and (targets.min() < 0 or targets.max() >= logits.shape[1]):
         raise ValueError("cross_entropy: target id out of range")
-    ls = _log_softmax(logits.values)
+    ls = np.empty(logits.shape, logits.dtype)
+    _rows(_log_softmax, ls.size, logits.values, ls)
     loss = np.asarray(-ls[np.arange(t), targets].mean(), dtype=logits.dtype)
 
     def bw(g):
-        p = np.exp(ls)
-        p[np.arange(t), targets] -= 1.0
-        return (p * (g / logits.dtype.type(t)),)
+        scale = g / logits.dtype.type(t)
+        p = np.empty_like(ls)
+
+        def rows(ls, targets, p):
+            np.exp(ls, out=p)
+            p[np.arange(len(targets)), targets] -= 1.0
+            p *= scale
+
+        _rows(rows, ls.size, ls, targets, p)
+        return (p,)
 
     return _record(loss, (logits,), bw)
 

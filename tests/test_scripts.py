@@ -50,9 +50,11 @@ def test_reproduce_smoke(smoke):
     [
         r"D=4 size-sorted +\[283115520, 283115520, 283115520, 283115520\] \(equal\)",
         r"seed 0 +\d+\.\d{4} +\d+\.\d{4} +[+-]\d+\.\d{4}",
-        r"alpha=0\.01 +(\d+\.\d{3}|inf) +final f \[\[.*\]\]",
+        # the median ratio, then the share of (step, layer) cells where some expert got no top-1 token
+        r"alpha=0\.01 +(\d+\.\d{3}|inf) +[01]\.\d{3} +final f \[\[.*\]\]",
         # the "final quarter" of a 2-step run is its last step, not both steps
-        r"Balance, seed 0: mean top-1 max/min ratio of per_layer_f over the last 1 of 2 steps, and the final f",
+        r"Balance, seed 0: median top-1 max/min ratio of per_layer_f over the last 1 of 2 steps, "
+        r"share of \(step, layer\) cells where some expert got no top-1 token, and the final f",
     ],
     ids=["placement_demo", "train_toy", "balance_effect", "balance_effect_window"],
 )

@@ -1,3 +1,4 @@
+import contextlib
 import sys
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 import modse.tensor as tt
 from modse.gradcheck import _proj
 from modse.moe import GateParams, gate_forward
+from modse.optim import AdamState, OptimizerConfig, adam_step
 from modse.tensor import ShapeError, Tensor
 
 # frozen oracle values, evaluated at 50-digit precision
@@ -950,6 +952,17 @@ class TestCrossEntropy:
 # worker pool
 
 
+@contextlib.contextmanager
+def short_switch_interval():
+    """A 1 us thread switch interval, so pooled pieces interleave at many more points."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.fixture
 def fresh_pool(monkeypatch):
     """A pool of this test's own, shut down after it."""
@@ -975,13 +988,36 @@ def routed_at_gate(dtype):
 
 
 def attention_at_gate(dtype):
-    """Three sequences of 80 over 4 heads, two query blocks each: B*H*S^2 = 76,800."""
+    """Three sequences of 80 over 4 heads of 72, two query blocks each: B*H*S^2 = 76,800 for
+    the core, B*S*d = 69,120 for the norm, projections, rotations and gradient GEMMs."""
     rng = np.random.default_rng(29)
-    batch, seq_len, n_heads, hd = 3, 80, 4, 16
+    batch, seq_len, n_heads, hd = 3, 80, 4, 72
     h, gamma, w = sublayer_inputs(rng, batch * seq_len, n_heads * hd)
     tables = tt.build_attention_tables(*(a.astype(dtype) for a in rope_angles(seq_len, hd, rng)), n_heads)
-    assert batch * n_heads * seq_len**2 >= tt.PARALLEL_WORK
+    assert min(batch * n_heads * seq_len**2, batch * seq_len * n_heads * hd) >= tt.PARALLEL_WORK
     return (lambda *ts: tt.causal_attention(*ts, tables)), [a.astype(dtype) for a in (h, gamma, *w)]
+
+
+def matmul_at_gate(dtype):
+    """[512, 48] @ [48, 130]: the output gradient's 66,560 elements reach PARALLEL_WORK."""
+    rng = np.random.default_rng(31)
+    assert 512 * 130 >= tt.PARALLEL_WORK
+    return tt.matmul, [rng.normal(size=s).astype(dtype) for s in ((512, 48), (48, 130))]
+
+
+def rmsnorm_at_gate(dtype):
+    """515 rows of 128 with a [128] gamma: 65,920 elements, split 257/258 by 2 workers."""
+    rng = np.random.default_rng(37)
+    assert 515 * 128 >= tt.PARALLEL_WORK
+    return tt.rmsnorm, [rng.normal(size=(515, 128)).astype(dtype), (rng.normal(size=128) + 1.5).astype(dtype)]
+
+
+def cross_entropy_at_gate(dtype):
+    """300 rows of 258 logits: 77,400 elements."""
+    rng = np.random.default_rng(41)
+    targets = rng.integers(0, 258, 300)
+    assert 300 * 258 >= tt.PARALLEL_WORK
+    return (lambda logits: tt.cross_entropy(logits, targets)), [rng.normal(size=(300, 258)).astype(dtype)]
 
 
 def values_and_grads(op, inputs):
@@ -993,21 +1029,48 @@ def values_and_grads(op, inputs):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("make", [routed_at_gate, attention_at_gate], ids=["routed_experts", "causal_attention"])
+@pytest.mark.parametrize(
+    "make",
+    [routed_at_gate, attention_at_gate, matmul_at_gate, rmsnorm_at_gate, cross_entropy_at_gate],
+    ids=["routed_experts", "causal_attention", "matmul", "rmsnorm", "cross_entropy"],
+)
 def test_bits_do_not_depend_on_the_worker_count(monkeypatch, fresh_pool, make, dtype):
-    # 3 workers split attention's 3 sequences 1/1/1, 2 workers split them 1/2; a short switch
-    # interval makes the workers interleave at many more points
+    # 3 workers split attention's 3 sequences 1/1/1, 2 workers split them 1/2
     op, inputs = make(dtype)
     results = {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
+    with short_switch_interval():
         for workers in (1, 2, 3):
             monkeypatch.setattr(tt, "_workers", workers)
             results[workers] = values_and_grads(op, inputs)
             assert workers == 1 or tt._pool[0] == workers  # the pool ran the op's pieces
-    finally:
-        sys.setswitchinterval(interval)
+    for workers in (2, 3):
+        for got, expect in zip(results[workers], results[1]):
+            assert got.dtype == expect.dtype and np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_adam_bits_do_not_depend_on_the_worker_count(monkeypatch, fresh_pool, dtype):
+    # the middle parameter gets no gradient, so the update makes two runs of 70,000 and
+    # 75,000 elements, each split into contiguous ranges over the workers
+    shapes = ((70_000,), (300,), (300, 250))
+    rng = np.random.default_rng(43)
+    inits = [rng.normal(size=s).astype(dtype) for s in shapes]
+    grads = [[rng.normal(size=s).astype(dtype) for s in shapes] for _ in range(3)]
+    cfg = OptimizerConfig(warmup_steps=1, total_steps=10)
+    results = {}
+    with short_switch_interval():
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(tt, "_workers", workers)
+            params = [(f"p{i}", Tensor(a.copy(), requires_grad=True, dtype=dtype)) for i, a in enumerate(inits)]
+            state = AdamState(params)
+            for step, step_grads in enumerate(grads, 1):
+                for (i, (_, p)), g in zip(enumerate(params), step_grads):
+                    p.grad = None if i == 1 else g
+                state.gather_grads()
+                assert len(state.runs) == 2
+                adam_step(state, cfg, step)
+            assert workers == 1 or tt._pool[0] == workers
+            results[workers] = (state.flat, state.m, state.v)
     for workers in (2, 3):
         for got, expect in zip(results[workers], results[1]):
             assert got.dtype == expect.dtype and np.array_equal(got, expect)

@@ -78,10 +78,13 @@ class TestTrain:
             self.maps += 1
             return map(fn, items)
 
-    @pytest.mark.parametrize("shape,maps", [("micro", 0), ("toy", 8)])
+    @pytest.mark.parametrize("shape,maps", [("micro", 0), ("toy", 30)])
     def test_only_steps_above_the_work_gate_use_the_pool(self, corpus, monkeypatch, shape, maps):
         # the micro model's ops stay below PARALLEL_WORK, where the pool's hand-offs would cost
-        # more than they save; each toy layer maps attention and its experts, forward and backward
+        # more than they save. Each toy layer maps 12 times: attention's norm, projections and
+        # core forward, and its core, rotations, gradient GEMMs and norm backward; the FFN norm
+        # forward and backward; the experts forward and backward and the per-token sum. The
+        # final norm adds 2, the output projection's backward 1, cross entropy 2 and Adam's one run 1.
         if shape == "micro":
             cfg = tiny_cfg(n_layers=1, batch_size=8, seed=3)
         else:
@@ -92,6 +95,19 @@ class TestTrain:
         monkeypatch.setattr(tt, "_pool", (2, pool))
         train(cfg, tiny_opt(), corpus, steps=1)
         assert pool.maps == maps
+
+    def test_micro_model_step_builds_no_pool(self, corpus, monkeypatch):
+        # the benchmark's micro model (dim 16, one layer, B8/S16): nothing in its step reaches
+        # PARALLEL_WORK, so no piece is handed off and the pool is never built
+        cfg = tiny_cfg(n_layers=1, batch_size=8, seed=3)
+        opt = tiny_opt()
+        weights = init_weights(cfg)
+        adam = AdamState(list(weights.items()))
+        state = TrainState(cfg, weights, adam, Batcher(corpus, cfg.seq_len, cfg.batch_size, cfg.seed))
+        monkeypatch.setattr(tt, "_pool", None)
+        monkeypatch.setattr(tt, "_workers", 2)
+        train_step(state, opt)
+        assert tt._pool is None
 
     def test_toy_step_records_18_nodes(self, corpus, monkeypatch):
         # the toy config: two layers of eight experts, each layer's experts one node
