@@ -38,10 +38,14 @@ backward gathers the output gradient once into the same order, runs each
 expert's backward on its slice, and scatters the gate weights' gradient
 through the k-way softmax into the logits.
 
-An op whose work reaches PARALLEL_WORK hands its large independent pieces
-to a pool of worker threads, one per usable core. A piece is either a whole
-numpy call run as a concurrent task, or a contiguous range of rows of a
-row-wise pass. Tasks: `routed_experts` each expert's forward (the caller's
+An op whose work reaches PARALLEL_WORK splits its large independent pieces
+over one thread per usable core: the calling thread and a pool of the
+others. The pieces form one queue that every thread drains, each taking the
+next piece as it finishes one, so a slow piece holds up only the thread
+that runs it; the experts queue widest work first. The op returns, or
+raises a piece's error, only once no piece is running. A piece is either a
+whole numpy call run as a concurrent task, or a contiguous range of rows of
+a row-wise pass. Tasks: `routed_experts` each expert's forward (the caller's
 `forward` callback, which may then run on a worker thread, concurrently
 with other experts) and backward; `matmul`'s two backward GEMMs;
 `causal_attention`'s three projections with their rotations, its two
@@ -64,6 +68,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -96,12 +101,13 @@ class ShapeError(ValueError):
 # hand-offs cost more than they save, so the micro model stays on the calling thread
 PARALLEL_WORK = 1 << 16
 _workers: int | None = None  # None: one worker per usable core; tests set a count
-_pool = None  # (worker count, ThreadPoolExecutor), built on first use
+_pool = None  # (pool thread count, ThreadPoolExecutor), built on first use
 
 
 def worker_count() -> int:
-    """The worker threads the fused ops use above PARALLEL_WORK: one per core this
-    process may run on (its CPU affinity), so `taskset` restricts them."""
+    """The threads the fused ops work on above PARALLEL_WORK: one per core this process
+    may run on (its CPU affinity), so `taskset` restricts them. The calling thread is
+    one of them; the pool holds the others."""
     if _workers is not None:
         return _workers
     try:
@@ -111,19 +117,51 @@ def worker_count() -> int:
 
 
 def _map(fn, items: list, work: int) -> list:
-    """[fn(item) for item in items], on the worker pool when `work` reaches PARALLEL_WORK
-    and there are at least two items and two workers; results come in item order."""
-    n = worker_count() if work >= PARALLEL_WORK and len(items) > 1 else 1
+    """[fn(item) for item in items], results in item order. When `work` reaches
+    PARALLEL_WORK and there are at least two items and two workers, the items form one
+    queue that the calling thread and up to worker_count() - 1 pool threads drain, each
+    taking the next item as it finishes one, so the queue's order is the order pieces
+    start in. A piece that raises stops the others from taking new items; the first
+    exception is raised once every piece that started has returned. A drain no pool
+    thread has started when the caller's own drain ends is cancelled, so a `_map`
+    called from inside a piece finishes even when every pool thread is busy."""
+    threads = worker_count() - 1  # the pool's; sized by the workers alone, so no map rebuilds it
+    n = min(threads + 1, len(items)) if work >= PARALLEL_WORK else 1
     if n < 2:
         return list(map(fn, items))
     global _pool
-    if _pool is None or _pool[0] != n:
+    if _pool is None or _pool[0] != threads:
         from concurrent.futures import ThreadPoolExecutor  # 7-9 ms to import, so only when first needed
 
         if _pool is not None:
             _pool[1].shutdown(wait=False)
-        _pool = (n, ThreadPoolExecutor(n, thread_name_prefix="modse-op"))
-    return list(_pool[1].map(fn, items))
+        _pool = (threads, ThreadPoolExecutor(threads, thread_name_prefix="modse-op"))
+    results = [None] * len(items)
+    queue = enumerate(items)
+    lock = threading.Lock()
+    failed: list[BaseException] = []
+
+    def drain():
+        while True:
+            with lock:
+                nxt = None if failed else next(queue, None)
+            if nxt is None:
+                return
+            try:
+                results[nxt[0]] = fn(nxt[1])
+            except BaseException as exc:  # kept, and raised by the caller once every drain is out
+                with lock:
+                    failed.append(exc)
+                return
+
+    jobs = [_pool[1].submit(drain) for _ in range(n - 1)]
+    drain()
+    started = [job for job in jobs if not job.cancel()]
+    for job in started:
+        job.result()
+    if failed:
+        raise failed[0]
+    return results
 
 
 def _split(n: int, work: int) -> list[tuple[int, int]]:
@@ -134,13 +172,13 @@ def _split(n: int, work: int) -> list[tuple[int, int]]:
 
 
 def _tasks(work: int, *calls: Callable[[], object]) -> list:
-    """[call() for call in calls], as concurrent tasks on the pool when `work` reaches PARALLEL_WORK."""
+    """[call() for call in calls], as concurrent tasks when `work` reaches PARALLEL_WORK."""
     return _map(lambda call: call(), list(calls), work)
 
 
 def _rows(fn, work: int, *arrays: np.ndarray) -> list:
     """[fn(*arrays)] below PARALLEL_WORK; above it fn on each worker's contiguous range of
-    the arrays' rows (their first axis), on the pool, with the results in row order. fn
+    the arrays' rows (their first axis), in parallel, with the results in row order. fn
     writes its outputs into arrays among `arrays`, so each range writes only its own rows."""
     chunks = _split(len(arrays[0]), work) if work >= PARALLEL_WORK else ()
     if len(chunks) < 2:
@@ -492,8 +530,10 @@ def routed_experts(
     into that [T*k, d] buffer, and each expert with rows runs once on its
     contiguous slice as `forward(i, rows)`, by default `_glu_forward` of its
     weights (a caller may pass a function that computes the same, to
-    instrument each expert's call). Above PARALLEL_WORK (T*k*d) the experts
-    run on the worker pool, so `forward` may run on a worker thread,
+    instrument each expert's call). The experts start widest work first:
+    descending rows * h_i, ties to the lower index, forward and backward.
+    Above PARALLEL_WORK (T*k*d) the calling thread and the worker pool take
+    them from that queue, so `forward` may run on a worker thread,
     concurrently with other experts' calls. One pass scales the outputs by
     their gate weights, and each token sums its k rows in ascending expert
     index, over ranges of tokens above PARALLEL_WORK.
@@ -542,9 +582,21 @@ def routed_experts(
     tok = order // k
     bounds = np.cumsum(np.bincount(ids, minlength=n)).tolist()
     spans = [(i, lo, hi) for i, (lo, hi) in enumerate(zip([0, *bounds], bounds)) if hi > lo]
+    # the experts queue widest work (rows * h_i) first, ties to the lower index (the sort
+    # is stable), so no wide expert starts last while the other threads idle
+    cost = [(hi - lo) * experts[i][0].shape[-1] for i, lo, hi in spans]
+    queue = sorted(range(len(spans)), key=lambda j: -cost[j])
     xs = x.values[tok]
     work = t * k * d
-    fwd = _map(lambda span: forward(span[0], xs[span[1] : span[2]]), spans, work)
+
+    def queued(fn, items: list) -> list:
+        """[fn(item) for item in items], run in queue order; items and results are in expert index order."""
+        out = [None] * len(items)
+        for j, r in zip(queue, _map(lambda j: fn(items[j]), queue, work)):
+            out[j] = r
+        return out
+
+    fwd = queued(lambda span: forward(span[0], xs[span[1] : span[2]]), spans)
     ys = np.concatenate([f.out for f in fwd]) if fwd else np.empty((0, d_out), x.dtype)
     saved = [f[1:] for f in fwd]  # (a, s, b); the outputs live on in ys alone
     ws = e.reshape(-1, 1)[order]
@@ -578,7 +630,7 @@ def routed_experts(
             return _glu_backward(gs[lo:hi], xs[lo:hi], a_s_b, w_values, gxs[lo:hi])
 
         grads: list[np.ndarray | None] = [None] * (3 * n)
-        for (i, _, _), g_w in zip(spans, _map(expert_backward, list(zip(spans, saved)), work)):
+        for (i, _, _), g_w in zip(spans, queued(expert_backward, list(zip(spans, saved)))):
             grads[3 * i : 3 * i + 3] = g_w
         return (*(gxs[pos[:, j]] for j in reversed(range(k))), gl, *grads)
 
@@ -673,7 +725,7 @@ def causal_attention(
     The backward's per-query row term sum_j dP_ij P_ij is taken as
     dO_i . O_i, over head columns instead of over keys. Above PARALLEL_WORK
     (B*H*S^2) that score-softmax-value core, forward and backward, runs on
-    the worker pool, one contiguous chunk of sequences per worker. Above
+    the op threads, one contiguous chunk of sequences per worker. Above
     PARALLEL_WORK (B*S*d) the norm runs over row ranges, and the three
     projections with their rotations, the two inverse rotations, and the
     norm's three input-gradient products with the four weight gradients run

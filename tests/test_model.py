@@ -184,6 +184,9 @@ class TestTransformerForward:
             used, rows = np.unique(go.topk_indices, return_counts=True)
             layer_calls, calls = calls[: len(used)], calls[len(used) :]
             w_in = [weights[f"layers.{layer}.experts.{j}.w_in"] for j in used]
+            # widest work first: descending rows * width, ties to the lower index
+            queue = sorted(range(len(used)), key=lambda j: (-rows[j] * w_in[j].shape[1], used[j]))
+            w_in, rows = [w_in[j] for j in queue], [rows[j] for j in queue]
             assert [w for w, _, _ in layer_calls] == w_in  # Tensors compare by identity
             assert [(h, r) for _, h, r in layer_calls] == [(w.shape[1], r) for w, r in zip(w_in, rows)]
             assert sum(r for _, _, r in layer_calls) == go.topk_indices.size

@@ -1,5 +1,7 @@
 import contextlib
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -393,6 +395,28 @@ class TestCombine:
         assert np.array_equal(y.values, expect)
         tt.backward(_proj(y, g))
         assert np.array_equal(logits_t.grad, topk_weights_backward(logits, idx, w, expect_gw))
+
+    def test_experts_run_widest_work_first(self, monkeypatch):
+        # rows 4, 2, 0, 8, 3 over widths 8, 16, 32, 4, 16: costs 32, 32, -, 32, 48, so expert 4
+        # runs first, the three ties follow by index and expert 2, with no rows, never runs;
+        # the output keeps the bits of the index-order run
+        monkeypatch.setattr(tt, "_workers", 1)
+        rng = np.random.default_rng(19)
+        widths, d = (8, 16, 32, 4, 16), 4
+        idx = np.repeat(np.arange(5), (4, 2, 0, 8, 3)).reshape(-1, 1)
+        rng.shuffle(idx)
+        x = Tensor(rng.normal(size=(len(idx), d)), dtype=np.float64)
+        logits = Tensor(rng.normal(size=(len(idx), 5)), dtype=np.float64)
+        experts = [tuple(Tensor(a, dtype=np.float64) for a in ws) for ws in expert_weights(rng, d, widths, np.float64)]
+        calls = []
+
+        def forward(i, rows):
+            calls.append((i, len(rows)))
+            return tt._glu_forward(rows, *(w.values for w in experts[i]))
+
+        y = tt.routed_experts(x, logits, idx, experts, forward)
+        assert calls == [(4, 3), (0, 4), (1, 2), (3, 8)]
+        assert np.array_equal(y.values, tt.routed_experts(x, logits, idx, experts).values)
 
     def test_shape_errors(self):
         x, logits = Tensor(np.ones((3, 4))), Tensor(np.ones((3, 3)))
@@ -972,11 +996,13 @@ def fresh_pool(monkeypatch):
         tt._pool[1].shutdown()
 
 
-def routed_at_gate(dtype):
-    """The toy layer's experts on 512 tokens, k = 2, d = 64: T*k*d is exactly PARALLEL_WORK."""
+def routed_at_gate(dtype, idle=()):
+    """The toy layer's experts on 512 tokens, k = 2, d = 64: T*k*d is exactly PARALLEL_WORK.
+    The experts in `idle` get no rows."""
     rng = np.random.default_rng(23)
     t, d, widths = 512, 64, (288, 32, 256, 64, 192, 128, 160, 160)
     logits = rng.normal(size=(t, len(widths))).astype(dtype)
+    logits[:, list(idle)] -= 100
     idx = np.argsort(-logits, axis=-1, kind="stable")[:, :2]
     weights = [w for ws in expert_weights(rng, d, widths, dtype) for w in ws]
 
@@ -985,6 +1011,15 @@ def routed_at_gate(dtype):
 
     assert t * 2 * d >= tt.PARALLEL_WORK
     return op, [rng.normal(size=(t, d)).astype(dtype), logits, *weights]
+
+
+def routed_with_an_idle_expert(dtype):
+    """routed_at_gate with expert 2 idle: the queue's cost order, rows * h_i, is not the index order."""
+    op, inputs = routed_at_gate(dtype, idle=(2,))
+    rows = np.bincount(np.argsort(-inputs[1], axis=-1, kind="stable")[:, :2].ravel(), minlength=8)
+    cost = rows * np.array([w.shape[1] for w in inputs[2::3]])
+    assert rows[2] == 0 and (np.argsort(-cost, kind="stable") != np.arange(8)).any()
+    return op, inputs
 
 
 def attention_at_gate(dtype):
@@ -1031,8 +1066,15 @@ def values_and_grads(op, inputs):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize(
     "make",
-    [routed_at_gate, attention_at_gate, matmul_at_gate, rmsnorm_at_gate, cross_entropy_at_gate],
-    ids=["routed_experts", "causal_attention", "matmul", "rmsnorm", "cross_entropy"],
+    [
+        routed_at_gate,
+        routed_with_an_idle_expert,
+        attention_at_gate,
+        matmul_at_gate,
+        rmsnorm_at_gate,
+        cross_entropy_at_gate,
+    ],
+    ids=["routed_experts", "routed_experts_idle", "causal_attention", "matmul", "rmsnorm", "cross_entropy"],
 )
 def test_bits_do_not_depend_on_the_worker_count(monkeypatch, fresh_pool, make, dtype):
     # 3 workers split attention's 3 sequences 1/1/1, 2 workers split them 1/2
@@ -1042,10 +1084,13 @@ def test_bits_do_not_depend_on_the_worker_count(monkeypatch, fresh_pool, make, d
         for workers in (1, 2, 3):
             monkeypatch.setattr(tt, "_workers", workers)
             results[workers] = values_and_grads(op, inputs)
-            assert workers == 1 or tt._pool[0] == workers  # the pool ran the op's pieces
+            assert workers == 1 or tt._pool[0] == workers - 1  # pieces went to a pool beside the caller
     for workers in (2, 3):
         for got, expect in zip(results[workers], results[1]):
-            assert got.dtype == expect.dtype and np.array_equal(got, expect)
+            if expect is None:  # an idle expert's weights get no gradient
+                assert got is None
+            else:
+                assert got.dtype == expect.dtype and np.array_equal(got, expect)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -1069,7 +1114,7 @@ def test_adam_bits_do_not_depend_on_the_worker_count(monkeypatch, fresh_pool, dt
                 state.gather_grads()
                 assert len(state.runs) == 2
                 adam_step(state, cfg, step)
-            assert workers == 1 or tt._pool[0] == workers
+            assert workers == 1 or tt._pool[0] == workers - 1
             results[workers] = (state.flat, state.m, state.v)
     for workers in (2, 3):
         for got, expect in zip(results[workers], results[1]):
@@ -1096,3 +1141,60 @@ def test_forked_child_runs_a_pooled_op(monkeypatch, fresh_pool):
         proc.kill()
         proc.join()
     assert proc.exitcode == 0
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_map_runs_each_piece_once_on_the_caller_and_the_pool(monkeypatch, fresh_pool, workers):
+    # the calling thread drains the queue beside a pool of workers - 1 threads; whether a pool
+    # thread gets a piece is up to the scheduler, so only the caller's share is pinned
+    monkeypatch.setattr(tt, "_workers", workers)
+    ran = []
+
+    def piece(i):
+        ran.append((i, threading.get_ident()))
+        time.sleep(0.002)
+        return i * i
+
+    with short_switch_interval():
+        assert tt._map(piece, list(range(40)), tt.PARALLEL_WORK) == [i * i for i in range(40)]
+    assert sorted(i for i, _ in ran) == list(range(40))
+    threads = {thread for _, thread in ran}
+    assert threading.get_ident() in threads and len(threads) <= workers
+    assert tt._pool[0] == workers - 1 and tt._pool[1]._max_workers == workers - 1
+
+
+def test_map_raises_only_once_every_started_piece_returned(monkeypatch, fresh_pool):
+    # the failing piece waits until its slow sibling has started, so the two run at once
+    monkeypatch.setattr(tt, "_workers", 2)
+    started, done = threading.Event(), threading.Event()
+
+    def piece(i):
+        if i == 0:
+            started.wait(timeout=10)
+            raise RuntimeError("piece 0")
+        started.set()
+        time.sleep(0.2)
+        done.set()
+
+    with pytest.raises(RuntimeError, match="piece 0"):
+        tt._map(piece, [0, 1], tt.PARALLEL_WORK)
+    assert done.is_set()
+
+
+def test_map_inside_a_piece_finishes(monkeypatch):
+    # every pool thread may be busy running an outer piece: an inner map's drains that no
+    # thread started are cancelled, and its caller drains the inner queue alone
+    monkeypatch.setattr(tt, "_workers", 2)
+    monkeypatch.setattr(tt, "_pool", None)
+
+    def outer(i):
+        return sum(tt._map(lambda j: i * j, [1, 2, 3], tt.PARALLEL_WORK))
+
+    results = []
+    work = tt.PARALLEL_WORK
+    caller = threading.Thread(target=lambda: results.append(tt._map(outer, [1, 2, 3, 4], work)), daemon=True)
+    caller.start()
+    caller.join(timeout=30)
+    finished = not caller.is_alive()
+    tt._pool[1].shutdown(wait=finished)  # a deadlocked pool thread would never end
+    assert finished and results == [[6, 12, 18, 24]]

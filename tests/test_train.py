@@ -5,6 +5,7 @@ import platform
 import subprocess
 import sys
 import weakref
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -69,22 +70,24 @@ class TestTrain:
         assert len(nodes) == 11
 
     class CountingPool:
-        """Stands in for the ops' worker pool: counts each map and runs it on the calling thread."""
+        """Stands in for the ops' one pool thread: counts each hand-off and starts none, so the
+        calling thread drains every piece."""
 
         def __init__(self):
             self.maps = 0
 
-        def map(self, fn, items):
+        def submit(self, fn):
             self.maps += 1
-            return map(fn, items)
+            return Future()  # never started, so the caller's cancel succeeds
 
     @pytest.mark.parametrize("shape,maps", [("micro", 0), ("toy", 30)])
     def test_only_steps_above_the_work_gate_use_the_pool(self, corpus, monkeypatch, shape, maps):
         # the micro model's ops stay below PARALLEL_WORK, where the pool's hand-offs would cost
-        # more than they save. Each toy layer maps 12 times: attention's norm, projections and
-        # core forward, and its core, rotations, gradient GEMMs and norm backward; the FFN norm
-        # forward and backward; the experts forward and backward and the per-token sum. The
-        # final norm adds 2, the output projection's backward 1, cross entropy 2 and Adam's one run 1.
+        # more than they save. At 2 workers each pooled map hands one drain to the pool. Each
+        # toy layer maps 12 times: attention's norm, projections and core forward, and its core,
+        # rotations, gradient GEMMs and norm backward; the FFN norm forward and backward; the
+        # experts forward and backward and the per-token sum. The final norm adds 2, the output
+        # projection's backward 1, cross entropy 2 and Adam's one run 1.
         if shape == "micro":
             cfg = tiny_cfg(n_layers=1, batch_size=8, seed=3)
         else:
@@ -92,7 +95,7 @@ class TestTrain:
                 cfg = ModelConfig.from_dict(json.load(fh)["model"])
         pool = self.CountingPool()
         monkeypatch.setattr(tt, "_workers", 2)
-        monkeypatch.setattr(tt, "_pool", (2, pool))
+        monkeypatch.setattr(tt, "_pool", (1, pool))
         train(cfg, tiny_opt(), corpus, steps=1)
         assert pool.maps == maps
 
